@@ -19,7 +19,7 @@ from .constraints import SmoothedConstraint, smooth_constraint
 from .fixtures import FixtureId, build_fixture, parse_fixture_id, verify_fixture
 from .geometry import SimplexGrid, build_grid, project_to_contraction
 from .lp import LinearProgram, LpSolution, build_persuasion_lp, solve_lp
-from .objectives import GriddedUtility, build_upper_approx, eval_gridded
+from .objectives import GriddedUtility, build_upper_approx
 from .solver import (SolveReport, bi_criteria_solve, ex_ante_to_ex_post,
                      oracle_solve, single_criteria_solve)
 
@@ -33,7 +33,7 @@ __all__ = [
     "SmoothedConstraint", "SolveReport", "UnsupportedKindError", "UtilitySpec",
     "ValidationError", "VerifyReport", "auction_utility", "bi_criteria_solve",
     "build_fixture", "build_grid", "build_persuasion_lp", "build_upper_approx",
-    "check_bayes_plausible", "eval_constraint", "eval_gridded", "eval_utility",
+    "check_bayes_plausible", "eval_constraint", "eval_utility",
     "ex_ante_to_ex_post", "example2_scheme", "full_revelation",
     "no_revelation", "oracle_solve", "parse_fixture_id",
     "project_to_contraction", "scheme_expectation", "single_criteria_solve",

@@ -16,9 +16,10 @@ Scheme files:
     {"support": [[...]], "probs": [...], "value": real?, "report": {...}?}
 
 Floats are serialized with repr (shortest exact form), so load(save(x))
-round-trips bit-exactly.  Exit codes: 0 success, 1 input error, 2 infeasible
-or invalid.  The environment variable PERSUADE_GRID_CAP overrides the grid
-vertex cap.
+round-trips bit-exactly.  Exit codes: 0 success; 1 input error (including a
+non-finite or non-positive eps or Slater margin), resource limit, or LP or
+numeric failure; 2 infeasible or invalid.  The environment variable
+PERSUADE_GRID_CAP overrides the grid vertex cap.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from . import solver as _solver
 from .auction import AuctionSpec, BidderType
 from .core import (ConstraintSpec, InfeasibleError, MaxLinearTerm,
                    PersuasionError, Posterior, ProblemInstance,
-                   ResourceLimitError, SignalingScheme, UnsupportedKindError,
-                   UtilitySpec, ValidationError, verify_scheme)
+                   SignalingScheme, UtilitySpec, ValidationError,
+                   verify_scheme)
+from .lp import LpError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -281,36 +283,29 @@ def _grid_cap() -> int | None:
 
 def cmd_solve(args) -> int:
     instance = load_instance(args.instance, seed=args.seed)
-    cap = _grid_cap()
+    margin = None
     if args.mode == "single":
         if args.slater_margin is None:
             raise InputError("--slater-margin is required with --mode single")
-        report = _solver.single_criteria_solve(instance, args.eps,
-                                               args.slater_margin,
-                                               grid_cap=cap)
-    else:
-        report = _solver.bi_criteria_solve(instance, args.eps, grid_cap=cap)
+        margin = args.slater_margin
+    surrogate = _solver.build_surrogate(instance, args.eps, slater_margin=margin,
+                                        grid_cap=_grid_cap())
+    report = _solver.solve_surrogate(surrogate)
     save_json(scheme_to_dict(report.scheme, value=report.value,
                              report=report.as_dict()), args.out)
     if args.grid_csv:
-        _write_grid_csv(instance, report, args.grid_csv, cap)
+        _write_grid_csv(surrogate, args.grid_csv)
     return EXIT_OK
 
 
-def _write_grid_csv(instance, report, path: str, cap: int | None):
-    """(posterior, objective value) table for external plotting."""
-    from . import constraints as _constraints
-    from . import objectives as _objectives
-    eps2 = report.eps / 2.0
-    smoothed = [_constraints.smooth_constraint(c, eps2, k=instance.k)
-                for c in instance.ex_ante()]
-    M = max((s.lipschitz_constant for s in smoothed), default=0.0)
-    gridded = _objectives.build_upper_approx(instance.utility, eps2, M,
-                                             vertex_cap=cap)
-    values = gridded.vertex_values()
+def _write_grid_csv(surrogate, path: str):
+    """(posterior, objective value) table of the LP columns, for plotting."""
+    vertices = surrogate.gridded.grid.vertices
+    if surrogate.mask is not None:
+        vertices = vertices[surrogate.mask]
     with open(path, "w") as fh:
-        fh.write(",".join(f"p{i}" for i in range(instance.k)) + ",value\n")
-        for row, val in zip(gridded.grid.vertices, values):
+        fh.write(",".join(f"p{i}" for i in range(vertices.shape[1])) + ",value\n")
+        for row, val in zip(vertices, surrogate.program.c):
             fh.write(",".join(repr(float(x)) for x in row) + f",{float(val)!r}\n")
 
 
@@ -411,16 +406,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValidationError, UnsupportedKindError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (InfeasibleError,) as exc:
+    except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ResourceLimitError, PersuasionError) as exc:
+    except (PersuasionError, LpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

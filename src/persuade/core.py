@@ -14,7 +14,7 @@ functions, so shared instances are safe under concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -335,18 +335,10 @@ class ConstraintSpec:
             raise DimensionMismatch("bump center length != k")
 
     def with_bound(self, bound: float) -> "ConstraintSpec":
-        return ConstraintSpec(kind=self.kind, bound=float(bound), mode=self.mode,
-                              coeffs=self.coeffs, order=self.order,
-                              partition=self.partition, scale=self.scale,
-                              refs=self.refs, weights=self.weights,
-                              center=self.center, radius=self.radius)
+        return replace(self, bound=bound)
 
     def with_mode(self, mode: str) -> "ConstraintSpec":
-        return ConstraintSpec(kind=self.kind, bound=self.bound, mode=mode,
-                              coeffs=self.coeffs, order=self.order,
-                              partition=self.partition, scale=self.scale,
-                              refs=self.refs, weights=self.weights,
-                              center=self.center, radius=self.radius)
+        return replace(self, mode=mode)
 
 
 def _xlogx(s: np.ndarray) -> np.ndarray:
@@ -664,11 +656,7 @@ class VerifyReport:
     def as_dict(self) -> dict:
         return {
             "plausibility_deviation": self.plausibility_deviation,
-            "constraints": [
-                {"kind": c.kind, "mode": c.mode, "value": c.value,
-                 "bound": c.bound, "violation": c.violation}
-                for c in self.constraints
-            ],
+            "constraints": [asdict(c) for c in self.constraints],
             "utility": self.utility,
             "valid": self.valid,
             "tol": self.tol,

@@ -109,7 +109,9 @@ class SimplexGrid:
     def cells(self) -> np.ndarray:
         """(C, k) vertex-index array; built on first access for lattice grids."""
         if self._cells is None:
-            self._cells = self._build_lattice_cells()
+            if not self.is_lattice:
+                raise ValidationError("triangulation grid has no lattice cells to build")
+            self._cells = build_grid_cells_for_level(self.k, self.denominator)
         return self._cells
 
     @property
@@ -120,31 +122,6 @@ class SimplexGrid:
 
     def _vertex_rank(self, lattice_pts: np.ndarray) -> np.ndarray:
         return composition_rank(lattice_pts, self.denominator, self._rank_tab)
-
-    def _build_lattice_cells(self) -> np.ndarray:
-        if not self.is_lattice:
-            raise ValidationError("triangulation grid has no lattice cells to build")
-        k, N = self.k, self.denominator
-        d = k - 1
-        cells = []
-        for z in itertools.combinations_with_replacement(range(N), d):
-            z = np.array(z, dtype=np.int64)
-            for perm in itertools.permutations(range(d)):
-                chain = [z.copy()]
-                cur = z.copy()
-                ok = True
-                for axis in perm:
-                    cur = cur.copy()
-                    cur[axis] += 1
-                    if np.any(np.diff(cur) < 0) or cur[-1] > N:
-                        ok = False
-                        break
-                    chain.append(cur)
-                if ok:
-                    cells.append(np.vstack(chain))
-        idx = np.array([self._vertex_rank(_y_to_x(np.array(chain), N))
-                        for chain in cells], dtype=np.int64)
-        return idx
 
     def cell_vertices(self, cell: np.ndarray) -> np.ndarray:
         return self.vertices[np.asarray(cell, dtype=np.int64)]
@@ -170,8 +147,7 @@ class SimplexGrid:
         return bool(beta.min() >= -tol and np.max(np.abs(verts.T @ beta - q)) <= tol)
 
     def _locate_lattice(self, q: np.ndarray, tol: float) -> list[np.ndarray]:
-        k, N = self.k, self.denominator
-        d = k - 1
+        N = self.denominator
         y = np.cumsum(q[:-1]) * N
         ranges = []
         for yi in y:
@@ -180,33 +156,33 @@ class SimplexGrid:
             hi = min(N - 1, math.floor(yi + N * tol))
             ranges.append(range(lo, hi + 1))
         found: list[np.ndarray] = []
-        seen: set[tuple] = set()
         for z in itertools.product(*ranges):
             z = np.array(z, dtype=np.int64)
             if np.any(np.diff(z) < 0):
                 continue
-            for perm in itertools.permutations(range(d)):
-                chain = [z.copy()]
-                cur = z.copy()
-                ok = True
-                for axis in perm:
-                    cur = cur.copy()
-                    cur[axis] += 1
-                    if np.any(np.diff(cur) < 0) or cur[-1] > N:
-                        ok = False
-                        break
-                    chain.append(cur)
-                if not ok:
-                    continue
-                key = tuple(map(tuple, chain))
-                if key in seen:
-                    continue
-                seen.add(key)
-                pts = _y_to_x(np.array(chain), N)
-                verts = pts.astype(float) / N
-                if self._bary_inside(verts, q, tol):
+            for chain in _staircase_chains(z, N):
+                pts = _y_to_x(chain, N)
+                if self._bary_inside(pts.astype(float) / N, q, tol):
                     found.append(self._vertex_rank(pts))
         return found
+
+
+def _staircase_chains(z: np.ndarray, N: int):
+    """Partial-sum vertex chains of the staircase cells with base corner z.
+
+    Each permutation of the k-1 axes raises z by one along one axis at a
+    time; a chain is kept when every point stays in 0 <= y_1 <= ... <= N.
+    """
+    for perm in itertools.permutations(range(z.shape[0])):
+        chain = [z]
+        for axis in perm:
+            cur = chain[-1].copy()
+            cur[axis] += 1
+            if np.any(np.diff(cur) < 0) or cur[-1] > N:
+                break
+            chain.append(cur)
+        else:
+            yield np.vstack(chain)
 
 
 def _y_to_x(y_pts: np.ndarray, N: int) -> np.ndarray:
@@ -226,6 +202,15 @@ def max_cell_diameter_bound(k: int, N: int) -> float:
     l1 diameter 2, which caps the N=1 case.
     """
     return min(2.0, 2.0 * (k // 2) / N)
+
+
+def _l1_diameter(simplices) -> float:
+    """Largest l1 distance between two vertices of one simplex (rows of an array)."""
+    out = 0.0
+    for pts in simplices:
+        for i in range(1, pts.shape[0]):
+            out = max(out, float(np.abs(pts[i:] - pts[i - 1]).sum(axis=1).max()))
+    return out
 
 
 def build_grid(k: int, max_diameter: float, *, vertex_cap: int | None = None,
@@ -255,15 +240,8 @@ def build_grid(k: int, max_diameter: float, *, vertex_cap: int | None = None,
                        measured_max_diameter=max_cell_diameter_bound(k, N),
                        _rank_tab=_rank_table(k, N))
     if with_cells:
-        cells = grid.cells
-        measured = 0.0
-        for cell in cells:
-            pts = grid.vertices[cell]
-            for i in range(pts.shape[0]):
-                d = np.abs(pts[i + 1:] - pts[i]).sum(axis=1)
-                if d.size:
-                    measured = max(measured, float(d.max()))
-        grid.measured_max_diameter = measured
+        grid.measured_max_diameter = _l1_diameter(grid.vertices[cell]
+                                                  for cell in grid.cells)
     if grid.measured_max_diameter > max_diameter + 1e-12:
         raise ValidationError(
             f"cell diameter {grid.measured_max_diameter} exceeds requested "
@@ -276,15 +254,10 @@ def triangulation_grid(k: int, vertices: np.ndarray,
     """Grid from an explicit triangulation (piecewise-constant refinements)."""
     vertices = np.asarray(vertices, dtype=float)
     cells = np.asarray(cells, dtype=np.int64)
-    measured = 0.0
-    for cell in cells:
-        pts = vertices[cell]
-        for i in range(pts.shape[0]):
-            d = np.abs(pts[i + 1:] - pts[i]).sum(axis=1)
-            if d.size:
-                measured = max(measured, float(d.max()))
     return SimplexGrid(k=k, denominator=None, vertices=vertices,
-                       measured_max_diameter=measured, _cells=cells)
+                       measured_max_diameter=_l1_diameter(vertices[cell]
+                                                          for cell in cells),
+                       _cells=cells)
 
 
 def refine_simplex(simplex: np.ndarray, max_diameter: float) -> tuple[np.ndarray, np.ndarray]:
@@ -295,11 +268,7 @@ def refine_simplex(simplex: np.ndarray, max_diameter: float) -> tuple[np.ndarray
     """
     S = np.atleast_2d(np.asarray(simplex, dtype=float))
     k = S.shape[0]
-    diam = 0.0
-    for i in range(k):
-        d = np.abs(S[i + 1:] - S[i]).sum(axis=1)
-        if d.size:
-            diam = max(diam, float(d.max()))
+    diam = _l1_diameter([S])
     if diam <= max_diameter:
         return S.copy(), np.arange(k, dtype=np.int64)[None, :]
     # A barycentric l1 difference of b maps to at most (b/2)*diam in x-space;
@@ -312,11 +281,11 @@ def refine_simplex(simplex: np.ndarray, max_diameter: float) -> tuple[np.ndarray
 
 def build_grid_cells_for_level(k: int, n: int) -> np.ndarray:
     """Staircase cells of the standard lattice at denominator n."""
-    tmp = SimplexGrid(k=k, denominator=n,
-                      vertices=_lattice_vertices(k, n).astype(float) / n,
-                      measured_max_diameter=max_cell_diameter_bound(k, n),
-                      _rank_tab=_rank_table(k, n))
-    return tmp.cells
+    table = _rank_table(k, n)
+    return np.array([composition_rank(_y_to_x(chain, n), n, table)
+                     for z in itertools.combinations_with_replacement(range(n), k - 1)
+                     for chain in _staircase_chains(np.array(z, dtype=np.int64), n)],
+                    dtype=np.int64)
 
 
 def cell_volume(verts: np.ndarray) -> float:

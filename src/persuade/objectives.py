@@ -66,11 +66,6 @@ class GriddedUtility:
         return max(self.cell_value(c) for c in cells)
 
 
-def eval_gridded(gu: GriddedUtility, q) -> float:
-    """Upper-envelope evaluation of the gridded utility at q."""
-    return gu.eval(q)
-
-
 def build_upper_approx(utility: UtilitySpec, eps: float, lipschitz_bound: float,
                        *, vertex_cap: int | None = None,
                        align_multiple: int = 1) -> GriddedUtility:

@@ -1,17 +1,25 @@
 """End-to-end solving pipelines.
 
-bi_criteria_solve: smooth the ex-ante constraints, build the upper utility
-approximation on a grid whose diameter matches the largest constraint
-Lipschitz constant, and solve the finite LP over grid-vertex probabilities
-with the bounds relaxed by eps/2.  The result is additively eps-optimal and
-violates each ex-ante constraint by at most eps; Bayes plausibility holds
-exactly.  Ex-post constraints never become LP rows: they restrict the grid
-to the feasible region by filtering vertices, which also caps the support
-size at k.
+Every grid solve runs the same three stages, once each:
 
-single_criteria_solve: under a caller-asserted Slater margin, strengthen
-every ex-ante bound by eps/2 and run the bi-criteria solve at eps/2, so the
-output satisfies the original constraints exactly.
+    build_surrogate -> solve_surrogate -> verify_scheme
+
+build_surrogate smooths the ex-ante constraints, builds the upper utility
+approximation on a grid whose diameter matches the largest constraint
+Lipschitz constant, drops the grid vertices that break an ex-post constraint
+and assembles the finite LP over grid-vertex probabilities with the bounds
+relaxed by eps/2.  Ex-post constraints never become LP rows: restricting the
+columns to the feasible region also caps the support size at k.
+solve_surrogate runs the LP, reads the scheme off its support and reports it
+through core.verify_scheme against the caller's instance.
+
+bi_criteria_solve: the two stages at eps.  The result is additively
+eps-optimal and violates each ex-ante constraint by at most eps; Bayes
+plausibility holds exactly.
+
+single_criteria_solve: under a caller-asserted Slater margin, the surrogate
+strengthens every ex-ante bound by eps/2 and is built at eps/2, so the output
+satisfies the original constraints exactly.
 
 ex_ante_to_ex_post: the pooling conversion.  For each convex constraint in
 turn, a violating posterior is pooled with a strictly feasible one at the
@@ -30,18 +38,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import constraints as _constraints
 from . import lp, objectives
-from .core import (EX_ANTE, ConstraintReport, DimensionMismatch,
+from .core import (EX_ANTE, SUM_TOL, ConstraintReport, DimensionMismatch,
                    InfeasibleError, Posterior, ProblemInstance,
                    ResourceLimitError, SignalingScheme, UnsupportedKindError,
-                   ValidationError, check_bayes_plausible,
-                   eval_constraint_batch, eval_utility_batch)
+                   ValidationError, eval_constraint_batch, eval_utility_batch,
+                   verify_scheme)
 
 MASS_EPS = 1e-12
 POOL_TOL = 1e-12
@@ -71,25 +79,132 @@ class SolveReport:
             "grid_vertex_count": self.grid_vertex_count,
             "support_size": self.support_size,
             "plausibility_deviation": self.plausibility_deviation,
-            "constraints": [
-                {"kind": c.kind, "mode": c.mode, "value": c.value,
-                 "bound": c.bound, "violation": c.violation}
-                for c in self.constraints
-            ],
+            "constraints": [asdict(c) for c in self.constraints],
         }
 
 
-def _constraint_reports(instance: ProblemInstance,
-                        scheme: SignalingScheme) -> tuple[ConstraintReport, ...]:
-    pts = scheme.support_matrix()
-    out = []
-    for spec in instance.constraints:
-        vals = eval_constraint_batch(spec, pts, instance.prior)
-        value = float(scheme.probs @ vals) if spec.mode == EX_ANTE else float(vals.max())
-        out.append(ConstraintReport(kind=spec.kind, mode=spec.mode, value=value,
-                                    bound=spec.bound,
-                                    violation=max(0.0, value - spec.bound)))
-    return tuple(out)
+@dataclass(frozen=True, eq=False)
+class Surrogate:
+    """The grid LP standing in for one solve, before it is run.
+
+    ``instance`` and ``eps`` are the caller's; the LP itself may be built
+    from a strengthened copy at a smaller eps (single-criteria mode).
+    ``mask`` marks the grid vertices that are LP columns, or is None when
+    every vertex is one.
+    """
+
+    instance: ProblemInstance
+    eps: float
+    mode: str             # as SolveReport.mode
+    slater_margin: float | None
+    smoothed: tuple[_constraints.SmoothedConstraint, ...]
+    gridded: objectives.GriddedUtility
+    mask: np.ndarray | None
+    program: lp.LinearProgram
+
+
+def _require_finite_positive(name: str, value: float):
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and positive")
+
+
+def _raise_infeasible(reason: str, eps: float, slater_margin: float | None):
+    """Raise InfeasibleError, phrased for single-criteria mode when it applies."""
+    if slater_margin is None:
+        raise InfeasibleError(reason)
+    raise InfeasibleError(
+        f"strengthened problem infeasible: eps={eps:g} exceeds the "
+        f"admissible range for the claimed Slater margin "
+        f"{slater_margin:g}") from InfeasibleError(reason)
+
+
+def build_surrogate(instance: ProblemInstance, eps: float, *,
+                    slater_margin: float | None = None,
+                    grid_cap: int | None = None,
+                    align_multiple: int = 1) -> Surrogate:
+    """Smooth, grid, filter by the ex-post constraints and assemble the LP.
+
+    The surrogate is the bi-criteria one, or with ``slater_margin`` the
+    single-criteria one (see single_criteria_solve).  Raises InfeasibleError
+    when no grid vertex satisfies the ex-post constraints, and
+    ResourceLimitError when the grid exceeds the vertex cap.
+    """
+    _require_finite_positive("eps", eps)
+    target, relax = instance, eps
+    if slater_margin is None:
+        mode = ("ex_post_restricted"
+                if instance.ex_post() and not instance.ex_ante() else "bi_criteria")
+    else:
+        _require_finite_positive("slater_margin", slater_margin)
+        if eps > 2.0 * slater_margin:
+            raise ValidationError(
+                f"eps={eps:g} exceeds the admissible range (2 * slater_margin = "
+                f"{2 * slater_margin:g})")
+        mode, relax = "single_criteria", eps / 2.0
+        target = ProblemInstance(
+            instance.k, instance.prior, instance.utility,
+            tuple(c.with_bound(c.bound - relax) if c.mode == EX_ANTE else c
+                  for c in instance.constraints))
+    ex_ante, ex_post = target.ex_ante(), target.ex_post()
+    eps2 = relax / 2.0
+    smoothed = tuple(_constraints.smooth_constraint(c, eps2, k=target.k)
+                     for c in ex_ante)
+    M = max((s.lipschitz_constant for s in smoothed), default=0.0)
+    gridded = objectives.build_upper_approx(target.utility, eps2, M,
+                                            vertex_cap=grid_cap,
+                                            align_multiple=align_multiple)
+    mask = None
+    if ex_post:
+        mask = np.ones(gridded.grid.vertex_count, dtype=bool)
+        for spec in ex_post:
+            vals = eval_constraint_batch(spec, gridded.grid.vertices, target.prior)
+            mask &= vals <= spec.bound + BOUNDARY_TOL
+        if not mask.any():
+            _raise_infeasible("no grid vertex satisfies the ex-post constraints",
+                              eps, slater_margin)
+    program = lp.build_persuasion_lp(
+        gridded.grid, gridded,
+        [(s, c.bound + eps2) for s, c in zip(smoothed, ex_ante)],
+        target.prior, vertex_mask=mask)
+    return Surrogate(instance=instance, eps=eps, mode=mode,
+                     slater_margin=slater_margin, smoothed=smoothed,
+                     gridded=gridded, mask=mask, program=program)
+
+
+def solve_surrogate(surrogate: Surrogate) -> SolveReport:
+    """Run the surrogate LP and report its scheme against the caller's instance.
+
+    Raises InfeasibleError when the LP admits no scheme, and NumericError when
+    the scheme breaks Bayes plausibility or the k+m support bound.
+    """
+    s = surrogate
+    sol = lp.solve_lp(s.program)
+    if sol.status == "infeasible":
+        relax = s.eps if s.slater_margin is None else s.eps / 2.0
+        _raise_infeasible(f"grid LP infeasible at eps={relax:g}: no valid scheme "
+                          "exists at this relaxation", s.eps, s.slater_margin)
+    if sol.status != "optimal":  # pragma: no cover - probability LPs are bounded
+        raise lp.NumericError(f"unexpected LP status {sol.status}")
+    columns = np.flatnonzero(sol.x > MASS_EPS)
+    probs = sol.x[columns]
+    if s.mask is not None:
+        columns = np.flatnonzero(s.mask)[columns]
+    scheme = SignalingScheme.from_points(s.gridded.grid.vertices[columns],
+                                         probs / probs.sum())
+    report = verify_scheme(s.instance, scheme)
+    deviation = report.plausibility_deviation
+    if deviation > SUM_TOL:  # pragma: no cover - LP equality rows enforce this
+        raise lp.NumericError(f"solver output violates Bayes plausibility by {deviation:g}")
+    max_support = s.instance.k + len(s.smoothed)
+    if scheme.size > max_support:  # pragma: no cover - basic solutions obey this
+        raise lp.NumericError(
+            f"support {scheme.size} exceeds the k+m bound {max_support}")
+    return SolveReport(scheme=scheme, value=report.utility,
+                       lp_value=float(sol.value), eps=s.eps, mode=s.mode,
+                       grid_denominator=s.gridded.grid.denominator,
+                       grid_vertex_count=s.program.n_vars,
+                       constraints=report.constraints, support_size=scheme.size,
+                       plausibility_deviation=deviation)
 
 
 def bi_criteria_solve(instance: ProblemInstance, eps: float, *,
@@ -100,66 +215,8 @@ def bi_criteria_solve(instance: ProblemInstance, eps: float, *,
     Raises InfeasibleError when even the relaxed LP admits no scheme, and
     ResourceLimitError when the required grid exceeds the vertex cap.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
-    ex_ante = instance.ex_ante()
-    ex_post = instance.ex_post()
-    eps2 = eps / 2.0
-    smoothed = [_constraints.smooth_constraint(c, eps2, k=instance.k)
-                for c in ex_ante]
-    M = max((s.lipschitz_constant for s in smoothed), default=0.0)
-    gridded = objectives.build_upper_approx(instance.utility, eps2, M,
-                                            vertex_cap=grid_cap,
-                                            align_multiple=align_multiple)
-    grid = gridded.grid
-    mask = None
-    if ex_post:
-        mask = np.ones(grid.vertex_count, dtype=bool)
-        for spec in ex_post:
-            vals = eval_constraint_batch(spec, grid.vertices, instance.prior)
-            mask &= vals <= spec.bound + BOUNDARY_TOL
-        if not mask.any():
-            raise InfeasibleError(
-                "no grid vertex satisfies the ex-post constraints")
-    program = lp.build_persuasion_lp(
-        grid, gridded,
-        [(s, c.bound + eps2) for s, c in zip(smoothed, ex_ante)],
-        instance.prior, vertex_mask=mask)
-    sol = lp.solve_lp(program)
-    if sol.status == "infeasible":
-        raise InfeasibleError(
-            f"grid LP infeasible at eps={eps:g}: no valid scheme exists at "
-            "this relaxation")
-    if sol.status != "optimal":  # pragma: no cover - probability LPs are bounded
-        raise lp.NumericError(f"unexpected LP status {sol.status}")
-    vertices = grid.vertices if mask is None else grid.vertices[mask]
-    keep = sol.x > MASS_EPS
-    points = vertices[keep]
-    probs = sol.x[keep]
-    scheme = SignalingScheme.from_points(points, probs / probs.sum())
-    mode = "ex_post_restricted" if (ex_post and not ex_ante) else "bi_criteria"
-    return _finish_report(instance, scheme, float(sol.value), eps, mode,
-                          grid.denominator, int(vertices.shape[0]),
-                          len(ex_ante))
-
-
-def _finish_report(instance, scheme, lp_value, eps, mode, denom, n_vertices,
-                   n_ex_ante_rows) -> SolveReport:
-    ok, deviation = check_bayes_plausible(scheme, instance.prior)
-    if not ok:  # pragma: no cover - LP equality rows enforce this
-        raise lp.NumericError(f"solver output violates Bayes plausibility by {deviation:g}")
-    max_support = instance.k + n_ex_ante_rows
-    if scheme.size > max_support:  # pragma: no cover - basic solutions obey this
-        raise lp.NumericError(
-            f"support {scheme.size} exceeds the k+m bound {max_support}")
-    pts = scheme.support_matrix()
-    value = float(scheme.probs @ eval_utility_batch(instance.utility, pts))
-    return SolveReport(scheme=scheme, value=value, lp_value=lp_value, eps=eps,
-                       mode=mode, grid_denominator=denom,
-                       grid_vertex_count=n_vertices,
-                       constraints=_constraint_reports(instance, scheme),
-                       support_size=scheme.size,
-                       plausibility_deviation=deviation)
+    return solve_surrogate(build_surrogate(instance, eps, grid_cap=grid_cap,
+                                           align_multiple=align_multiple))
 
 
 def single_criteria_solve(instance: ProblemInstance, eps: float,
@@ -170,30 +227,13 @@ def single_criteria_solve(instance: ProblemInstance, eps: float,
 
     The caller asserts some scheme satisfies every ex-ante constraint with
     slack >= slater_margin; the ex-ante bounds are strengthened by eps/2 and
-    the bi-criteria solve runs at eps/2, so its <= eps/2 violations land
-    inside the original bounds.
+    the surrogate is built at eps/2, so its <= eps/2 violations land inside
+    the original bounds.
     """
-    if slater_margin <= 0:
-        raise ValidationError("slater_margin must be positive")
-    if eps > 2.0 * slater_margin:
-        raise ValidationError(
-            f"eps={eps:g} exceeds the admissible range (2 * slater_margin = "
-            f"{2 * slater_margin:g})")
-    strengthened = ProblemInstance(
-        instance.k, instance.prior, instance.utility,
-        tuple(c.with_bound(c.bound - eps / 2.0) if c.mode == EX_ANTE else c
-              for c in instance.constraints))
-    try:
-        inner = bi_criteria_solve(strengthened, eps / 2.0, grid_cap=grid_cap,
-                                  align_multiple=align_multiple)
-    except InfeasibleError as exc:
-        raise InfeasibleError(
-            f"strengthened problem infeasible: eps={eps:g} exceeds the "
-            f"admissible range for the claimed Slater margin "
-            f"{slater_margin:g}") from exc
-    return _finish_report(instance, inner.scheme, inner.lp_value, eps,
-                          "single_criteria", inner.grid_denominator,
-                          inner.grid_vertex_count, len(instance.ex_ante()))
+    return solve_surrogate(build_surrogate(instance, eps,
+                                           slater_margin=slater_margin,
+                                           grid_cap=grid_cap,
+                                           align_multiple=align_multiple))
 
 
 # ---------------------------------------------------------------------------

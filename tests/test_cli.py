@@ -1,10 +1,11 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from persuade import cli
+from persuade import cli, objectives
 from persuade.core import uniform_prior
 from persuade.fixtures import FixtureId, build_fixture
 
@@ -164,13 +165,13 @@ def test_fixture_prop3_verify(capsys):
 
 def test_round_trip_bit_exact(example1_paths, tmp_path):
     fx, inst_path, scheme_path = example1_paths
-    doc = json.loads(open(inst_path).read())
+    doc = json.loads(pathlib.Path(inst_path).read_text())
     inst = cli.instance_from_dict(doc)
     again = cli.instance_to_dict(inst)
     assert cli.dump_json(again) == cli.dump_json(doc)
     # Floats survive exactly (1/6 is not dyadic).
     assert again["constraints"][0]["bound"] == 0.5 + 1 / 6
-    sdoc = json.loads(open(scheme_path).read())
+    sdoc = json.loads(pathlib.Path(scheme_path).read_text())
     scheme = cli.scheme_from_dict(sdoc)
     assert cli.dump_json(cli.scheme_to_dict(scheme)) == cli.dump_json(sdoc)
 
@@ -201,6 +202,44 @@ def test_grid_csv(example1_paths, tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "p0,p1,value"
     assert len(lines) > 3
+
+
+@pytest.mark.parametrize("extra", [
+    ["--eps", "inf"],
+    ["--eps", "nan"],
+    ["--eps", "0.1", "--mode", "single", "--slater-margin", "nan"],
+])
+def test_solve_non_finite_input_exit_1(example1_paths, capsys, extra):
+    _, inst_path, _ = example1_paths
+    code = cli.main(["solve", inst_path, *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_grid_csv_single_mode_uses_solved_grid(tmp_path, monkeypatch):
+    inst_path = tmp_path / "example1.json"
+    assert cli.main(["fixture", "example1:0.1666", "--out", str(inst_path)]) == 0
+    inst_path.write_text(cli.dump_json(json.loads(inst_path.read_text())["instance"]))
+    calls = []
+    build = objectives.build_upper_approx
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(objectives, "build_upper_approx", counting)
+    out, csv_path = tmp_path / "sol.json", tmp_path / "grid.csv"
+    code = cli.main(["solve", str(inst_path), "--eps", "0.1", "--mode", "single",
+                     "--slater-margin", "0.2", "--out", str(out),
+                     "--grid-csv", str(csv_path)])
+    assert code == 0
+    report = json.loads(out.read_text())["report"]
+    rows = csv_path.read_text().strip().splitlines()[1:]
+    assert report["grid_denominator"] == 320
+    assert len(rows) == report["grid_vertex_count"] == 321
+    assert len(calls) == 1
 
 
 def test_auction_instance_json(tmp_path):

@@ -20,7 +20,7 @@ def sample_with_vertices(rng, k, n):
 def test_xlogx_modulus_bound_holds():
     # Dense check of |x ln x - y ln y| <= t (1 - ln t) for |x - y| <= t.
     xs = np.linspace(0, 1, 401)
-    phi = np.where(xs > 0, xs * np.log(xs, where=xs > 0), 0.0)
+    phi = np.where(xs > 0, xs * np.log(xs, out=np.zeros_like(xs), where=xs > 0), 0.0)
     for i, x in enumerate(xs):
         diffs = np.abs(phi - phi[i])
         ts = np.abs(xs - x)

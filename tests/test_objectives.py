@@ -3,7 +3,7 @@ import pytest
 
 from persuade.core import (MaxLinearTerm, Posterior, UnsupportedKindError,
                            UtilitySpec, eval_utility, eval_utility_batch)
-from persuade.objectives import build_upper_approx, eval_gridded
+from persuade.objectives import build_upper_approx
 
 
 def sample_simplex(rng, k, n):
@@ -14,7 +14,7 @@ def test_constant_utility_values_everywhere():
     u = UtilitySpec.max_linear(np.full((1, 3), 0.7))
     gu = build_upper_approx(u, eps=0.2, lipschitz_bound=1.0)
     np.testing.assert_allclose(gu.vertex_values(), 0.7, atol=1e-12)
-    assert eval_gridded(gu, Posterior([0.2, 0.3, 0.5])) == pytest.approx(0.7)
+    assert gu.eval(Posterior([0.2, 0.3, 0.5])) == pytest.approx(0.7)
     assert gu.gap_bound == 0.0
 
 
@@ -41,13 +41,13 @@ def test_piecewise_aligned_boundary_envelope():
     ])
     gu = build_upper_approx(u, eps=0.25, lipschitz_bound=1.0)
     # Exact reproduction: cells refine the pieces, values from parent pieces.
-    assert eval_gridded(gu, Posterior([0.6, 0.4])) == 0.0
-    assert eval_gridded(gu, Posterior([0.5, 0.5])) == 1.0  # upper envelope
-    assert eval_gridded(gu, Posterior([0.4, 0.6])) == 1.0
+    assert gu.eval(Posterior([0.6, 0.4])) == 0.0
+    assert gu.eval(Posterior([0.5, 0.5])) == 1.0  # upper envelope
+    assert gu.eval(Posterior([0.4, 0.6])) == 1.0
     assert gu.gap_bound == 0.0
     rng = np.random.default_rng(0)
     Q = sample_simplex(rng, 2, 2000)
-    vals = np.array([eval_gridded(gu, q) for q in Q])
+    vals = np.array([gu.eval(q) for q in Q])
     np.testing.assert_allclose(vals, eval_utility_batch(u, Q), atol=0)
 
 
@@ -55,7 +55,7 @@ def test_example1_utility_gridded_at_high_posterior():
     u = UtilitySpec.mixture([MaxLinearTerm(np.array([[0.0, 0.0], [-1.0, 1.0]]))])
     eps = 0.1
     gu = build_upper_approx(u, eps=eps, lipschitz_bound=1.0)
-    val = eval_gridded(gu, Posterior([0.0, 1.0]))  # u_s = 1 there
+    val = gu.eval(Posterior([0.0, 1.0]))  # u_s = 1 there
     assert 1.0 <= val <= 1.0 + eps
 
 
@@ -67,7 +67,7 @@ def test_sandwich_on_random_points(k, eps, M):
     gu = build_upper_approx(u, eps=eps, lipschitz_bound=M)
     Q = sample_simplex(rng, k, 10_000)
     base = eval_utility_batch(u, Q)
-    approx = np.array([eval_gridded(gu, q) for q in Q])
+    approx = np.array([gu.eval(q) for q in Q])
     gaps = approx - base
     assert gaps.min() >= -1e-12
     assert gaps.max() <= eps + 1e-12
@@ -85,7 +85,7 @@ def test_sandwich_piecewise_exact():
     rng = np.random.default_rng(9)
     Q = sample_simplex(rng, 3, 2000)
     base = eval_utility_batch(u, Q)
-    approx = np.array([eval_gridded(gu, q) for q in Q])
+    approx = np.array([gu.eval(q) for q in Q])
     np.testing.assert_allclose(approx, base, atol=1e-12)
 
 
@@ -98,7 +98,7 @@ def test_eval_at_grid_vertex_is_max_over_incident_cells():
     incident = grid.locate_cells(v)
     assert len(incident) >= 2
     expected = max(gu.cell_value(c) for c in incident)
-    assert eval_gridded(gu, Posterior(v)) == pytest.approx(expected, abs=0)
+    assert gu.eval(Posterior(v)) == pytest.approx(expected, abs=0)
 
 
 def test_gap_bound_monotone_in_eps():
@@ -118,8 +118,8 @@ def test_constant_inside_cells():
         verts = grid.vertices[cells[ci]]
         w = rng.dirichlet(np.ones(3), size=2) * 0.7 + 0.3 / 3  # interior combos
         pts = w @ verts
-        v0 = eval_gridded(gu, pts[0])
-        v1 = eval_gridded(gu, pts[1])
+        v0 = gu.eval(pts[0])
+        v1 = gu.eval(pts[1])
         assert v0 == pytest.approx(v1, abs=0)
 
 
@@ -128,7 +128,7 @@ def test_rank2_utility_supported():
     gu = build_upper_approx(u, eps=0.4, lipschitz_bound=1.0)
     rng = np.random.default_rng(8)
     Q = sample_simplex(rng, 3, 1000)
-    gaps = np.array([eval_gridded(gu, q) for q in Q]) - eval_utility_batch(u, Q)
+    gaps = np.array([gu.eval(q) for q in Q]) - eval_utility_batch(u, Q)
     assert gaps.min() >= -1e-12 and gaps.max() <= 0.4 + 1e-12
 
 
@@ -152,4 +152,4 @@ def test_polygon_piece_fan_triangulation():
     ])
     gu = build_upper_approx(u, eps=0.3, lipschitz_bound=1.0)
     inner = quad.mean(axis=0)
-    assert eval_gridded(gu, Posterior(inner)) == 1.0
+    assert gu.eval(Posterior(inner)) == 1.0

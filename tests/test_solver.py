@@ -131,6 +131,45 @@ def test_single_infeasible_strengthening_reports_margin():
         single_criteria_solve(inst, 0.05, slater_margin=0.1)
 
 
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_reports_match_verify_scheme(seed):
+    # Both solvers report through one verification path.
+    rng = np.random.default_rng(seed)
+    inst, margin = random_instance(rng, k=2 + seed % 2, m=2)
+    eps = min(0.1, margin)
+    for rep in (bi_criteria_solve(inst, eps),
+                single_criteria_solve(inst, eps, slater_margin=margin)):
+        check = verify_scheme(inst, rep.scheme)
+        assert rep.constraints == check.constraints
+        assert rep.value == check.utility
+        assert rep.plausibility_deviation == check.plausibility_deviation
+
+
+def test_each_solve_runs_every_stage_once(monkeypatch):
+    from persuade import constraints, lp, objectives, solver
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(constraints, "smooth_constraint")
+    counted(objectives, "build_upper_approx")
+    counted(lp, "build_persuasion_lp")
+    counted(solver, "verify_scheme")
+    inst, margin = random_instance(np.random.default_rng(8), k=2, m=2)
+    for solve in (lambda: bi_criteria_solve(inst, 0.1),
+                  lambda: single_criteria_solve(inst, margin, margin)):
+        calls.clear()
+        solve()
+        assert calls == {"smooth_constraint": 2, "build_upper_approx": 1,
+                         "build_persuasion_lp": 1, "verify_scheme": 1}
+
+
 # ---------------------------------------------------------------------------
 # ex_ante_to_ex_post
 # ---------------------------------------------------------------------------
