@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (MaxLinearTerm, ResourceLimitError, SignalingScheme,
-                   UtilitySpec, ValidationError, eval_utility_batch)
+                   UtilitySpec, ValidationError, check_finite,
+                   eval_utility_batch)
 
 DEFAULT_PROFILE_CAP = 10 ** 6
 MC_SAMPLES = 100_000
@@ -33,6 +34,8 @@ class BidderType:
     high_value: float
 
     def __post_init__(self):
+        check_finite("type weight", float(self.weight))
+        check_finite("bidder values", np.array([self.low_value, self.high_value], dtype=float))
         if self.weight < 0:
             raise ValidationError("type weight must be nonnegative")
         if self.low_value < 0 or self.high_value < 0:

@@ -36,8 +36,8 @@ from . import solver as _solver
 from .auction import AuctionSpec, BidderType
 from .core import (ConstraintSpec, InfeasibleError, MaxLinearTerm,
                    PersuasionError, Posterior, ProblemInstance,
-                   SignalingScheme, UtilitySpec, ValidationError,
-                   verify_scheme)
+                   SignalingScheme, UnsupportedKindError, UtilitySpec,
+                   ValidationError, verify_scheme)
 from .lp import LpError
 
 EXIT_OK = 0
@@ -124,7 +124,8 @@ def utility_from_dict(d: dict, field: str = "utility",
                 auction_from_dict(d["auction"], field + ".auction", seed))
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError,
+            UnsupportedKindError) as exc:
         raise _ctx(field, exc) from exc
     raise InputError(f"{field}.kind: unknown utility kind {kind!r}")
 

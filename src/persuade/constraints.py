@@ -27,7 +27,7 @@ import numpy as np
 
 from . import geometry
 from .core import (ConstraintSpec, PersuasionError, UnsupportedKindError,
-                   ValidationError, eval_constraint_batch)
+                   ValidationError, check_finite, eval_constraint_batch)
 
 
 class SmoothingPrecisionError(PersuasionError):
@@ -78,6 +78,10 @@ class SmoothedConstraint:
     contraction: float | None  # None for pass-through kinds
     offset: float              # subtracted after evaluation (eps/2 for KL kinds)
 
+    def __post_init__(self):
+        check_finite(f"{self.source.kind} constraint Lipschitz constant",
+                     self.lipschitz_constant)
+
     def eval_batch(self, Q: np.ndarray, prior) -> np.ndarray:
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         if self.contraction is None:
@@ -102,7 +106,8 @@ def smooth_constraint(spec: ConstraintSpec, eps: float,
     if eps <= 0:
         raise ValidationError("smoothing eps must be positive")
     if spec.kind == "linear":
-        spread = float(spec.coeffs.max() - spec.coeffs.min())
+        with np.errstate(over="ignore"):  # inf, rejected by SmoothedConstraint
+            spread = float(spec.coeffs.max() - spec.coeffs.min())
         return SmoothedConstraint(spec, eps, lipschitz_constant=spread,
                                   contraction=None, offset=0.0)
     if spec.kind == "norm_distance":

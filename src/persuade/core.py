@@ -7,6 +7,11 @@ posterior (ex post).  A signaling scheme is represented by the distribution
 over posteriors it induces; the barycenter of that distribution must equal
 the prior (Bayes plausibility).
 
+Piecewise-constant utilities are triangulated once, when the UtilitySpec is
+built (triangulate_piece), and every point-in-simplex question -- piece
+membership, grid-cell location in geometry, the gridded piecewise utility in
+objectives -- goes through one batched barycentric kernel, simplices_contain.
+
 All types are immutable after construction and all operations are pure
 functions, so shared instances are safe under concurrent use.
 """
@@ -14,12 +19,10 @@ functions, so shared instances are safe under concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-from . import lp as _lp
 
 SUM_TOL = 1e-9
 ENTRY_TOL = 1e-12
@@ -68,6 +71,14 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_finite(name: str, a):
+    """``a`` (a float or an array) unchanged; ValidationError naming
+    ``name`` if any entry is NaN or infinite."""
+    if not (math.isfinite(a) if isinstance(a, float) else np.isfinite(a).all()):
+        raise ValidationError(f"{name} must be finite")
+    return a
+
+
 # ---------------------------------------------------------------------------
 # Posteriors and schemes
 # ---------------------------------------------------------------------------
@@ -87,8 +98,7 @@ class Posterior:
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if w.size < 1:
             raise ValidationError("posterior needs at least one entry")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("posterior entries must be finite")
+        check_finite("posterior entries", w)
         if np.any(w < -ENTRY_TOL):
             raise ValidationError(
                 f"posterior entry {w.min():.3e} below -{ENTRY_TOL:g}")
@@ -249,14 +259,12 @@ class ConstraintSpec:
             raise ValidationError(f"unknown constraint kind {self.kind!r}")
         if self.mode not in (EX_ANTE, EX_POST):
             raise ValidationError(f"unknown constraint mode {self.mode!r}")
-        object.__setattr__(self, "bound", float(self.bound))
-        if not math.isfinite(self.bound):
-            raise ValidationError("constraint bound must be finite")
+        object.__setattr__(self, "bound", check_finite("constraint bound", float(self.bound)))
         if self.kind == "linear":
             if self.coeffs is None:
                 raise ValidationError("linear constraint needs coeffs")
             object.__setattr__(self, "coeffs",
-                               _as_readonly(np.asarray(self.coeffs, dtype=float)))
+                               check_finite("linear coeffs", _as_readonly(self.coeffs)))
         elif self.kind == "norm_distance":
             if self.order not in (1, 2, float("inf")):
                 raise ValidationError("norm_distance order must be 1, 2 or inf")
@@ -264,7 +272,8 @@ class ConstraintSpec:
             if self.partition is None or self.scale is None or self.refs is None:
                 raise ValidationError("grouped_kl needs partition, scale and refs")
             cells = tuple(tuple(int(i) for i in cell) for cell in self.partition)
-            refs = np.asarray(self.refs, dtype=float)
+            refs = check_finite("grouped_kl refs", np.asarray(self.refs, dtype=float))
+            check_finite("grouped_kl scale", float(self.scale))
             if len(cells) != refs.shape[0]:
                 raise ValidationError("grouped_kl refs must match partition cells")
             if any(len(cell) == 0 for cell in cells):
@@ -279,15 +288,16 @@ class ConstraintSpec:
         elif self.kind == "neg_min_weighted":
             if self.weights is None:
                 raise ValidationError("neg_min_weighted needs weights")
-            w = np.asarray(self.weights, dtype=float)
+            w = check_finite("neg_min_weighted weights", np.asarray(self.weights, dtype=float))
             if np.any(w <= 0):
                 raise ValidationError("neg_min_weighted weights must be positive")
             object.__setattr__(self, "weights", _as_readonly(w))
         elif self.kind == "bump":
             if self.center is None or self.radius is None or self.radius <= 0:
                 raise ValidationError("bump needs a center and positive radius")
+            check_finite("bump radius", float(self.radius))
             object.__setattr__(self, "center",
-                               _as_readonly(np.asarray(self.center, dtype=float)))
+                               check_finite("bump center", _as_readonly(self.center)))
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -401,9 +411,9 @@ class MaxLinearTerm:
     weight: float = 1.0
 
     def __post_init__(self):
-        coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
+        coeffs = check_finite("term coeffs", np.atleast_2d(_as_readonly(self.coeffs)))
         object.__setattr__(self, "rank", int(self.rank))
-        object.__setattr__(self, "weight", float(self.weight))
+        object.__setattr__(self, "weight", check_finite("term weight", float(self.weight)))
         if not (1 <= self.rank <= coeffs.shape[0]):
             raise ValidationError(
                 f"rank {self.rank} out of range for {coeffs.shape[0]} functionals")
@@ -417,8 +427,9 @@ class MaxLinearTerm:
 
     def lipschitz_l1(self) -> float:
         """Coefficient spread, an l1 Lipschitz bound for the rank-th max."""
-        spread = self.coeffs.max(axis=1) - self.coeffs.min(axis=1)
-        return float(self.weight * spread.max())
+        with np.errstate(over="ignore"):  # inf, rejected by UtilitySpec.lipschitz_l1
+            spread = self.coeffs.max(axis=1) - self.coeffs.min(axis=1)
+        return self.weight * float(spread.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,7 +440,9 @@ class UtilitySpec:
     terms (a single max is the one-term case; auction conversion produces
     longer mixtures).  piecewise_constant holds (polytope vertices, value)
     pieces evaluated as the upper envelope over closed pieces, which keeps
-    the function upper semi-continuous.  Auction kinds delegate to the
+    the function upper semi-continuous; each piece is triangulated once, at
+    construction, into ``simplices`` (see triangulate_piece), which both the
+    evaluation and the grid refinement use.  Auction kinds delegate to the
     auction module.
     """
 
@@ -437,6 +450,7 @@ class UtilitySpec:
     terms: tuple[MaxLinearTerm, ...] = ()
     pieces: tuple[tuple[np.ndarray, float], ...] = ()
     auction: object | None = None
+    simplices: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in UTILITY_KINDS:
@@ -459,15 +473,18 @@ class UtilitySpec:
             pieces = []
             k = None
             for verts, value in self.pieces:
-                verts = np.atleast_2d(np.asarray(verts, dtype=float))
+                verts = check_finite("piece vertices", np.atleast_2d(_as_readonly(verts)))
+                value = check_finite("piece value", float(value))
                 if k is None:
                     k = verts.shape[1]
                 elif verts.shape[1] != k:
                     raise DimensionMismatch("piece vertices have mixed dimensions")
                 if value < 0:
                     raise ValidationError("piece values must be nonnegative")
-                pieces.append((_as_readonly(verts), float(value)))
+                pieces.append((verts, value))
             object.__setattr__(self, "pieces", tuple(pieces))
+            object.__setattr__(self, "simplices", tuple(
+                _as_readonly(triangulate_piece(verts)) for verts, _ in pieces))
         else:
             if self.auction is None:
                 raise ValidationError(f"{self.kind} needs an auction spec")
@@ -514,7 +531,8 @@ class UtilitySpec:
         if self.kind != "max_linear":
             raise UnsupportedKindError(
                 f"no Lipschitz constant for utility kind {self.kind!r}")
-        return float(sum(t.lipschitz_l1() for t in self.terms))
+        return float(check_finite("utility Lipschitz constant",
+                                  sum(t.lipschitz_l1() for t in self.terms)))
 
 
 def _rank_max(values: np.ndarray, rank: int) -> np.ndarray:
@@ -524,46 +542,80 @@ def _rank_max(values: np.ndarray, rank: int) -> np.ndarray:
     return np.partition(values, -rank, axis=-1)[..., -rank]
 
 
-def polytope_contains(vertices: np.ndarray, q: np.ndarray,
-                      tol: float = MEMBERSHIP_TOL) -> bool:
-    """Whether q lies in the convex hull of the given vertices.
+# Below this (m-1)-volume, m vertices count as affinely dependent.
+DEGENERATE_VOLUME = 1e-14
 
-    Fast paths for points, segments and full simplices; an exact l1
-    feasibility LP covers the general case.
+
+def cell_volume(verts: np.ndarray) -> float | np.ndarray:
+    """(m-1)-dimensional volume of the simplex spanned by m points in R^k,
+    batched over any leading axes of ``verts``."""
+    verts = np.atleast_2d(np.asarray(verts, dtype=float))
+    E = verts[..., 1:, :] - verts[..., :1, :]
+    det = np.linalg.det(E @ np.swapaxes(E, -1, -2))
+    return np.sqrt(np.maximum(det, 0.0)) / math.factorial(E.shape[-2])
+
+
+def triangulate_piece(verts: np.ndarray) -> np.ndarray:
+    """(s, m, k) simplices whose union is the closed convex piece ``verts``.
+
+    A point or up to k affinely independent vertices are one simplex; for
+    k = 2 a longer list is the segment between its extremes, for k = 3 a
+    convex polygon is fan-triangulated (degenerate triangles dropped).
+    Anything else raises UnsupportedKindError.
     """
-    V = np.atleast_2d(np.asarray(vertices, dtype=float))
-    q = np.asarray(q, dtype=float)
-    m, k = V.shape
-    if m == 1:
-        return bool(np.max(np.abs(V[0] - q)) <= tol)
-    if m == 2:
-        d = V[1] - V[0]
-        denom = float(d @ d)
-        if denom <= tol * tol:
-            return bool(np.max(np.abs(V[0] - q)) <= tol)
-        t = float(np.clip((q - V[0]) @ d / denom, 0.0, 1.0))
-        return bool(np.max(np.abs(V[0] + t * d - q)) <= tol)
-    if m == k:
-        try:
-            beta = np.linalg.solve(V.T, q)
-        except np.linalg.LinAlgError:
-            beta = None
-        if beta is not None:
-            return bool(beta.min() >= -tol
-                        and np.max(np.abs(V.T @ beta - q)) <= tol)
-    # General case: min sum(s+ + s-) s.t. V^T beta + s+ - s- = q, sum beta = 1.
-    n = m + 2 * k
-    c = np.zeros(n)
-    c[m:] = -1.0
-    A_eq = np.zeros((k + 1, n))
-    A_eq[:k, :m] = V.T
-    A_eq[:k, m:m + k] = np.eye(k)
-    A_eq[:k, m + k:] = -np.eye(k)
-    A_eq[k, :m] = 1.0
-    b_eq = np.concatenate([q, [1.0]])
-    sol = _lp.solve_lp(_lp.LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq,
-                                         A_le=np.zeros((0, n)), b_le=np.zeros(0)))
-    return sol.status == "optimal" and -sol.value <= tol
+    m, k = verts.shape
+    if m <= k and cell_volume(verts) > DEGENERATE_VOLUME:
+        return verts[None]
+    if k == 2:
+        # 1-D hull: the extreme points in the first coordinate.
+        ext = verts[[np.argmin(verts[:, 0]), np.argmax(verts[:, 0])]]
+        return (ext if cell_volume(ext) > DEGENERATE_VOLUME else ext[:1])[None]
+    if k == 3 and m >= 3:
+        center = verts.mean(axis=0)
+        ang = np.arctan2(verts[:, 1] - center[1], verts[:, 0] - center[0])
+        ring = verts[np.argsort(ang)]
+        # Counter-clockwise in the (q0, q1) chart: no right turn if convex.
+        e = np.diff(ring[:, :2], axis=0, append=ring[:1, :2])
+        f = np.vstack([e[1:], e[:1]])
+        turns = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
+        i = np.arange(1, m - 1)
+        tris = ring[np.column_stack([np.zeros_like(i), i, i + 1])]
+        tris = tris[cell_volume(tris) > DEGENERATE_VOLUME]
+        if len(tris) and turns.min() >= -DEGENERATE_VOLUME:
+            return tris
+        raise UnsupportedKindError("piece polygon is collinear or not convex")
+    raise UnsupportedKindError(
+        f"piece with {m} vertices in k={k} states is neither a simplex "
+        "(affinely independent vertices) nor a k <= 3 polygon")
+
+
+def simplices_contain(simplices: np.ndarray, Q: np.ndarray,
+                      tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    """(s, n) mask: whether row j of Q lies in the closed simplex i.
+
+    ``simplices`` is an (s, m, k) stack of affinely independent vertex sets.
+    Full-dimensional ones (m = k) solve V^T beta = q; lower-dimensional ones
+    (points, segments) take the least-squares beta of [V^T; 1] beta = [q; 1].
+    q is inside when every beta_i >= -tol and V^T beta is within tol of q in
+    l-infinity.  This is the one point-in-simplex test of the package.
+    """
+    S = np.asarray(simplices, dtype=float)
+    Qt = np.atleast_2d(np.asarray(Q, dtype=float)).T
+    VT = np.swapaxes(S, 1, 2)
+    if S.shape[1] == S.shape[2]:
+        beta = np.linalg.solve(VT, Qt[None])
+    else:
+        ones = np.ones((S.shape[0], 1, S.shape[1]))
+        rhs = np.vstack([Qt, np.ones((1, Qt.shape[1]))])
+        beta = np.linalg.pinv(np.concatenate([VT, ones], axis=1)) @ rhs
+    return (beta.min(axis=1) >= -tol) & (np.abs(VT @ beta - Qt).max(axis=1) <= tol)
+
+
+def polytope_contains(simplices: np.ndarray, Q: np.ndarray,
+                      tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    """Whether each row of Q lies in the closed piece triangulated by
+    ``simplices`` (one entry of ``UtilitySpec.simplices``)."""
+    return simplices_contain(simplices, Q, tol).any(axis=0)
 
 
 def eval_utility_batch(spec: UtilitySpec, Q: np.ndarray,
@@ -580,10 +632,9 @@ def eval_utility_batch(spec: UtilitySpec, Q: np.ndarray,
         return out
     if spec.kind == "piecewise_constant":
         out = np.full(Q.shape[0], -np.inf)
-        for verts, value in spec.pieces:
-            for i, row in enumerate(Q):
-                if value > out[i] and polytope_contains(verts, row):
-                    out[i] = value
+        for simplices, (_, value) in zip(spec.simplices, spec.pieces):
+            inside = polytope_contains(simplices, Q)
+            out[inside] = np.maximum(out[inside], value)
         if np.any(np.isneginf(out)):
             bad = Q[np.isneginf(out)][0]
             raise ValidationError(

@@ -4,9 +4,12 @@ The lattice grid at denominator N has vertices {x/N : x nonnegative integers
 summing to N} and cells given by the Kuhn/Freudenthal triangulation in
 partial-sum coordinates y_i = x_1 + ... + x_i: the simplex maps to the
 ordered region 0 <= y_1 <= ... <= y_{k-1} <= N, whose unit cubes split into
-staircase simplices, N^(k-1) cells in total.  Cells are enumerated lazily;
-point location works by lattice arithmetic, so huge grids never materialize
-their cell list.
+staircase simplices, N^(k-1) cells in total, all enumerated by one
+whole-array pass (_staircase_cells).  Cells are built lazily; point location
+narrows q to the cells of its few candidate cubes by lattice arithmetic, so
+huge grids never materialize their cell list.  Triangulation grids (refined
+pieces) carry explicit cells.  On both, core.simplices_contain decides
+which cells hold a point.
 
 Also provides the Euclidean projection onto the contracted simplex
 S_eps = center + (simplex - center) / (1 + eps^2) used by constraint
@@ -21,18 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ResourceLimitError, ValidationError
+from .core import (MEMBERSHIP_TOL, ResourceLimitError, ValidationError,
+                   simplices_contain)
+from .core import cell_volume  # noqa: F401  (part of this module's API)
 
 DEFAULT_VERTEX_CAP = 5_000_000
-BARY_TOL = 1e-9
-
-
-def _comb(n: int, r: int) -> int:
-    return math.comb(n, r) if n >= r >= 0 else 0
 
 
 def lattice_vertex_count(k: int, N: int) -> int:
-    return _comb(N + k - 1, k - 1)
+    return math.comb(N + k - 1, k - 1)
 
 
 def _lattice_vertices(k: int, N: int) -> np.ndarray:
@@ -95,6 +95,7 @@ class SimplexGrid:
     measured_max_diameter: float
     _cells: np.ndarray | None = None
     _rank_tab: np.ndarray | None = field(default=None, repr=False)
+    _cell_box: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def vertex_count(self) -> int:
@@ -120,69 +121,61 @@ class SimplexGrid:
             return self._cells.shape[0]
         return self.denominator ** (self.k - 1)
 
-    def _vertex_rank(self, lattice_pts: np.ndarray) -> np.ndarray:
-        return composition_rank(lattice_pts, self.denominator, self._rank_tab)
-
-    def cell_vertices(self, cell: np.ndarray) -> np.ndarray:
-        return self.vertices[np.asarray(cell, dtype=np.int64)]
-
     # -- point location -------------------------------------------------------
-    def locate_cells(self, q: np.ndarray, tol: float = BARY_TOL) -> list[np.ndarray]:
+    def locate_cells(self, q: np.ndarray, tol: float = MEMBERSHIP_TOL) -> list[np.ndarray]:
         """Vertex-index arrays of every cell whose closure contains q."""
         q = np.asarray(q, dtype=float)
         if self.is_lattice:
             return self._locate_lattice(q, tol)
-        found = []
-        for cell in self.cells:
-            if self._bary_inside(self.vertices[cell], q, tol):
-                found.append(np.asarray(cell, dtype=np.int64))
-        return found
+        return list(self.cells[self.cell_mask(q, tol)])
 
-    @staticmethod
-    def _bary_inside(verts: np.ndarray, q: np.ndarray, tol: float) -> bool:
-        try:
-            beta = np.linalg.solve(verts.T, q)
-        except np.linalg.LinAlgError:
-            return False
-        return bool(beta.min() >= -tol and np.max(np.abs(verts.T @ beta - q)) <= tol)
+    def cell_mask(self, q: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+        """Which explicit cells contain the probability vector q: one batched
+        test over the cells whose bounding box holds q.  Weights >= -tol that
+        rebuild q within tol sum to 1 within (k+1) tol, so an accepted q lies
+        within 2(k+1) tol of its cell's box: the filter drops no cell."""
+        if self._cell_box is None:
+            verts = self.vertices[self.cells]
+            self._cell_box = (verts.min(axis=1), verts.max(axis=1))
+        lo, hi = self._cell_box
+        slack = 2 * (self.k + 1) * tol
+        near = np.flatnonzero(np.all((lo - slack <= q) & (q <= hi + slack), axis=1))
+        mask = np.zeros(lo.shape[0], dtype=bool)
+        mask[near] = simplices_contain(self.vertices[self.cells[near]], q, tol)[:, 0]
+        return mask
 
     def _locate_lattice(self, q: np.ndarray, tol: float) -> list[np.ndarray]:
         N = self.denominator
         y = np.cumsum(q[:-1]) * N
-        ranges = []
-        for yi in y:
-            # A containing cube must have z_i <= y_i <= z_i + 1.
-            lo = max(0, math.ceil(yi - 1.0 - N * tol))
-            hi = min(N - 1, math.floor(yi + N * tol))
-            ranges.append(range(lo, hi + 1))
-        found: list[np.ndarray] = []
-        for z in itertools.product(*ranges):
-            z = np.array(z, dtype=np.int64)
-            if np.any(np.diff(z) < 0):
-                continue
-            for chain in _staircase_chains(z, N):
-                pts = _y_to_x(chain, N)
-                if self._bary_inside(pts.astype(float) / N, q, tol):
-                    found.append(self._vertex_rank(pts))
-        return found
+        # A containing cube must have z_i <= y_i <= z_i + 1.
+        lo = np.maximum(0, np.ceil(y - 1.0 - N * tol)).astype(np.int64)
+        hi = np.minimum(N - 1, np.floor(y + N * tol)).astype(np.int64)
+        corners = np.array(list(itertools.product(*map(range, lo, hi + 1))),
+                           dtype=np.int64).reshape(-1, self.k - 1)
+        chains = _staircase_cells(corners, N).reshape(-1, self.k - 1)
+        x = _y_to_x(chains, N).reshape(-1, self.k, self.k)
+        x = x[simplices_contain(x / N, q, tol)[:, 0]].reshape(-1, self.k)
+        return list(composition_rank(x, N, self._rank_tab).reshape(-1, self.k))
 
 
-def _staircase_chains(z: np.ndarray, N: int):
-    """Partial-sum vertex chains of the staircase cells with base corner z.
+def _staircase_cells(corners: np.ndarray, N: int) -> np.ndarray:
+    """Partial-sum vertex chains, shape (C, k, k-1), of the staircase cells
+    with base corners ``corners`` (rows of k-1 partial sums).
 
-    Each permutation of the k-1 axes raises z by one along one axis at a
-    time; a chain is kept when every point stays in 0 <= y_1 <= ... <= N.
+    Each permutation of the k-1 axes raises a corner by one along one axis
+    at a time; a chain is kept when every point stays in
+    0 <= y_1 <= ... <= y_{k-1} <= N.  All corners and permutations go
+    through one array expression; the chains come out ordered by corner,
+    then by permutation in itertools order.
     """
-    for perm in itertools.permutations(range(z.shape[0])):
-        chain = [z]
-        for axis in perm:
-            cur = chain[-1].copy()
-            cur[axis] += 1
-            if np.any(np.diff(cur) < 0) or cur[-1] > N:
-                break
-            chain.append(cur)
-        else:
-            yield np.vstack(chain)
+    d = corners.shape[1]
+    perms = np.array(list(itertools.permutations(range(d))), dtype=np.int64)
+    # steps[p, j] = sum of the first j unit vectors in permutation p.
+    steps = (np.argsort(perms, axis=1)[:, None, :]
+             < np.arange(d + 1)[None, :, None]).astype(np.int64)
+    chains = corners[:, None, None, :] + steps  # (Z, P, k, d)
+    ok = (np.diff(chains, axis=3) >= 0).all(axis=(2, 3)) & (chains[..., -1] <= N).all(axis=2)
+    return chains[ok]
 
 
 def _y_to_x(y_pts: np.ndarray, N: int) -> np.ndarray:
@@ -204,13 +197,10 @@ def max_cell_diameter_bound(k: int, N: int) -> float:
     return min(2.0, 2.0 * (k // 2) / N)
 
 
-def _l1_diameter(simplices) -> float:
-    """Largest l1 distance between two vertices of one simplex (rows of an array)."""
-    out = 0.0
-    for pts in simplices:
-        for i in range(1, pts.shape[0]):
-            out = max(out, float(np.abs(pts[i:] - pts[i - 1]).sum(axis=1).max()))
-    return out
+def _l1_diameter(simplices: np.ndarray) -> float:
+    """Largest l1 distance between two vertices of one simplex in a (C, s, k) stack."""
+    pairs = np.abs(simplices[:, :, None] - simplices[:, None]).sum(axis=-1)
+    return float(pairs.max(initial=0.0))
 
 
 def build_grid(k: int, max_diameter: float, *, vertex_cap: int | None = None,
@@ -240,8 +230,7 @@ def build_grid(k: int, max_diameter: float, *, vertex_cap: int | None = None,
                        measured_max_diameter=max_cell_diameter_bound(k, N),
                        _rank_tab=_rank_table(k, N))
     if with_cells:
-        grid.measured_max_diameter = _l1_diameter(grid.vertices[cell]
-                                                  for cell in grid.cells)
+        grid.measured_max_diameter = _l1_diameter(grid.vertices[grid.cells])
     if grid.measured_max_diameter > max_diameter + 1e-12:
         raise ValidationError(
             f"cell diameter {grid.measured_max_diameter} exceeds requested "
@@ -255,8 +244,7 @@ def triangulation_grid(k: int, vertices: np.ndarray,
     vertices = np.asarray(vertices, dtype=float)
     cells = np.asarray(cells, dtype=np.int64)
     return SimplexGrid(k=k, denominator=None, vertices=vertices,
-                       measured_max_diameter=_l1_diameter(vertices[cell]
-                                                          for cell in cells),
+                       measured_max_diameter=_l1_diameter(vertices[cells]),
                        _cells=cells)
 
 
@@ -268,7 +256,7 @@ def refine_simplex(simplex: np.ndarray, max_diameter: float) -> tuple[np.ndarray
     """
     S = np.atleast_2d(np.asarray(simplex, dtype=float))
     k = S.shape[0]
-    diam = _l1_diameter([S])
+    diam = _l1_diameter(S[None])
     if diam <= max_diameter:
         return S.copy(), np.arange(k, dtype=np.int64)[None, :]
     # A barycentric l1 difference of b maps to at most (b/2)*diam in x-space;
@@ -281,21 +269,11 @@ def refine_simplex(simplex: np.ndarray, max_diameter: float) -> tuple[np.ndarray
 
 def build_grid_cells_for_level(k: int, n: int) -> np.ndarray:
     """Staircase cells of the standard lattice at denominator n."""
-    table = _rank_table(k, n)
-    return np.array([composition_rank(_y_to_x(chain, n), n, table)
-                     for z in itertools.combinations_with_replacement(range(n), k - 1)
-                     for chain in _staircase_chains(np.array(z, dtype=np.int64), n)],
-                    dtype=np.int64)
-
-
-def cell_volume(verts: np.ndarray) -> float:
-    """(k-1)-dimensional volume of a simplex cell embedded in R^k."""
-    verts = np.atleast_2d(np.asarray(verts, dtype=float))
-    E = verts[1:] - verts[0]
-    gram = E @ E.T
-    det = float(np.linalg.det(gram))
-    d = E.shape[0]
-    return math.sqrt(max(det, 0.0)) / math.factorial(d)
+    # Base corners: nondecreasing partial sums in [0, n-1], i.e. the partial
+    # sums of the compositions of n-1, in lexicographic order.
+    corners = np.cumsum(_lattice_vertices(k, n - 1)[:, :-1], axis=1)
+    pts = _y_to_x(_staircase_cells(corners, n).reshape(-1, k - 1), n)
+    return composition_rank(pts, n, _rank_table(k, n)).reshape(-1, k)
 
 
 def simplex_volume(k: int) -> float:

@@ -5,16 +5,17 @@ uniform lattice grid; the value over a cell is the vertex maximum plus a
 certified slack L_u * diameter, which keeps the object an upper bound while
 the grid diameter formula absorbs the slack into the eps budget.
 
-For piecewise-constant utilities the pieces themselves are triangulated and
-subdivided, and every sub-cell inherits its parent piece's value, so the
-approximation reproduces the utility exactly (upper envelope included) and
-the grid vertices are exactly the piece vertices the LP restricts support
-to.
+For piecewise-constant utilities the simplices that UtilitySpec triangulated
+each piece into at construction (core.triangulate_piece) are subdivided, and
+every sub-cell inherits its parent piece's value, so the approximation
+reproduces the utility exactly (upper envelope included) and the grid
+vertices are exactly the piece vertices the LP restricts support to.
+Evaluating it at a point tests the cells with the same batched barycentric
+kernel that evaluates the pieces (core.simplices_contain).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,14 +53,10 @@ class GriddedUtility:
     def eval(self, q) -> float:
         q = np.asarray(getattr(q, "weights", q), dtype=float)
         if self.cell_values is not None:
-            best = -math.inf
-            for ci, cell in enumerate(self.grid.cells):
-                if float(self.cell_values[ci]) > best and \
-                        geometry.SimplexGrid._bary_inside(self.grid.vertices[cell], q, geometry.BARY_TOL):
-                    best = float(self.cell_values[ci])
-            if best == -math.inf:
+            inside = self.grid.cell_mask(q)
+            if not inside.any():
                 raise ValidationError("point not covered by the refined grid")
-            return best
+            return float(self.cell_values[inside].max())
         cells = self.grid.locate_cells(q)
         if not cells:
             raise ValidationError("point not covered by the lattice grid")
@@ -116,75 +113,36 @@ def _build_lipschitz(utility: UtilitySpec, eps: float, M: float, *,
                           vertex_base=vertex_base, gap_bound=gap_bound)
 
 
-def _triangulate_piece(verts: np.ndarray, k: int) -> list[np.ndarray]:
-    """Split a convex piece polytope (vertex list) into nondegenerate simplices."""
-    verts = np.atleast_2d(verts)
-    v = verts.shape[0]
-    if v < k:
-        raise UnsupportedKindError(
-            "piece polytope is lower-dimensional; the grid approximation "
-            "needs full-dimensional pieces")
-    if v == k:
-        if geometry.cell_volume(verts) <= 1e-14:
-            raise UnsupportedKindError("piece polytope is degenerate")
-        return [verts]
-    if k == 2:
-        # 1-D hull: the extreme points in the first coordinate.
-        lo = verts[np.argmin(verts[:, 0])]
-        hi = verts[np.argmax(verts[:, 0])]
-        return [np.vstack([lo, hi])]
-    if k == 3:
-        # Fan triangulation of the polygon ordered around its centroid.
-        center = verts.mean(axis=0)
-        ang = np.arctan2(verts[:, 1] - center[1], verts[:, 0] - center[0])
-        ring = verts[np.argsort(ang)]
-        tris = []
-        for i in range(1, v - 1):
-            tri = np.vstack([ring[0], ring[i], ring[i + 1]])
-            if geometry.cell_volume(tri) > 1e-14:
-                tris.append(tri)
-        if not tris:
-            raise UnsupportedKindError("piece polygon is degenerate")
-        return tris
-    raise UnsupportedKindError(
-        "piece polytopes with more vertices than states are only supported "
-        "for k <= 3")
-
-
 def _build_piecewise(utility: UtilitySpec, eps: float, M: float) -> GriddedUtility:
     k = utility.k
     delta = eps / max(M, 1.0)
-    key_of = lambda row: tuple(np.round(row, 12))
-    vert_index: dict[tuple, int] = {}
-    verts_out: list[np.ndarray] = []
-    cells_out: list[np.ndarray] = []
-    values_out: list[float] = []
-
-    def add_vertex(row: np.ndarray) -> int:
-        key = key_of(row)
-        idx = vert_index.get(key)
-        if idx is None:
-            idx = len(verts_out)
-            vert_index[key] = idx
-            verts_out.append(row)
-        return idx
-
-    for piece_verts, value in utility.pieces:
-        for simplex in _triangulate_piece(piece_verts, k):
+    verts, cells, values = [], [], []
+    offset = 0
+    for simplices, (_, value) in zip(utility.simplices, utility.pieces):
+        if simplices.shape[1] != k:
+            raise UnsupportedKindError(
+                "piece polytope is lower-dimensional; the grid approximation "
+                "needs full-dimensional pieces")
+        for simplex in simplices:
             sub_verts, sub_cells = geometry.refine_simplex(simplex, delta)
-            local = [add_vertex(row) for row in sub_verts]
-            for cell in sub_cells:
-                cells_out.append(np.array([local[i] for i in cell], dtype=np.int64))
-                values_out.append(float(value))
-    vertices = np.vstack(verts_out)
-    cells = np.vstack(cells_out)
+            cells.append(sub_cells + offset)
+            verts.append(sub_verts)
+            offset += len(sub_verts)
+            values.append(np.full(len(sub_cells), value))
+    raw = np.vstack(verts)
+    # Merge vertices equal after rounding to 12 digits, keeping the first
+    # occurrence of each and that order; + 0.0 turns -0.0 into 0.0.
+    _, first, inverse = np.unique(np.round(raw, 12) + 0.0, axis=0,
+                                  return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    vertices = raw[first[by_first]]
+    cells = np.argsort(by_first)[inverse.reshape(-1)][np.vstack(cells)]
     grid = geometry.triangulation_grid(k, vertices, cells)
     if grid.measured_max_diameter > delta + 1e-12:  # pragma: no cover
         raise ValidationError("refinement missed the diameter bound")
-    cell_values = np.asarray(values_out)
+    cell_values = np.concatenate(values)
     vertex_base = np.full(vertices.shape[0], -np.inf)
-    for cell, val in zip(cells, cell_values):
-        np.maximum.at(vertex_base, cell, val)
+    np.maximum.at(vertex_base, cells.reshape(-1), np.repeat(cell_values, k))
     return GriddedUtility(grid=grid, source=utility, eps=eps,
                           lipschitz_bound=M, utility_lipschitz=0.0, pad=0.0,
                           vertex_base=vertex_base, gap_bound=0.0,

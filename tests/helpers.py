@@ -7,6 +7,8 @@ the slack (Slater margin) of every generated instance known by construction.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from persuade.core import (ConstraintSpec, MaxLinearTerm, Posterior,
@@ -109,3 +111,41 @@ def feasible_conversion_case(rng: np.random.Generator, k: int, m: int,
         value = float(scheme.probs @ eval_constraint_batch(spec, pts, prior))
         cons.append(spec.with_bound(value + float(rng.uniform(0.0, 0.15))))
     return scheme, tuple(cons), prior
+
+
+# Orthonormal basis of the plane {x : sum x = 0} that holds the k=3 simplex.
+_PLANE = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]) \
+    / np.array([[math.sqrt(2.0)], [math.sqrt(6.0)]])
+
+
+def random_fan_utility(rng: np.random.Generator, n_pieces: int) -> UtilitySpec:
+    """k=3 piecewise-constant utility on convex fan pieces.
+
+    Rays from an interior point at evenly spaced angles, each jittered by at
+    most a fifth of a step, cut the simplex into ``n_pieces >= 3`` convex
+    polygons (each spans an angle below pi); every piece lists the centre,
+    its two ray exits and the simplex corners between them.  Values are
+    uniform in [0, 2].
+    """
+    center = interior_prior(rng, 3).weights
+    step = 2.0 * math.pi / n_pieces
+    cuts = np.sort((rng.uniform(0.0, 2.0 * math.pi) + step * np.arange(n_pieces)
+                    + rng.uniform(-0.2, 0.2, size=n_pieces) * step) % (2.0 * math.pi))
+
+    def exit_point(theta):
+        d = math.cos(theta) * _PLANE[0] + math.sin(theta) * _PLANE[1]
+        t = min(-c / di for c, di in zip(center, d) if di < -1e-15)
+        return center + t * d
+
+    corner_angles = [math.atan2(*(_PLANE @ (e - center))[::-1]) % (2.0 * math.pi)
+                     for e in np.eye(3)]
+    pieces = []
+    for lo, hi in zip(cuts, np.roll(cuts, -1)):
+        span = (hi - lo) % (2.0 * math.pi)
+        inside = sorted(((a - lo) % (2.0 * math.pi), i)
+                        for i, a in enumerate(corner_angles)
+                        if 0.0 < (a - lo) % (2.0 * math.pi) < span)
+        verts = np.vstack([center, exit_point(lo)]
+                          + [np.eye(3)[i] for _, i in inside] + [exit_point(hi)])
+        pieces.append((verts, float(rng.uniform(0.0, 2.0))))
+    return UtilitySpec.piecewise_constant(pieces)

@@ -263,3 +263,89 @@ def test_auction_instance_json(tmp_path):
     assert inst.utility.auction.n == 2
     round_tripped = cli.instance_from_dict(cli.instance_to_dict(inst))
     assert round_tripped.utility.auction.bidders[1][0].low_value == 0.1
+
+
+_MAX = {"kind": "max_linear", "coeffs": [[1.0, 0.0], [0.0, 1.0]]}
+_KL = {"kind": "grouped_kl", "bound": 0.1,
+       "params": {"partition": [[0], [1]], "scale": 1.0, "refs": [0.5, 0.5]}}
+_PIECES = [{"vertices": [[1.0, 0.0], [0.5, 0.5]], "value": 0.0},
+           {"vertices": [[0.5, 0.5], [0.0, 1.0]], "value": 1.0}]
+
+
+def _with(base: dict, path: tuple, value) -> dict:
+    doc = json.loads(json.dumps(base))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _linear(coeffs):
+    return {"kind": "linear", "params": {"coeffs": coeffs}, "bound": 0.9}
+
+
+def _auction(weight, v1):
+    return {"kind": "auction_welfare", "auction": {"bidders": [[
+        {"weight": weight, "v0": 0.0, "v1": v1}]]}}
+
+
+@pytest.mark.parametrize("utility,constraint,field", [
+    (_MAX, _linear([math.nan, 1.0]), "linear coeffs"),
+    (_MAX, _linear([1e308, -1e308]), "linear constraint Lipschitz"),
+    ({"kind": "max_linear", "coeffs": [[math.inf, 0.0]]}, None, "term coeffs"),
+    ({"kind": "max_linear", "coeffs": [[math.nan, 0.0]]}, None, "term coeffs"),
+    ({"kind": "max_linear", "coeffs": [[1e308, -1e308], [0.0, 0.0]]}, None,
+     "utility Lipschitz"),
+    ({"kind": "max_linear", "terms": [{"weight": math.inf, "coeffs": [[1.0, 0.0]]}]},
+     None, "term weight"),
+    (_MAX, _with(_KL, ("params", "refs"), [math.inf, 0.5]), "grouped_kl refs"),
+    (_MAX, _with(_KL, ("params", "scale"), math.nan), "grouped_kl scale"),
+    (_MAX, {"kind": "neg_min_weighted", "params": {"weights": [math.nan, 1.0]},
+            "bound": 0.0}, "neg_min_weighted weights"),
+    (_MAX, {"kind": "bump", "params": {"center": [0.5, 0.5], "radius": math.nan},
+            "bound": 1.0}, "bump radius"),
+    ({"kind": "piecewise_constant",
+      "pieces": _with(_PIECES, (0, "vertices", 1, 0), math.nan)}, None,
+     "piece vertices"),
+    ({"kind": "piecewise_constant", "pieces": _with(_PIECES, (1, "value"), math.inf)},
+     None, "piece value"),
+    (_auction(math.nan, 1.0), None, "type weight"),
+    (_auction(1.0, math.inf), None, "bidder values"),
+], ids=["linear-nan", "linear-overflow", "utility-inf", "utility-nan",
+        "utility-overflow", "weight-inf", "kl-refs-inf", "kl-scale-nan",
+        "neg-min-nan", "bump-radius-nan", "piece-vertex-nan", "piece-value-inf",
+        "bidder-weight-nan", "bidder-value-inf"])
+def test_solve_non_finite_instance_numbers_exit_1(tmp_path, capsys, utility,
+                                                  constraint, field):
+    doc = {"k": 2, "prior": [0.5, 0.5], "utility": utility,
+           "constraints": [constraint] if constraint else []}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["solve", str(path), "--eps", "0.1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("vertices", [
+    np.vstack([np.eye(4), np.full(4, 0.25)]).tolist(),
+    [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 1.0, 0.0]],
+], ids=["k4-five-vertices", "k3-collinear"])
+def test_verify_unsupported_piece_exit_1(tmp_path, capsys, vertices):
+    k = len(vertices[0])
+    doc = {"k": k, "prior": [1.0 / k] * k, "constraints": [],
+           "utility": {"kind": "piecewise_constant", "pieces": [
+               {"vertices": np.eye(k).tolist(), "value": 0.0},
+               {"vertices": vertices, "value": 1.0}]}}
+    inst_path, scheme_path = tmp_path / "inst.json", tmp_path / "scheme.json"
+    inst_path.write_text(json.dumps(doc))
+    scheme_path.write_text(json.dumps({"support": np.eye(k).tolist(),
+                                       "probs": [1.0 / k] * k}))
+    code = cli.main(["verify", str(inst_path), str(scheme_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: utility: ") and err.count("\n") == 1
+    assert "Traceback" not in err

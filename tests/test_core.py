@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_fan_utility
+from persuade import lp
 from persuade.core import (ConstraintSpec, DimensionMismatch, MaxLinearTerm,
                            Posterior, ProblemInstance, SignalingScheme,
-                           UtilitySpec, ValidationError, check_bayes_plausible,
-                           eval_constraint, eval_constraint_batch, eval_utility,
-                           full_revelation, no_revelation, scheme_expectation,
-                           uniform_prior, verify_scheme)
+                           UnsupportedKindError, UtilitySpec, ValidationError,
+                           check_bayes_plausible, eval_constraint,
+                           eval_constraint_batch, eval_utility,
+                           eval_utility_batch, full_revelation, no_revelation,
+                           scheme_expectation, uniform_prior, verify_scheme)
+from persuade.objectives import build_upper_approx
 
 UNIFORM2 = uniform_prior(2)
 
@@ -190,6 +194,51 @@ def test_piecewise_usc_along_shared_boundaries():
     mid = 0.5 * (e[1] + center)
     assert eval_utility(u, Posterior(mid)) == 2.0  # edge shared by pieces 1 and 2
     assert eval_utility(u, Posterior(center)) == 3.0
+
+
+def _hull_contains_lp(verts, q, tol=1e-9):
+    """l1 hull feasibility: max -sum(s+ + s-) s.t. V^T beta + s+ - s- = q,
+    sum beta = 1, all variables >= 0; q is in the hull when the optimum
+    is within tol of 0."""
+    m, k = verts.shape
+    n = m + 2 * k
+    c = np.zeros(n)
+    c[m:] = -1.0
+    A_eq = np.zeros((k + 1, n))
+    A_eq[:k, :m] = verts.T
+    A_eq[:k, m:m + k] = np.eye(k)
+    A_eq[:k, m + k:] = -np.eye(k)
+    A_eq[k, :m] = 1.0
+    sol = lp.solve_lp(lp.LinearProgram(c=c, A_eq=A_eq, b_eq=np.append(q, 1.0),
+                                       A_le=np.zeros((0, n)), b_le=np.zeros(0)))
+    return sol.status == "optimal" and -sol.value <= tol
+
+
+def test_piece_membership_matches_hull_lp():
+    # Refined-grid vertices lie on piece borders and diagonals of the fan
+    # triangulation; the random points are generic.  The upper envelope
+    # over pieces must agree with the LP hull test at every one of them.
+    rng = np.random.default_rng(21)
+    for n_pieces in (3, 4, 6):
+        u = random_fan_utility(rng, n_pieces)
+        grid = build_upper_approx(u, eps=0.5, lipschitz_bound=1.0).grid
+        Q = np.vstack([grid.vertices, rng.dirichlet(np.ones(3), size=20)])
+        expected = [max(value for verts, value in u.pieces
+                        if _hull_contains_lp(verts, q)) for q in Q]
+        np.testing.assert_array_equal(eval_utility_batch(u, Q), expected)
+
+
+def test_unsupported_piece_vertex_lists_rejected():
+    # Neither a simplex nor a k <= 3 convex polygon: 5 vertices in k = 4,
+    # three collinear points in k = 3, and a k = 3 list with an interior
+    # point, whose fan triangulation would not cover the hull.
+    with pytest.raises(UnsupportedKindError):
+        UtilitySpec.piecewise_constant([(np.vstack([np.eye(4), np.full(4, 0.25)]), 1.0)])
+    collinear = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(UnsupportedKindError):
+        UtilitySpec.piecewise_constant([(np.eye(3), 0.0), (collinear, 1.0)])
+    with pytest.raises(UnsupportedKindError):
+        UtilitySpec.piecewise_constant([(np.vstack([np.eye(3), [0.4, 0.35, 0.25]]), 1.0)])
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from persuade.core import ResourceLimitError
-from persuade.geometry import (SimplexGrid, build_grid, cell_volume,
-                               composition_rank, contraction_floor,
+from persuade.geometry import (build_grid, build_grid_cells_for_level,
+                               cell_volume, composition_rank, contraction_floor,
                                lattice_vertex_count, max_cell_diameter_bound,
                                project_to_contraction,
                                project_to_contraction_batch, refine_simplex,
                                simplex_volume, _lattice_vertices, _rank_table)
+from persuade.objectives import build_upper_approx
+
+from helpers import random_fan_utility
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +127,17 @@ def test_union_coverage_random_points():
             assert g.locate_cells(q), f"uncovered point {q}"
 
 
+def _cells_containing_brute(grid, q, tol=1e-9):
+    """Per-cell barycentric test: weights >= -tol and residual <= tol."""
+    found = set()
+    for cell in grid.cells:
+        V = grid.vertices[cell]
+        beta = np.linalg.solve(V.T, q)
+        if beta.min() >= -tol and np.max(np.abs(V.T @ beta - q)) <= tol:
+            found.add(tuple(sorted(cell.tolist())))
+    return found
+
+
 def test_locate_at_vertices_and_edges():
     g = build_grid(3, 0.5, with_cells=True)
     # A grid vertex belongs to every incident cell.
@@ -132,15 +146,46 @@ def test_locate_at_vertices_and_edges():
     assert len(cells) >= 2
     for cell in cells:
         assert any(np.allclose(g.vertices[i], v) for i in cell)
-    # Brute-force cross-check against the explicit cell list.
+    # Brute-force cross-check against the explicit cell list, on the lattice
+    # grid and on the refined triangulation of a piecewise utility, at random
+    # points, at grid vertices (which sit on cell borders) and at vertices
+    # moved by 4e-10, within the tolerance, in the simplex plane.
     rng = np.random.default_rng(5)
-    for q in rng.dirichlet(np.ones(3), size=200):
-        located = {tuple(sorted(c.tolist())) for c in g.locate_cells(q)}
-        brute = set()
-        for cell in g.cells:
-            if SimplexGrid._bary_inside(g.vertices[cell], q, 1e-9):
-                brute.add(tuple(sorted(cell.tolist())))
-        assert located == brute
+    pieces = build_upper_approx(random_fan_utility(rng, 5), eps=0.4,
+                                lipschitz_bound=1.0).grid
+    for grid in (g, pieces):
+        shift = rng.dirichlet(np.ones(3), size=grid.vertex_count) - 1 / 3
+        Q = np.vstack([rng.dirichlet(np.ones(3), size=200), grid.vertices[::3],
+                       (grid.vertices + 4e-10 * shift)[1::3]])
+        for q in Q:
+            located = {tuple(sorted(c.tolist())) for c in grid.locate_cells(q)}
+            assert located == _cells_containing_brute(grid, q)
+
+
+def _staircase_cells_per_chain(k, n):
+    """Staircase cells by walking each base corner's chains one at a time."""
+    index = {tuple(x): i for i, x in enumerate(_lattice_vertices(k, n).tolist())}
+    cells = []
+    for z in itertools.combinations_with_replacement(range(n), k - 1):
+        for perm in itertools.permutations(range(k - 1)):
+            chain = [list(z)]
+            for axis in perm:
+                cur = chain[-1].copy()
+                cur[axis] += 1
+                if any(b < a for a, b in zip(cur, cur[1:])) or cur[-1] > n:
+                    break
+                chain.append(cur)
+            else:
+                cells.append([index[tuple(np.diff([0, *y, n]).tolist())]
+                              for y in chain])
+    return np.array(cells, dtype=np.int64)
+
+
+@pytest.mark.parametrize("k,n", [(2, 9), (3, 7), (4, 5), (5, 3)])
+def test_staircase_cells_match_per_chain_reference(k, n):
+    cells = build_grid_cells_for_level(k, n)
+    np.testing.assert_array_equal(cells, _staircase_cells_per_chain(k, n))
+    assert cells.shape == (n ** (k - 1), k)
 
 
 def test_refine_simplex_diameter():

@@ -153,3 +153,17 @@ def test_polygon_piece_fan_triangulation():
     gu = build_upper_approx(u, eps=0.3, lipschitz_bound=1.0)
     inner = quad.mean(axis=0)
     assert gu.eval(Posterior(inner)) == 1.0
+
+
+def test_piecewise_grid_merges_signed_zero_vertices():
+    # The shared vertex is written once with a last coordinate of
+    # 1 - 0.9 - 0.1 = -2.8e-17, which rounds to -0.0, and once with 0.0;
+    # the refined grid keeps one vertex for both.
+    e = np.eye(3)
+    u = UtilitySpec.piecewise_constant([
+        (np.vstack([e[0], [0.9, 0.1, 0.0], e[2]]), 1.0),
+        (np.vstack([[0.9, 0.1, 1 - 0.9 - 0.1], e[1], e[2]]), 2.0),
+    ])
+    grid = build_upper_approx(u, eps=4.0, lipschitz_bound=1.0).grid
+    assert grid.vertex_count == 4
+    np.testing.assert_array_equal(grid.cells, [[0, 1, 2], [1, 3, 2]])
