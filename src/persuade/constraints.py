@@ -82,13 +82,21 @@ class SmoothedConstraint:
         check_finite(f"{self.source.kind} constraint Lipschitz constant",
                      self.lipschitz_constant)
 
-    def eval_batch(self, Q: np.ndarray, prior) -> np.ndarray:
+    def eval_batch(self, Q: np.ndarray, prior,
+                   projections: dict | None = None) -> np.ndarray:
+        """g on the rows of Q.  ``projections`` maps a contraction to the
+        projection of this same Q onto it; passing one dict to several
+        constraints projects Q once per distinct contraction."""
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         if self.contraction is None:
             vals = eval_constraint_batch(self.source, Q, prior)
         else:
-            projected = geometry.project_to_contraction_batch(Q, self.contraction)
-            vals = eval_constraint_batch(self.source, projected, prior)
+            projections = {} if projections is None else projections
+            if self.contraction not in projections:
+                projections[self.contraction] = \
+                    geometry.project_to_contraction_batch(Q, self.contraction)
+            vals = eval_constraint_batch(self.source, projections[self.contraction],
+                                         prior)
         return vals - self.offset
 
     def eval(self, q, prior) -> float:

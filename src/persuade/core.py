@@ -18,6 +18,7 @@ functions, so shared instances are safe under concurrent use.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, Sequence
@@ -66,7 +67,8 @@ class ResourceLimitError(PersuasionError):
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """A read-only float copy of ``a``; the caller's array stays writeable."""
+    a = np.array(a, dtype=float, order="C")
     a.flags.writeable = False
     return a
 
@@ -411,7 +413,8 @@ class MaxLinearTerm:
     weight: float = 1.0
 
     def __post_init__(self):
-        coeffs = check_finite("term coeffs", np.atleast_2d(_as_readonly(self.coeffs)))
+        coeffs = check_finite("term coeffs",
+                              np.atleast_2d(np.asarray(self.coeffs, dtype=float)))
         object.__setattr__(self, "rank", int(self.rank))
         object.__setattr__(self, "weight", check_finite("term weight", float(self.weight)))
         if not (1 <= self.rank <= coeffs.shape[0]):
@@ -537,8 +540,14 @@ class UtilitySpec:
 
 def _rank_max(values: np.ndarray, rank: int) -> np.ndarray:
     """rank-th largest along the last axis (rank=1 is the max)."""
-    if values.shape[-1] == 1:
+    n_f = values.shape[-1]
+    if n_f == 1:
         return values[..., 0]
+    if rank in (1, n_f):
+        # Running max/min over the few columns: numpy reduces a short last
+        # axis, and partitions along it, far more slowly.
+        return functools.reduce(np.maximum if rank == 1 else np.minimum,
+                                values.T).T
     return np.partition(values, -rank, axis=-1)[..., -rank]
 
 

@@ -13,11 +13,13 @@ which cells hold a point.
 
 Also provides the Euclidean projection onto the contracted simplex
 S_eps = center + (simplex - center) / (1 + eps^2) used by constraint
-smoothing, computed by the exact sort-based method.
+smoothing: exact, with the sort-based method run only on the rows that
+have an entry below the floor of S_eps.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -304,14 +306,24 @@ def contraction_floor(k: int, eps: float) -> float:
 
 
 def project_to_contraction_batch(Q: np.ndarray, eps: float) -> np.ndarray:
-    """Row-wise Euclidean projection onto the contracted simplex S_eps."""
+    """Row-wise Euclidean projection onto the contracted simplex S_eps.
+
+    S_eps = {x : x >= lo, sum x = 1} lies in the sum-1 hyperplane, so the
+    projection of a row is the projection of its orthogonal shift onto that
+    hyperplane; a shifted row with no entry below lo is its own projection.
+    Only the other rows (near the simplex boundary) are sorted.
+    """
     if eps <= 0:
         raise ValidationError("contraction eps must be positive")
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     k = Q.shape[1]
     lo = contraction_floor(k, eps)
-    z = 1.0 - k * lo
-    return lo + project_to_scaled_simplex(Q - lo, z)
+    # Column-wise reductions: numpy reduces a short last axis slowly.
+    out = Q + ((1.0 - functools.reduce(np.add, Q.T)) / k)[:, None]
+    below = np.flatnonzero(functools.reduce(np.minimum, out.T) < lo)
+    if below.size:
+        out[below] = lo + project_to_scaled_simplex(Q[below] - lo, 1.0 - k * lo)
+    return out
 
 
 def project_to_contraction(q, eps: float):

@@ -5,11 +5,22 @@ Solves   max c.x   s.t.  A_eq x = b_eq,  A_le x <= b_le,  x >= 0.
 The implementation is a revised simplex with an explicit basis inverse, built
 for LPs with a handful of rows and up to millions of columns (grid points).
 Columns are stored vertex-major with the phase-2 cost appended, so pricing
-every column is one tall-skinny BLAS matvec; slack and artificial columns
-stay virtual.  Pricing is Dantzig (most positive reduced cost, ties broken
-by lowest index); after ``DEGENERATE_PIVOT_FACTOR * rows`` degenerate pivots
-the solver switches permanently to Bland's rule (lowest improving index),
-which guarantees termination.
+a set of columns is one tall-skinny BLAS matvec; slack and artificial
+columns stay virtual.
+
+Pricing is Dantzig (most positive reduced cost, ties broken by lowest
+index) over a working set W of structural columns plus the slacks
+("sifting": Bixby, Gregory, Lustig, Marsten and Shanno, Operations Research
+40(5), 1992).  W starts as ``WORKING_SET_INITIAL`` evenly spaced columns and
+keeps a compact copy of their rows.  Only when no column of W and no slack
+improves does a full pass price all n columns; it enters the best column
+overall and adds the ``WORKING_SET_GROWTH`` best improving ones to W.  A
+phase ends only when a full pass finds no reduced cost above ``FEAS_TOL``,
+so optimality is certified over every column.  When W holds every column
+(n <= ``WORKING_SET_INITIAL``) the W pass is the full pass, and pivots are
+those of plain Dantzig pricing.  After ``DEGENERATE_PIVOT_FACTOR * rows``
+degenerate pivots the solver switches permanently to Bland's rule (lowest
+improving index over all columns), which guarantees termination.
 """
 
 from __future__ import annotations
@@ -23,6 +34,8 @@ PIVOT_TOL = 1e-11
 DEGENERATE_PIVOT_FACTOR = 50
 REFACTOR_EVERY = 100
 MAX_ITER_BASE = 20_000
+WORKING_SET_INITIAL = 4096
+WORKING_SET_GROWTH = 1024
 
 
 class LpError(Exception):
@@ -81,11 +94,28 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
+class SimplexStats:
+    """What one solve did.  Iterations count pricing rounds: one per pivot
+    plus the round that certified optimality (or found unboundedness)."""
+
+    phase1_iterations: int
+    phase2_iterations: int
+    full_pricing_passes: int  # pricing rounds that touched all n columns
+    working_set_size: int     # structural columns in W at the end
+    degenerate_pivots: int    # both phases
+    bland: bool               # Bland's rule switched on in either phase
+
+
+@dataclass(frozen=True)
 class LpSolution:
     status: str  # optimal | infeasible | unbounded
     x: np.ndarray | None
     value: float
     basis: tuple[int, ...]  # structural vars then slacks (n..n+m_le-1)
+    # y on the rows A_eq then A_le when optimal: c_j - y.A_j <= FEAS_TOL for
+    # every column, y_le >= -FEAS_TOL, and b.y equals the value.
+    duals: np.ndarray | None = None
+    stats: SimplexStats | None = None
 
 
 class _Simplex:
@@ -110,6 +140,7 @@ class _Simplex:
             self.augT[:, i] *= -1.0
         self.augT[:, r] = lp.c
         self.b = np.abs(np.concatenate([lp.b_eq, lp.b_le]))
+        self.row_sign = sign
         # Slack column for le-row i is sign[m_eq + i] * e_{m_eq + i}.
         self.slack_sign = sign[self.m_eq:]
         self.n_slack = self.m_le
@@ -128,8 +159,18 @@ class _Simplex:
         self.bland = False
         self.iterations = 0
         self.max_iter = MAX_ITER_BASE + 50 * r
+        self.full_passes = 0
         self._buf = np.empty(n)
         self._y_aug = np.empty(r + 1)
+        # Working set: sorted structural column indices and their augT rows.
+        self._set_work(np.arange(n) if n <= WORKING_SET_INITIAL else
+                       np.linspace(0, n - 1, WORKING_SET_INITIAL, dtype=np.int64))
+
+    def _set_work(self, work: np.ndarray):
+        self.work = work
+        self.covered = work.size == self.n
+        self.augW = self.augT if self.covered else self.augT[work]
+        self._wbuf = self._buf if self.covered else np.empty(work.size)
 
     # -- column access ----------------------------------------------------
     def column(self, j: int) -> np.ndarray:
@@ -177,34 +218,64 @@ class _Simplex:
                 red[le_idx] = -np.inf
         return red
 
+    def _price_all(self, y_aug: np.ndarray) -> np.ndarray:
+        """Reduced costs of all n structural columns, basic ones at -inf."""
+        self.full_passes += 1
+        np.dot(self.augT, y_aug, out=self._buf)
+        for j in self.in_basis:
+            if j < self.n:
+                self._buf[j] = -np.inf
+        return self._buf
+
+    def _price_work(self, y_aug: np.ndarray) -> np.ndarray:
+        """Reduced costs of the working set, basic ones at -inf."""
+        if self.covered:
+            return self._price_all(y_aug)
+        np.dot(self.augW, y_aug, out=self._wbuf)
+        basic = np.fromiter((j for j in self.in_basis if j < self.n), dtype=np.int64)
+        pos = np.searchsorted(self.work, basic)
+        hit = pos < self.work.size
+        hit[hit] = self.work[pos[hit]] == basic[hit]
+        self._wbuf[pos[hit]] = -np.inf
+        return self._wbuf
+
+    def _grow_work(self, red: np.ndarray):
+        """Add the WORKING_SET_GROWTH best improving columns of a full pass."""
+        improving = np.flatnonzero(red > FEAS_TOL)
+        if improving.size > WORKING_SET_GROWTH:
+            top = np.argpartition(red[improving], -WORKING_SET_GROWTH)
+            improving = improving[top[-WORKING_SET_GROWTH:]]
+        work = np.sort(np.concatenate([self.work, improving]))
+        self._set_work(work[np.diff(work, prepend=-1) > 0])
+
     def _price(self, phase2: bool) -> int | None:
-        """Entering column: Dantzig (most positive reduced cost, ties broken
-        by lowest index) or, once the degeneracy guard has tripped, Bland's
-        rule (lowest improving index)."""
+        """Entering column: Dantzig over the working set and the slacks, then
+        over all columns when those have none; or, once the degeneracy guard
+        has tripped, Bland's rule (lowest improving index)."""
         y_aug = self._dual(phase2)
         if self.bland:
             if self.n:
-                np.dot(self.augT, y_aug, out=self._buf)
-                for j in self.in_basis:
-                    if j < self.n:
-                        self._buf[j] = -np.inf
-                if self._buf.max() > FEAS_TOL:
-                    return int(np.argmax(self._buf > FEAS_TOL))
+                red = self._price_all(y_aug)
+                if red.max() > FEAS_TOL:
+                    return int(np.argmax(red > FEAS_TOL))
             red = self._slack_reduced(y_aug)
             idx = np.nonzero(red > FEAS_TOL)[0]
             return self.n + int(idx[0]) if idx.size else None
         best, best_val = None, FEAS_TOL
         if self.n:
-            np.dot(self.augT, y_aug, out=self._buf)
-            for j in self.in_basis:
-                if j < self.n:
-                    self._buf[j] = -np.inf
-            cand = int(np.argmax(self._buf))
-            if self._buf[cand] > best_val:
-                best, best_val = cand, float(self._buf[cand])
+            red = self._price_work(y_aug)
+            cand = int(np.argmax(red))
+            if red[cand] > best_val:
+                best, best_val = int(self.work[cand]), float(red[cand])
         red = self._slack_reduced(y_aug)
         if red.size and red.max() > best_val:
             best = self.n + int(np.argmax(red))
+        if best is None and not self.covered:
+            red = self._price_all(y_aug)
+            cand = int(np.argmax(red))
+            if red[cand] > FEAS_TOL:
+                best = cand
+                self._grow_work(red)
         return best
 
     # -- main loop ---------------------------------------------------------
@@ -265,30 +336,43 @@ class _Simplex:
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve the LP, returning an optimal basic feasible solution.
 
-    Optimality is certified by reduced costs <= 1e-9.  Infeasible and
-    unbounded problems are reported through the status field; numeric
-    failures raise :class:`NumericError`.
+    Optimality is certified by reduced costs <= 1e-9 over every column.
+    Infeasible and unbounded problems are reported through the status field;
+    numeric failures raise :class:`NumericError`.
     """
     state = _Simplex(lp)
     n, n_slack = state.n, state.n_slack
+    phase1_iterations, phase1_degenerate, phase1_bland = 0, 0, False
+
+    def stats() -> SimplexStats:
+        return SimplexStats(
+            phase1_iterations=phase1_iterations,
+            phase2_iterations=state.iterations - phase1_iterations,
+            full_pricing_passes=state.full_passes,
+            working_set_size=int(state.work.size),
+            degenerate_pivots=phase1_degenerate + state.degenerate_pivots,
+            bland=phase1_bland or state.bland)
 
     if any(int(j) >= n + n_slack for j in state.basis):
         status = state.run(phase2=False)
         if status != "optimal":  # pragma: no cover - phase 1 is always bounded
             raise NumericError("phase 1 terminated " + status)
+        phase1_iterations = state.iterations
+        phase1_degenerate, phase1_bland = state.degenerate_pivots, state.bland
         x_B = state.B_inv @ state.b
         art_rows = state.basis >= n + n_slack
         art_mass = float(x_B[art_rows].sum()) if state.r else 0.0
         if art_mass > FEAS_TOL * max(1.0, float(np.abs(state.b).sum())):
             return LpSolution(status="infeasible", x=None, value=float("nan"),
-                              basis=())
+                              basis=(), stats=stats())
         state.drive_out_artificials()
         state.degenerate_pivots = 0
         state.bland = False
 
     status = state.run(phase2=True)
     if status == "unbounded":
-        return LpSolution(status="unbounded", x=None, value=float("inf"), basis=())
+        return LpSolution(status="unbounded", x=None, value=float("inf"), basis=(),
+                          stats=stats())
 
     x = np.zeros(n)
     x_B = state.B_inv @ state.b
@@ -304,7 +388,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if float(np.max(lp.A_le @ x - lp.b_le)) > 100 * FEAS_TOL * scale:
             raise NumericError("optimal basis violates the inequality rows")
     basis = tuple(int(j) for j in sorted(state.basis) if j < n + n_slack)
-    return LpSolution(status="optimal", x=x, value=float(state.c @ x), basis=basis)
+    duals = -state.row_sign * state._dual(phase2=True)[: state.r]
+    return LpSolution(status="optimal", x=x, value=float(state.c @ x), basis=basis,
+                      duals=duals, stats=stats())
 
 
 def build_persuasion_lp(grid, gridded_utility, smoothed_bounds, prior,
@@ -314,7 +400,8 @@ def build_persuasion_lp(grid, gridded_utility, smoothed_bounds, prior,
     Rows are k-1 independent barycenter equalities plus one normalization row
     (the remaining barycenter row is redundant), and one <= row per smoothed
     ex-ante constraint with its relaxed bound.  ``vertex_mask`` restricts the
-    columns to a feasible subset (ex-post handling).
+    columns to a feasible subset (ex-post handling).  Smoothed constraints
+    that share a contraction are evaluated on one projection of the vertices.
 
     ``smoothed_bounds`` is a sequence of (smoothed_constraint, relaxed_bound)
     pairs; objects are duck-typed so this module stays dependency-free.
@@ -334,13 +421,12 @@ def build_persuasion_lp(grid, gridded_utility, smoothed_bounds, prior,
     A_eq[: k - 1] = vertices[:, : k - 1].T
     A_eq[k - 1] = 1.0
     b_eq = np.concatenate([p[: k - 1], [1.0]])
-    rows = []
-    bounds = []
-    for smoothed, bound in smoothed_bounds:
-        rows.append(smoothed.eval_batch(vertices, p))
-        bounds.append(bound)
-    A_le = np.vstack(rows) if rows else np.zeros((0, n))
-    b_le = np.asarray(bounds, dtype=float)
+    smoothed_bounds = list(smoothed_bounds)
+    A_le = np.empty((len(smoothed_bounds), n))
+    projections = {}  # shared by constraints with one contraction
+    for row, (smoothed, _) in zip(A_le, smoothed_bounds):  # no stacked copy
+        row[:] = smoothed.eval_batch(vertices, p, projections)
+    b_le = np.array([bound for _, bound in smoothed_bounds], dtype=float)
     return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le)
 
 

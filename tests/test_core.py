@@ -10,7 +10,7 @@ from persuade import lp
 from persuade.core import (ConstraintSpec, DimensionMismatch, MaxLinearTerm,
                            Posterior, ProblemInstance, SignalingScheme,
                            UnsupportedKindError, UtilitySpec, ValidationError,
-                           check_bayes_plausible, eval_constraint,
+                           _rank_max, check_bayes_plausible, eval_constraint,
                            eval_constraint_batch, eval_utility,
                            eval_utility_batch, full_revelation, no_revelation,
                            scheme_expectation, uniform_prior, verify_scheme)
@@ -164,6 +164,36 @@ def test_piecewise_uncovered_point_raises():
     u = UtilitySpec.piecewise_constant([(np.array([[1.0, 0.0], [0.6, 0.4]]), 1.0)])
     with pytest.raises(ValidationError):
         eval_utility(u, posterior(0.1, 0.9))
+
+
+def test_rank_max_matches_partition_reference():
+    # Ties are frequent: entries are drawn from four values.  The reference
+    # is the partition the kernel used for every rank before.
+    rng = np.random.default_rng(17)
+    for shape in [(200, 1), (500, 2), (500, 3), (300, 5), (4, 50, 3)]:
+        values = rng.integers(-2, 2, size=shape) * 0.5
+        values[..., 0] += rng.uniform(size=shape[:-1]) < 0.1  # some strict maxima
+        for rank in range(1, shape[-1] + 1):
+            ref = np.partition(values, -rank, axis=-1)[..., -rank]
+            assert np.array_equal(_rank_max(values, rank), ref)
+
+
+@pytest.mark.parametrize("build, get_input, get_stored", [
+    (lambda a: UtilitySpec.max_linear(a), lambda: np.eye(2),
+     lambda spec: spec.terms[0].coeffs),
+    (lambda a: ConstraintSpec.linear(a, 1.0), lambda: np.array([0.2, 0.8]),
+     lambda spec: spec.coeffs),
+    (lambda a: UtilitySpec.piecewise_constant([(a, 1.0)]),
+     lambda: np.array([[1.0, 0.0], [0.0, 1.0]]), lambda spec: spec.pieces[0][0]),
+], ids=["max_linear", "linear", "piece_vertices"])
+def test_spec_inputs_stay_writeable(build, get_input, get_stored):
+    a = get_input()
+    spec = build(a)
+    assert a.flags.writeable
+    stored = get_stored(spec).copy()
+    a[...] = 0.5
+    assert np.array_equal(get_stored(spec), stored)
+    assert not get_stored(spec).flags.writeable
 
 
 def test_max_linear_rank_bounds():

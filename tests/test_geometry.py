@@ -216,6 +216,41 @@ def test_projection_idempotent_inside():
     np.testing.assert_allclose(out, inside, atol=1e-12)
 
 
+def _sorted_projection(Q, eps):
+    """Reference: the sort-based projection onto {x >= lo, sum x = 1},
+    applied to every row."""
+    n, k = Q.shape
+    lo = contraction_floor(k, eps)
+    V = Q - lo
+    U = -np.sort(-V, axis=1)
+    css = np.cumsum(U, axis=1) - (1.0 - k * lo)
+    rho = np.count_nonzero(U - css / np.arange(1, k + 1) > 0, axis=1)
+    theta = css[np.arange(n), rho - 1] / rho
+    return lo + np.maximum(V - theta[:, None], 0.0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_projection_matches_sorted_reference(k):
+    rng = np.random.default_rng(40 + k)
+    for eps in (0.005, 0.1, 0.7):
+        lo = contraction_floor(k, eps)
+        inside = rng.dirichlet(np.ones(k), size=200) * (1 - k * lo) + lo
+        on_floor = inside.copy()
+        on_floor[:, 0] = lo
+        on_floor[:, 1:] *= (1 - lo) / on_floor[:, 1:].sum(axis=1, keepdims=True)
+        below = rng.dirichlet(np.full(k, 0.3), size=200)
+        below[:50, 0] = 0.0
+        below[:50] /= below[:50].sum(axis=1, keepdims=True)
+        lattice = _lattice_vertices(k, 12) / 12.0
+        Q = np.vstack([inside, on_floor, below, lattice])
+        off = Q + rng.choice([-1e-15, 1e-15], size=Q.shape) / k
+        for rows in (Q, off):
+            out = project_to_contraction_batch(rows, eps)
+            np.testing.assert_allclose(out, _sorted_projection(rows, eps),
+                                       rtol=0, atol=1e-15)
+            assert out.min() >= lo - 1e-15
+
+
 def test_projection_k2_eps1_endpoint():
     # The contracted simplex is the segment [(1/4,3/4), (3/4,1/4)]; the point
     # (1,0) projects to the endpoint (3/4,1/4).  Oracle: dense minimization

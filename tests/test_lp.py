@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from persuade import geometry, objectives
+from persuade import geometry, lp, objectives
 from persuade.constraints import smooth_constraint
 from persuade.core import ConstraintSpec, UtilitySpec, uniform_prior
 from persuade.lp import LinearProgram, LpError, build_persuasion_lp, dump_lp, solve_lp
@@ -186,6 +186,95 @@ def test_redundant_equality_rows():
 
 
 # ---------------------------------------------------------------------------
+# Working-set pricing on LPs wider than the initial working set
+# ---------------------------------------------------------------------------
+
+def wide_lp(rng, n, k=3, m_le=2, *, repeats=0, degenerate=False, redundant=False):
+    """A grid-LP-shaped program over n random posteriors: k-1 barycenter
+    rows and a normalization row, m_le random <= rows (the second one a
+    lower bound, with a negative right-hand side), random objective.
+
+    ``repeats`` copies that many columns onto earlier ones; ``degenerate``
+    puts the prior on one column, makes every <= row tight there and gives
+    that column the best objective, so the optimum is a basic solution with
+    k + m_le - 1 zero basics; ``redundant`` adds the k-th barycenter row,
+    implied by the others.
+    """
+    pts = rng.dirichlet(np.ones(k), size=n)
+    if repeats:
+        pts[n - repeats:] = pts[rng.integers(0, n - repeats, size=repeats)]
+    A_le = rng.uniform(0, 1, size=(m_le, n))
+    A_le[1:2] *= -1.0
+    c = rng.uniform(0, 1, size=n)
+    if degenerate:
+        x0 = np.zeros(n)
+        x0[rng.integers(0, n)] = 1.0
+        c[x0 > 0] = 1.5
+        slack = 0.0
+    else:
+        x0 = rng.dirichlet(np.ones(n))
+        slack = 0.05
+    prior = pts.T @ x0
+    rows = [pts[:, : k - 1].T, np.ones((1, n))] + ([pts[:, k - 1:].T] if redundant else [])
+    b_eq = np.concatenate([prior[: k - 1], [1.0]] + ([prior[k - 1:]] if redundant else []))
+    return LinearProgram(c=c, A_eq=np.vstack(rows), b_eq=b_eq,
+                         A_le=A_le, b_le=A_le @ x0 + slack)
+
+
+WIDE_CASES = [dict(), dict(repeats=3000), dict(degenerate=True),
+              dict(redundant=True), dict(repeats=2000, degenerate=True, redundant=True)]
+
+
+def lp_scale(program):
+    return max(1.0, float(np.abs(program.b_eq).sum() + np.abs(program.b_le).sum()))
+
+
+@pytest.mark.parametrize("case", range(len(WIDE_CASES)))
+def test_duals_certify_wide_lp(case):
+    rng = np.random.default_rng(300 + case)
+    program = wide_lp(rng, 3 * lp.WORKING_SET_INITIAL, **WIDE_CASES[case])
+    sol = solve_lp(program)
+    assert sol.status == "optimal"
+    tol = 1e-9 * lp_scale(program)
+    m_eq = program.A_eq.shape[0]
+    y_eq, y_le = sol.duals[:m_eq], sol.duals[m_eq:]
+    reduced = program.c - y_eq @ program.A_eq - y_le @ program.A_le
+    assert reduced.max() <= tol            # every structural column
+    assert y_le.min() >= -tol              # every slack column
+    assert abs(program.b_eq @ y_eq + program.b_le @ y_le - sol.value) <= tol
+    st = sol.stats
+    assert st.working_set_size > lp.WORKING_SET_INITIAL  # the set grew
+    assert 2 <= st.full_pricing_passes < st.phase1_iterations + st.phase2_iterations
+
+
+@pytest.mark.parametrize("case", range(len(WIDE_CASES)))
+def test_working_set_pricing_matches_full_pricing(case, monkeypatch):
+    rng = np.random.default_rng(400 + case)
+    program = wide_lp(rng, 2 * lp.WORKING_SET_INITIAL + 17, **WIDE_CASES[case])
+    sifted = solve_lp(program)
+    monkeypatch.setattr(lp, "WORKING_SET_INITIAL", program.n_vars)
+    full = solve_lp(program)
+    assert full.stats.full_pricing_passes == \
+        full.stats.phase1_iterations + full.stats.phase2_iterations
+    assert full.stats.working_set_size == program.n_vars
+    assert sifted.value == pytest.approx(full.value, abs=1e-9 * lp_scale(program))
+
+
+def test_against_scipy_highs_wide_lps():
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    for case, kwargs in enumerate(WIDE_CASES):
+        rng = np.random.default_rng(500 + case)
+        program = wide_lp(rng, lp.WORKING_SET_INITIAL + 1 + 997 * case, k=2 + case % 3,
+                          m_le=1 + case % 2, **kwargs)
+        ours = solve_lp(program)
+        ref = scipy_opt.linprog(-program.c, A_eq=program.A_eq, b_eq=program.b_eq,
+                                A_ub=program.A_le, b_ub=program.b_le,
+                                bounds=(0, None), method="highs")
+        assert ours.status == "optimal" and ref.status == 0
+        assert ours.value == pytest.approx(-ref.fun, abs=1e-9 * lp_scale(program))
+
+
+# ---------------------------------------------------------------------------
 # build_persuasion_lp
 # ---------------------------------------------------------------------------
 
@@ -280,3 +369,26 @@ def test_persuasion_lp_support_bound_k_plus_m():
     sol = solve_lp(program)
     assert sol.status == "optimal"
     assert np.count_nonzero(sol.x > 1e-12) <= 3 + 2  # k + m
+
+
+def test_kl_constraints_share_one_projection(monkeypatch):
+    # Two KL constraints smoothed to one contraction, as in the two-KL
+    # benchmark instance: one projection of the grid per LP build, and rows
+    # equal to evaluating each constraint on its own.
+    prior = uniform_prior(3)
+    specs = [ConstraintSpec.grouped_kl([(0,), (1,), (2,)], 1.0, np.full(3, 1 / 3), 0.2),
+             ConstraintSpec.grouped_kl([(0, 1), (2,)], 1.0, [2 / 3, 1 / 3], 0.2)]
+    smoothed = [smooth_constraint(spec, 0.05) for spec in specs]
+    assert smoothed[0].contraction == smoothed[1].contraction
+    u = UtilitySpec.max_linear(np.eye(3))
+    gridded = objectives.build_upper_approx(u, eps=0.05, lipschitz_bound=1.0)
+    calls = []
+    project = geometry.project_to_contraction_batch
+    monkeypatch.setattr(geometry, "project_to_contraction_batch",
+                        lambda Q, eps: calls.append(eps) or project(Q, eps))
+    program = build_persuasion_lp(gridded.grid, gridded,
+                                  [(sm, 0.25) for sm in smoothed], prior)
+    assert calls == [smoothed[0].contraction]
+    for row, sm in zip(program.A_le, smoothed):
+        assert np.array_equal(row, sm.eval_batch(gridded.grid.vertices, prior))
+
