@@ -138,23 +138,23 @@ def auction_utility_batch(spec: AuctionSpec, Q: np.ndarray,
 
 
 def auction_utility_mc_batch(spec: AuctionSpec, Q: np.ndarray,
-                             objective: str | None = None,
-                             samples: int = MC_SAMPLES):
-    """Seeded Monte Carlo estimate; returns (estimates, standard errors)."""
+                             objective: str | None = None):
+    """Seeded Monte Carlo estimate from MC_SAMPLES draws; returns (estimates,
+    standard errors)."""
     objective = objective or spec.objective
     rng = np.random.default_rng(spec.mc_seed)
     m = marginals(spec, Q)
-    draws_v0 = np.empty((samples, spec.n))
-    draws_v1 = np.empty((samples, spec.n))
+    draws_v0 = np.empty((MC_SAMPLES, spec.n))
+    draws_v1 = np.empty((MC_SAMPLES, spec.n))
     for i, types in enumerate(spec.bidders):
         tw = np.array([t.weight for t in types])
-        pick = rng.choice(len(types), size=samples, p=tw / tw.sum())
+        pick = rng.choice(len(types), size=MC_SAMPLES, p=tw / tw.sum())
         draws_v0[:, i] = np.array([t.low_value for t in types])[pick]
         draws_v1[:, i] = np.array([t.high_value for t in types])[pick]
     x = (1.0 - m[:, None, :]) * draws_v0[None, :, :] + m[:, None, :] * draws_v1[None, :, :]
-    vals = _objective_values(x, objective)  # (rows, samples)
+    vals = _objective_values(x, objective)  # (rows, MC_SAMPLES)
     est = vals.mean(axis=1)
-    stderr = vals.std(axis=1, ddof=1) / math.sqrt(samples)
+    stderr = vals.std(axis=1, ddof=1) / math.sqrt(MC_SAMPLES)
     return est, stderr
 
 

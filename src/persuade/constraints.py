@@ -127,18 +127,14 @@ def smooth_constraint(spec: ConstraintSpec, eps: float,
     if spec.kind == "entropy":
         if k is None:
             raise ValidationError("entropy smoothing needs the state count k")
-        return _smooth_kl(spec, eps, k=k, n_cells=k, scale_abs=1.0,
-                          max_abs_log_ref=0.0,
-                          cell_sizes=np.ones(k), refs=np.ones(k))
+        return _smooth_kl(spec, eps, scale_abs=1.0, cell_sizes=np.ones(k),
+                          refs=np.ones(k))
     if spec.kind == "grouped_kl":
         scale_abs = abs(float(spec.scale))
         if scale_abs == 0.0:
             return SmoothedConstraint(spec, eps, lipschitz_constant=0.0,
                                       contraction=None, offset=0.0)
-        k_spec = sum(len(cell) for cell in spec.partition)
-        return _smooth_kl(spec, eps, k=k_spec, n_cells=len(spec.partition),
-                          scale_abs=scale_abs,
-                          max_abs_log_ref=float(np.abs(np.log(spec.refs)).max()),
+        return _smooth_kl(spec, eps, scale_abs=scale_abs,
                           cell_sizes=np.array([len(c) for c in spec.partition],
                                               dtype=float),
                           refs=np.asarray(spec.refs, dtype=float))
@@ -147,9 +143,11 @@ def smooth_constraint(spec: ConstraintSpec, eps: float,
         "Lipschitz/entropy/KL family)")
 
 
-def _smooth_kl(spec: ConstraintSpec, eps: float, *, k: int, n_cells: int,
-               scale_abs: float, max_abs_log_ref: float,
+def _smooth_kl(spec: ConstraintSpec, eps: float, *, scale_abs: float,
                cell_sizes: np.ndarray, refs: np.ndarray) -> SmoothedConstraint:
+    """KL-family smoothing; entropy is the case of singleton cells, unit refs."""
+    k, n_cells = int(cell_sizes.sum()), len(cell_sizes)
+    max_abs_log_ref = float(np.abs(np.log(refs)).max())
     eps_c = eps
     for _ in range(200):
         if _drift_bound(eps_c, n_cells, scale_abs, max_abs_log_ref) <= eps / 2.0:

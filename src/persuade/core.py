@@ -18,7 +18,6 @@ functions, so shared instances are safe under concurrent use.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, Sequence
@@ -128,9 +127,9 @@ def uniform_prior(k: int) -> Posterior:
 class SignalingScheme:
     """A finitely supported distribution over posteriors.
 
-    Support points closer than 1e-12 in l-infinity are merged with their
-    probabilities summed, so grid/pooling output never carries near
-    duplicates.
+    Support points within MERGE_TOL in l-infinity are merged with their
+    probabilities summed (merge_row), so grid/pooling output never
+    carries near duplicates.
     """
 
     support: tuple[Posterior, ...]
@@ -153,19 +152,18 @@ class SignalingScheme:
             raise ValidationError(
                 f"scheme probabilities sum to {total!r}, expected 1 within {SUM_TOL:g}")
         probs = np.clip(probs, 0.0, None)
-        probs = probs / probs.sum()
-        merged_pts: list[Posterior] = []
-        merged_probs: list[float] = []
-        for pt, pr in zip(support, probs):
-            for i, existing in enumerate(merged_pts):
-                if np.max(np.abs(existing.weights - pt.weights)) <= MERGE_TOL:
-                    merged_probs[i] += pr
-                    break
+        pts = np.vstack([p.weights for p in support])
+        kept: list[int] = []
+        merged: list[float] = []
+        for i, pr in enumerate(probs / probs.sum()):
+            j = merge_row(pts[kept], pts[i])
+            if j is None:
+                kept.append(i)
+                merged.append(float(pr))
             else:
-                merged_pts.append(pt)
-                merged_probs.append(float(pr))
-        object.__setattr__(self, "support", tuple(merged_pts))
-        object.__setattr__(self, "probs", _as_readonly(np.array(merged_probs)))
+                merged[j] += pr
+        object.__setattr__(self, "support", tuple(support[i] for i in kept))
+        object.__setattr__(self, "probs", _as_readonly(np.array(merged)))
 
     @classmethod
     def from_points(cls, points: np.ndarray | Sequence[Sequence[float]],
@@ -187,12 +185,16 @@ class SignalingScheme:
     def barycenter(self) -> np.ndarray:
         return self.probs @ self.support_matrix()
 
-    def prune(self, threshold: float = 1e-12) -> "SignalingScheme":
-        keep = self.probs > threshold
-        if np.all(keep):
-            return self
-        return SignalingScheme(tuple(p for p, k_ in zip(self.support, keep) if k_),
-                               self.probs[keep])
+
+def merge_row(points: np.ndarray, q: np.ndarray) -> int | None:
+    """Where the support point q merges: the first row of ``points`` within
+    MERGE_TOL of q in l-infinity, or None when there is none.
+
+    SignalingScheme and the pooling conversion add support points this way:
+    q's mass joins that row, and q is kept only when there is none.
+    """
+    near = np.flatnonzero(abs(points - q).max(axis=1) <= MERGE_TOL)
+    return int(near[0]) if near.size else None
 
 
 def full_revelation(prior: Posterior) -> SignalingScheme:
@@ -207,16 +209,16 @@ def no_revelation(prior: Posterior) -> SignalingScheme:
     return SignalingScheme((prior,), np.array([1.0]))
 
 
-def check_bayes_plausible(scheme: SignalingScheme, prior: Posterior,
-                          tol: float = SUM_TOL) -> tuple[bool, float]:
-    """True iff the scheme barycenter matches the prior in l-infinity <= tol.
+def check_bayes_plausible(scheme: SignalingScheme,
+                          prior: Posterior) -> tuple[bool, float]:
+    """True iff the scheme barycenter matches the prior in l-infinity <= SUM_TOL.
 
     Returns (plausible, deviation).
     """
     if scheme.k != prior.k:
         raise DimensionMismatch(f"scheme k={scheme.k} vs prior k={prior.k}")
     deviation = float(np.max(np.abs(scheme.barycenter() - prior.weights)))
-    return deviation <= tol, deviation
+    return deviation <= SUM_TOL, deviation
 
 
 def scheme_expectation(scheme: SignalingScheme,
@@ -353,6 +355,24 @@ class ConstraintSpec:
         return replace(self, mode=mode)
 
 
+def reduce_last_axis(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1)``, bit for bit.
+
+    numpy reduces a short last axis far more slowly than it combines whole
+    columns, so many rows of 2 to 7 entries are folded one column at a time
+    into one output array.  numpy also reduces rows that short in order,
+    left to right, so both ways give the same bits; a handful of rows is
+    cheaper in one call.
+    """
+    k = a.shape[-1]
+    if not (1 < k < 8 and a.size >= 256):
+        return ufunc.reduce(a, axis=-1)
+    out = ufunc(a[..., 0], a[..., 1])
+    for i in range(2, k):
+        ufunc(out, a[..., i], out=out)
+    return out
+
+
 def _xlogx(s: np.ndarray) -> np.ndarray:
     """x ln x with the 0 ln 0 := 0 continuous extension."""
     out = np.zeros_like(s)
@@ -374,22 +394,23 @@ def eval_constraint_batch(spec: ConstraintSpec, Q: np.ndarray,
     if spec.kind == "norm_distance":
         diff = Q - p
         if spec.order == 1:
-            return np.abs(diff).sum(axis=1)
+            return reduce_last_axis(np.add, np.abs(diff))
         if spec.order == 2:
-            return np.sqrt((diff * diff).sum(axis=1))
-        return np.abs(diff).max(axis=1)
+            return np.sqrt(reduce_last_axis(np.add, diff * diff))
+        return reduce_last_axis(np.maximum, np.abs(diff))
     if spec.kind == "entropy":
-        return _xlogx(Q).sum(axis=1)
+        return reduce_last_axis(np.add, _xlogx(Q))
     if spec.kind == "grouped_kl":
         indicator = np.zeros((len(spec.partition), Q.shape[1]))
         for j, cell in enumerate(spec.partition):
             indicator[j, list(cell)] = 1.0
         S = Q @ indicator.T
-        return spec.scale * (_xlogx(S).sum(axis=1) - S @ np.log(spec.refs))
+        return spec.scale * (reduce_last_axis(np.add, _xlogx(S))
+                             - S @ np.log(spec.refs))
     if spec.kind == "neg_min_weighted":
-        return -(Q * spec.weights).min(axis=1)
+        return -reduce_last_axis(np.minimum, Q * spec.weights)
     if spec.kind == "bump":
-        dist = np.abs(Q - spec.center).sum(axis=1)
+        dist = reduce_last_axis(np.add, np.abs(Q - spec.center))
         return np.maximum(0.0, 1.0 - dist / spec.radius)
     raise UnsupportedKindError(spec.kind)  # pragma: no cover
 
@@ -466,7 +487,7 @@ class UtilitySpec:
                 raise DimensionMismatch("max_linear terms have mixed dimensions")
             # The utility must be nonnegative where we can check cheaply:
             # at every simplex vertex.
-            vertex_vals = eval_utility_batch(self, np.eye(k), _validated=True)
+            vertex_vals = eval_utility_batch(self, np.eye(k))
             if np.any(vertex_vals < -ENTRY_TOL):
                 raise ValidationError(
                     "max_linear utility negative at a simplex vertex")
@@ -544,10 +565,8 @@ def _rank_max(values: np.ndarray, rank: int) -> np.ndarray:
     if n_f == 1:
         return values[..., 0]
     if rank in (1, n_f):
-        # Running max/min over the few columns: numpy reduces a short last
-        # axis, and partitions along it, far more slowly.
-        return functools.reduce(np.maximum if rank == 1 else np.minimum,
-                                values.T).T
+        # No partition needed; numpy partitions along a short axis slowly.
+        return reduce_last_axis(np.maximum if rank == 1 else np.minimum, values)
     return np.partition(values, -rank, axis=-1)[..., -rank]
 
 
@@ -598,15 +617,15 @@ def triangulate_piece(verts: np.ndarray) -> np.ndarray:
         "(affinely independent vertices) nor a k <= 3 polygon")
 
 
-def simplices_contain(simplices: np.ndarray, Q: np.ndarray,
-                      tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+def simplices_contain(simplices: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """(s, n) mask: whether row j of Q lies in the closed simplex i.
 
     ``simplices`` is an (s, m, k) stack of affinely independent vertex sets.
     Full-dimensional ones (m = k) solve V^T beta = q; lower-dimensional ones
     (points, segments) take the least-squares beta of [V^T; 1] beta = [q; 1].
-    q is inside when every beta_i >= -tol and V^T beta is within tol of q in
-    l-infinity.  This is the one point-in-simplex test of the package.
+    q is inside when every beta_i >= -MEMBERSHIP_TOL and V^T beta is within
+    MEMBERSHIP_TOL of q in l-infinity.  This is the one point-in-simplex
+    test of the package.
     """
     S = np.asarray(simplices, dtype=float)
     Qt = np.atleast_2d(np.asarray(Q, dtype=float)).T
@@ -617,22 +636,20 @@ def simplices_contain(simplices: np.ndarray, Q: np.ndarray,
         ones = np.ones((S.shape[0], 1, S.shape[1]))
         rhs = np.vstack([Qt, np.ones((1, Qt.shape[1]))])
         beta = np.linalg.pinv(np.concatenate([VT, ones], axis=1)) @ rhs
-    return (beta.min(axis=1) >= -tol) & (np.abs(VT @ beta - Qt).max(axis=1) <= tol)
+    return ((beta.min(axis=1) >= -MEMBERSHIP_TOL)
+            & (np.abs(VT @ beta - Qt).max(axis=1) <= MEMBERSHIP_TOL))
 
 
-def polytope_contains(simplices: np.ndarray, Q: np.ndarray,
-                      tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+def polytope_contains(simplices: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Whether each row of Q lies in the closed piece triangulated by
     ``simplices`` (one entry of ``UtilitySpec.simplices``)."""
-    return simplices_contain(simplices, Q, tol).any(axis=0)
+    return simplices_contain(simplices, Q).any(axis=0)
 
 
-def eval_utility_batch(spec: UtilitySpec, Q: np.ndarray,
-                       _validated: bool = False) -> np.ndarray:
+def eval_utility_batch(spec: UtilitySpec, Q: np.ndarray) -> np.ndarray:
     """Vectorized utility over rows of Q."""
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    if not _validated:
-        spec.check_dimension(Q.shape[1])
+    spec.check_dimension(Q.shape[1])
     if spec.kind == "max_linear":
         out = np.zeros(Q.shape[0])
         for term in spec.terms:
@@ -714,13 +731,7 @@ class VerifyReport:
     tol: float
 
     def as_dict(self) -> dict:
-        return {
-            "plausibility_deviation": self.plausibility_deviation,
-            "constraints": [asdict(c) for c in self.constraints],
-            "utility": self.utility,
-            "valid": self.valid,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 def verify_scheme(instance: ProblemInstance, scheme: SignalingScheme,

@@ -19,7 +19,6 @@ have an entry below the floor of S_eps.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (MEMBERSHIP_TOL, ResourceLimitError, ValidationError,
-                   simplices_contain)
+                   reduce_last_axis, simplices_contain)
 from .core import cell_volume  # noqa: F401  (part of this module's API)
 
 DEFAULT_VERTEX_CAP = 5_000_000
@@ -124,39 +123,40 @@ class SimplexGrid:
         return self.denominator ** (self.k - 1)
 
     # -- point location -------------------------------------------------------
-    def locate_cells(self, q: np.ndarray, tol: float = MEMBERSHIP_TOL) -> list[np.ndarray]:
+    def locate_cells(self, q: np.ndarray) -> list[np.ndarray]:
         """Vertex-index arrays of every cell whose closure contains q."""
         q = np.asarray(q, dtype=float)
         if self.is_lattice:
-            return self._locate_lattice(q, tol)
-        return list(self.cells[self.cell_mask(q, tol)])
+            return self._locate_lattice(q)
+        return list(self.cells[self.cell_mask(q)])
 
-    def cell_mask(self, q: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    def cell_mask(self, q: np.ndarray) -> np.ndarray:
         """Which explicit cells contain the probability vector q: one batched
-        test over the cells whose bounding box holds q.  Weights >= -tol that
-        rebuild q within tol sum to 1 within (k+1) tol, so an accepted q lies
-        within 2(k+1) tol of its cell's box: the filter drops no cell."""
+        test over the cells whose bounding box holds q.  With tol =
+        MEMBERSHIP_TOL, weights >= -tol that rebuild q within tol sum to 1
+        within (k+1) tol, so an accepted q lies within 2(k+1) tol of its
+        cell's box: the filter drops no cell."""
         if self._cell_box is None:
             verts = self.vertices[self.cells]
             self._cell_box = (verts.min(axis=1), verts.max(axis=1))
         lo, hi = self._cell_box
-        slack = 2 * (self.k + 1) * tol
+        slack = 2 * (self.k + 1) * MEMBERSHIP_TOL
         near = np.flatnonzero(np.all((lo - slack <= q) & (q <= hi + slack), axis=1))
         mask = np.zeros(lo.shape[0], dtype=bool)
-        mask[near] = simplices_contain(self.vertices[self.cells[near]], q, tol)[:, 0]
+        mask[near] = simplices_contain(self.vertices[self.cells[near]], q)[:, 0]
         return mask
 
-    def _locate_lattice(self, q: np.ndarray, tol: float) -> list[np.ndarray]:
+    def _locate_lattice(self, q: np.ndarray) -> list[np.ndarray]:
         N = self.denominator
         y = np.cumsum(q[:-1]) * N
         # A containing cube must have z_i <= y_i <= z_i + 1.
-        lo = np.maximum(0, np.ceil(y - 1.0 - N * tol)).astype(np.int64)
-        hi = np.minimum(N - 1, np.floor(y + N * tol)).astype(np.int64)
+        lo = np.maximum(0, np.ceil(y - 1.0 - N * MEMBERSHIP_TOL)).astype(np.int64)
+        hi = np.minimum(N - 1, np.floor(y + N * MEMBERSHIP_TOL)).astype(np.int64)
         corners = np.array(list(itertools.product(*map(range, lo, hi + 1))),
                            dtype=np.int64).reshape(-1, self.k - 1)
         chains = _staircase_cells(corners, N).reshape(-1, self.k - 1)
         x = _y_to_x(chains, N).reshape(-1, self.k, self.k)
-        x = x[simplices_contain(x / N, q, tol)[:, 0]].reshape(-1, self.k)
+        x = x[simplices_contain(x / N, q)[:, 0]].reshape(-1, self.k)
         return list(composition_rank(x, N, self._rank_tab).reshape(-1, self.k))
 
 
@@ -318,9 +318,8 @@ def project_to_contraction_batch(Q: np.ndarray, eps: float) -> np.ndarray:
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     k = Q.shape[1]
     lo = contraction_floor(k, eps)
-    # Column-wise reductions: numpy reduces a short last axis slowly.
-    out = Q + ((1.0 - functools.reduce(np.add, Q.T)) / k)[:, None]
-    below = np.flatnonzero(functools.reduce(np.minimum, out.T) < lo)
+    out = Q + ((1.0 - reduce_last_axis(np.add, Q)) / k)[:, None]
+    below = np.flatnonzero(reduce_last_axis(np.minimum, out) < lo)
     if below.size:
         out[below] = lo + project_to_scaled_simplex(Q[below] - lo, 1.0 - k * lo)
     return out

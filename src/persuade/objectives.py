@@ -38,7 +38,6 @@ class GriddedUtility:
     source: UtilitySpec
     eps: float
     lipschitz_bound: float          # M, the constraint-side constant
-    utility_lipschitz: float        # L_u (0 for the piecewise path)
     pad: float                      # additive slack on vertex values
     vertex_base: np.ndarray         # utility at the grid vertices
     gap_bound: float
@@ -109,7 +108,7 @@ def _build_lipschitz(utility: UtilitySpec, eps: float, M: float, *,
     if gap_bound > eps + 1e-12:  # pragma: no cover - delta formula prevents this
         raise ValidationError("certified gap exceeds eps")
     return GriddedUtility(grid=grid, source=utility, eps=eps,
-                          lipschitz_bound=M, utility_lipschitz=L_u, pad=pad,
+                          lipschitz_bound=M, pad=pad,
                           vertex_base=vertex_base, gap_bound=gap_bound)
 
 
@@ -144,6 +143,6 @@ def _build_piecewise(utility: UtilitySpec, eps: float, M: float) -> GriddedUtili
     vertex_base = np.full(vertices.shape[0], -np.inf)
     np.maximum.at(vertex_base, cells.reshape(-1), np.repeat(cell_values, k))
     return GriddedUtility(grid=grid, source=utility, eps=eps,
-                          lipschitz_bound=M, utility_lipschitz=0.0, pad=0.0,
+                          lipschitz_bound=M, pad=0.0,
                           vertex_base=vertex_base, gap_bound=0.0,
                           cell_values=cell_values)

@@ -22,11 +22,14 @@ strengthens every ex-ante bound by eps/2 and is built at eps/2, so the output
 satisfies the original constraints exactly.
 
 ex_ante_to_ex_post: the pooling conversion.  For each convex constraint in
-turn, a violating posterior is pooled with a strictly feasible one at the
-boundary point of the constraint; mass updates conserve the barycenter, the
-expectation of every convex constraint never increases, and each step
-shrinks the set of non-tight posteriors, so the pass ends within
-support-size many steps.
+turn, the worst violating posterior is pooled with the most strictly
+feasible one (lowest index on ties) at the boundary point of the constraint;
+mass updates conserve the barycenter, the expectation of every convex
+constraint never increases, and each step shrinks the set of non-tight
+posteriors, so the pass ends within support-size many steps (NumericError
+past 4(s+m)+16).  The support is one (s, k) array with one mass vector for
+the whole run: emptied points leave through one mask, and the pooled point
+joins through core.merge_row, the merge rule of SignalingScheme.
 
 oracle_solve: an independent brute-force reference that enumerates candidate
 (support, tight-constraint) pairs over a small explicit grid and solves each
@@ -49,11 +52,12 @@ from .core import (EX_ANTE, SUM_TOL, ConstraintReport, DimensionMismatch,
                    InfeasibleError, Posterior, ProblemInstance,
                    ResourceLimitError, SignalingScheme, UnsupportedKindError,
                    ValidationError, eval_constraint_batch, eval_utility_batch,
-                   verify_scheme)
+                   merge_row, verify_scheme)
 
 MASS_EPS = 1e-12
 POOL_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
+ORACLE_MAX_VERTICES = 25
 
 
 @dataclass(frozen=True)
@@ -258,13 +262,17 @@ class ConversionTrace:
         return [s for s in self.steps if s.constraint_index == j]
 
 
-def _bisect_boundary(f, q_S: np.ndarray, q_T: np.ndarray, c: float,
-                     tol: float = BOUNDARY_TOL) -> tuple[float, np.ndarray]:
-    """lambda in (0,1) with f at the mixture on the feasible side of c.
+def _bisect_boundary(spec, prior: Posterior, q_S: np.ndarray,
+                     q_T: np.ndarray) -> tuple[float, np.ndarray]:
+    """lambda in (0,1) with the mixture on the feasible side of c = spec.bound.
 
     Convexity of f gives a unique crossing on the segment; the bracket keeps
-    f(q_c) <= c while closing the gap to within tol.
+    f(q_c) <= c while closing the gap to within BOUNDARY_TOL.
     """
+    def f(x: np.ndarray) -> float:
+        return float(eval_constraint_batch(spec, x[None, :], prior)[0])
+
+    c = spec.bound
     lam_bad, lam_good = 0.0, 1.0
     val_good = f(q_S)
     for _ in range(200):
@@ -275,11 +283,11 @@ def _bisect_boundary(f, q_S: np.ndarray, q_T: np.ndarray, c: float,
             lam_good, val_good = mid, v
         else:
             lam_bad = mid
-        if c - val_good <= tol and lam_good < 1.0:
+        if c - val_good <= BOUNDARY_TOL and lam_good < 1.0:
             break
         if lam_good - lam_bad < 1e-16:
             break
-    if val_good > c + tol:  # pragma: no cover - bracket invariant
+    if val_good > c + BOUNDARY_TOL:  # pragma: no cover - bracket invariant
         raise lp.NumericError("bisection failed to reach the boundary")
     return lam_good, lam_good * q_S + (1.0 - lam_good) * q_T
 
@@ -289,10 +297,9 @@ def ex_ante_to_ex_post(scheme: SignalingScheme,
                        trace: bool = False):
     """Convert an ex-ante-feasible scheme into an ex-post-feasible one.
 
-    Processes the constraints in order; each pooling step moves the mass of
-    a violating posterior and a strictly feasible one onto the constraint
-    boundary using pre-update mass values, which conserves the barycenter
-    exactly.  Returns the scheme, or (scheme, trace) when trace=True.
+    Constraint by constraint, each step pools a violating posterior with a
+    strictly feasible one at the boundary, from pre-update masses, so the
+    barycenter is conserved exactly.  Returns the scheme, or (scheme, trace).
     """
     specs = tuple(constraint_specs)
     for spec in specs:
@@ -300,84 +307,50 @@ def ex_ante_to_ex_post(scheme: SignalingScheme,
             raise UnsupportedKindError(
                 f"constraint kind {spec.kind!r} is not convex; the pooling "
                 "conversion requires convex constraints")
-        spec.check_dimension(scheme.k)
-    points = [np.array(p.weights) for p in scheme.support]
-    probs = [float(x) for x in scheme.probs]
+    P, w = scheme.support_matrix(), np.array(scheme.probs)  # (s, k), (s,)
 
     def expectations() -> np.ndarray:
-        P = np.vstack(points)
-        w = np.asarray(probs)
-        return np.array([w @ eval_constraint_batch(s, P, prior) for s in specs]) \
-            if specs else np.zeros(0)
-
+        return np.array([w @ eval_constraint_batch(s, P, prior) for s in specs])
     exp0 = expectations()
     for j, spec in enumerate(specs):
         if exp0[j] > spec.bound + BOUNDARY_TOL:
-            raise ValidationError(
-                f"input scheme violates ex-ante constraint {j} "
-                f"({exp0[j]:.6g} > {spec.bound:.6g})")
+            raise ValidationError(f"input scheme violates ex-ante constraint {j} "
+                                  f"({exp0[j]:.6g} > {spec.bound:.6g})")
     tr = ConversionTrace(initial_expectations=exp0) if trace else None
-
     for j, spec in enumerate(specs):
-        c = spec.bound
         if tr is not None:
-            tr.entry_support_sizes.append(len(points))
-        guard = 0
-        while True:
-            P = np.vstack(points)
-            fvals = eval_constraint_batch(spec, P, prior)
-            T = [i for i in range(len(points)) if fvals[i] > c + POOL_TOL]
-            if not T:
+            tr.entry_support_sizes.append(len(w))
+        for _ in range(4 * (scheme.size + len(specs)) + 17):  # steps + last pass
+            f = eval_constraint_batch(spec, P, prior)
+            bad, good = f > spec.bound + POOL_TOL, f < spec.bound - POOL_TOL
+            if not bad.any():
                 break
-            S = [i for i in range(len(points)) if fvals[i] < c - POOL_TOL]
-            if not S:
-                raise lp.NumericError(
-                    "pooling stalled: violators remain but no strictly "
-                    "feasible posterior is left")
-            guard += 1
-            if guard > 4 * (scheme.size + len(specs)) + 16:  # pragma: no cover
-                raise lp.NumericError("pooling exceeded its step budget")
-            i_T = max(T, key=lambda i: (fvals[i], -i))
-            i_S = min(S, key=lambda i: (fvals[i], i))
-            q_T, q_S = points[i_T], points[i_S]
-            r_T, r_S = probs[i_T], probs[i_S]
-
-            def f_of(x: np.ndarray) -> float:
-                return float(eval_constraint_batch(spec, x[None, :], prior)[0])
-
-            lam, q_c = _bisect_boundary(f_of, q_S, q_T, c)
-            if lam * r_T >= (1.0 - lam) * r_S:
-                r_c = r_S / lam
-                new_r_T = r_T - (1.0 - lam) * r_S / lam
-                removals = [i_S]
-                updates = [(i_T, new_r_T)]
+            if not good.any():
+                raise lp.NumericError("pooling stalled: violators remain but no "
+                                      "strictly feasible posterior is left")
+            i_T = int(np.argmax(np.where(bad, f, -np.inf)))
+            i_S = int(np.argmin(np.where(good, f, np.inf)))
+            lam, q_c = _bisect_boundary(spec, prior, P[i_S], P[i_T])
+            # Moved mass, pre-update: the side that would go negative empties.
+            mu = 1.0 - lam
+            a, b = lam * w[i_T], mu * w[i_S]
+            if a >= b:
+                r_c, w[i_T], w[i_S] = w[i_S] / lam, max(w[i_T] - b / lam, 0.0), 0.0
             else:
-                r_c = r_T / (1.0 - lam)
-                new_r_S = r_S - lam * r_T / (1.0 - lam)
-                removals = [i_T]
-                updates = [(i_S, new_r_S)]
-            for idx, val in updates:
-                probs[idx] = max(val, 0.0)
-                if probs[idx] <= MASS_EPS:
-                    removals.append(idx)
-            for idx in sorted(set(removals), reverse=True):
-                del points[idx]
-                del probs[idx]
-            for i, pt in enumerate(points):
-                if np.max(np.abs(pt - q_c)) <= MASS_EPS:
-                    probs[i] += r_c
-                    break
+                r_c, w[i_S], w[i_T] = w[i_T] / mu, max(w[i_S] - a / mu, 0.0), 0.0
+            keep = np.ones(len(w), dtype=bool)
+            keep[[i_T, i_S]] = w[[i_T, i_S]] > MASS_EPS
+            P, w = P[keep], w[keep]
+            if (j := merge_row(P, q_c)) is None:
+                P, w = np.vstack([P, q_c]), np.append(w, r_c)
             else:
-                points.append(q_c)
-                probs.append(r_c)
+                w[j] += r_c
             if tr is not None:
-                P = np.vstack(points)
-                w = np.asarray(probs)
                 dev = float(np.max(np.abs(w @ P - prior.weights)))
-                tr.steps.append(ConversionStep(
-                    constraint_index=j, bayes_deviation=dev,
-                    expectations=expectations(), support_size=len(points)))
-    out = SignalingScheme.from_points(np.vstack(points), np.asarray(probs))
+                tr.steps.append(ConversionStep(j, dev, expectations(), len(w)))
+        else:  # pragma: no cover - 4(s+m)+16 steps; each makes a posterior tight
+            raise lp.NumericError("pooling exceeded its step budget")
+    out = SignalingScheme.from_points(P, w)
     return (out, tr) if trace else out
 
 
@@ -393,12 +366,12 @@ class OracleReport:
     candidates_checked: int
 
 
-def oracle_solve(instance: ProblemInstance, grid, *, max_vertices: int = 25,
+def oracle_solve(instance: ProblemInstance, grid, *,
                  exact: bool = False) -> OracleReport:
     """Reference solve by enumerating candidate basic solutions.
 
     The grid is a SimplexGrid or a plain (V, k) vertex array with at most
-    ``max_vertices`` points (and k <= 3).  For every subset A of ex-ante
+    ORACLE_MAX_VERTICES points (and k <= 3).  For every subset A of ex-ante
     constraints held tight and every support of size up to k + |A|, the
     square linear system (Bayes plausibility + normalization + tight rows)
     is solved directly; feasible solutions are compared on the true Sender
@@ -411,9 +384,9 @@ def oracle_solve(instance: ProblemInstance, grid, *, max_vertices: int = 25,
         raise DimensionMismatch("grid dimension != instance k")
     if k > 3:
         raise ResourceLimitError("oracle supports k <= 3")
-    if V > max_vertices:
+    if V > ORACLE_MAX_VERTICES:
         raise ResourceLimitError(
-            f"oracle grid has {V} vertices, cap is {max_vertices}")
+            f"oracle grid has {V} vertices, cap is {ORACLE_MAX_VERTICES}")
     prior = instance.prior.weights
     ex_post = instance.ex_post()
     keep = np.ones(V, dtype=bool)

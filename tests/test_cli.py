@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -109,6 +112,36 @@ def test_convert_nonconvex_kind_exit_1(tmp_path):
     scheme_path.write_text(json.dumps(
         {"support": [[1.0, 0.0], [0.0, 1.0]], "probs": [0.5, 0.5]}))
     assert cli.main(["convert", str(inst_path), str(scheme_path)]) == 1
+
+
+def test_convert_stalled_pooling_exit_1(tmp_path, capsys):
+    doc = {
+        "k": 2, "prior": [0.5, 0.5],
+        "utility": {"kind": "max_linear", "coeffs": [[1.0, 0.0], [0.0, 1.0]]},
+        "constraints": [
+            {"kind": "linear", "params": {"coeffs": [0.0, 1.0]},
+             "bound": 0.5, "mode": "ex_ante"},
+        ],
+    }
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(json.dumps(doc))
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_text(json.dumps(
+        {"support": [[0.5, 0.5], [0.5 - 1e-10, 0.5 + 1e-10]], "probs": [0.5, 0.5]}))
+    assert cli.main(["convert", str(inst_path), str(scheme_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pooling stalled")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_module_entry_point_runs_a_fixture():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "persuade", "fixture", "appE3:2",
+                           "--verify"], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["verification"]["passed"] is True
 
 
 def test_convert_invalid_scheme_exit_2(example1_paths, tmp_path):

@@ -12,8 +12,9 @@ from persuade.core import (ConstraintSpec, DimensionMismatch, MaxLinearTerm,
                            UnsupportedKindError, UtilitySpec, ValidationError,
                            _rank_max, check_bayes_plausible, eval_constraint,
                            eval_constraint_batch, eval_utility,
-                           eval_utility_batch, full_revelation, no_revelation,
-                           scheme_expectation, uniform_prior, verify_scheme)
+                           eval_utility_batch, full_revelation, merge_row,
+                           no_revelation, reduce_last_axis, scheme_expectation,
+                           uniform_prior, verify_scheme)
 from persuade.objectives import build_upper_approx
 
 UNIFORM2 = uniform_prior(2)
@@ -46,6 +47,20 @@ def test_scheme_merges_near_duplicates():
         [0.25, 0.25, 0.5])
     assert s.size == 2
     assert s.probs[0] == pytest.approx(0.5, abs=1e-15)
+
+
+def test_scheme_merges_into_first_kept_point():
+    # Point 1 is within MERGE_TOL of point 0 and merges into it; point 2 is
+    # within MERGE_TOL of point 1 only, which is not kept, so point 2 stays;
+    # point 3 repeats point 2.
+    base, step = np.array([0.3, 0.7]), np.array([8e-13, -8e-13])
+    points = np.vstack([base, base + step, base + 2 * step, base + 2 * step,
+                        [1.0, 0.0]])
+    s = SignalingScheme.from_points(points, [0.1, 0.2, 0.3, 0.15, 0.25])
+    assert np.allclose(s.support_matrix(), points[[0, 2, 4]], rtol=0, atol=1e-15)
+    assert np.allclose(s.probs, [0.3, 0.45, 0.25], rtol=0, atol=1e-15)
+    assert merge_row(points[[0, 2, 4]], points[1]) == 0
+    assert merge_row(points[[0, 4]], points[2]) is None
 
 
 def test_scheme_rejects_bad_probs():
@@ -176,6 +191,19 @@ def test_rank_max_matches_partition_reference():
         for rank in range(1, shape[-1] + 1):
             ref = np.partition(values, -rank, axis=-1)[..., -rank]
             assert np.array_equal(_rank_max(values, rank), ref)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7, 9])
+def test_reduce_last_axis_matches_numpy_reductions(k):
+    # Row counts on both sides of the column-by-column path, C and Fortran
+    # order; signed entries of mixed magnitude make the sum order visible.
+    rng = np.random.default_rng(k)
+    for n in (1, 5, 300, 5000):
+        a = rng.standard_normal((n, k)) * rng.uniform(0.0, 1e3, size=(n, k))
+        for arr in (a, np.asfortranarray(a)):
+            assert np.array_equal(reduce_last_axis(np.add, arr), arr.sum(axis=1))
+            assert np.array_equal(reduce_last_axis(np.minimum, arr), arr.min(axis=1))
+            assert np.array_equal(reduce_last_axis(np.maximum, arr), arr.max(axis=1))
 
 
 @pytest.mark.parametrize("build, get_input, get_stored", [

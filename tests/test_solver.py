@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (feasible_conversion_case, interior_prior, random_instance,
                      random_plausible_scheme)
+from persuade import lp
 from persuade.core import (ConstraintSpec, InfeasibleError, MaxLinearTerm,
                            ProblemInstance, SignalingScheme,
                            UnsupportedKindError, UtilitySpec, ValidationError,
@@ -212,6 +213,27 @@ def test_pooling_rejects_nonconvex_kind():
     spec = ConstraintSpec.bump([0.5, 0.5], 0.2, bound=2.0)
     with pytest.raises(UnsupportedKindError):
         ex_ante_to_ex_post(full_revelation(UNIFORM2), [spec], UNIFORM2)
+
+
+def test_pooling_merges_into_an_existing_point():
+    # One step pools e1 with e0 at (1/2, 1/2), which is already a support point.
+    spec = ConstraintSpec.linear([0, 1], bound=0.5)
+    scheme = SignalingScheme.from_points([[1, 0], [0, 1], [0.5, 0.5]],
+                                         [0.25, 0.25, 0.5])
+    out, trace = ex_ante_to_ex_post(scheme, [spec], UNIFORM2, trace=True)
+    assert out.size == 1
+    assert np.array_equal(out.support_matrix(), [[0.5, 0.5]])
+    assert np.array_equal(out.probs, [1.0])
+    assert [s.support_size for s in trace.steps] == [1]
+
+
+def test_pooling_stalls_without_a_strictly_feasible_point():
+    # One posterior on the boundary of q[1] <= 1/2, one 1e-10 beyond it.
+    spec = ConstraintSpec.linear([0, 1], bound=0.5)
+    scheme = SignalingScheme.from_points([[0.5, 0.5], [0.5 - 1e-10, 0.5 + 1e-10]],
+                                         [0.5, 0.5])
+    with pytest.raises(lp.NumericError, match="pooling stalled"):
+        ex_ante_to_ex_post(scheme, [spec], UNIFORM2)
 
 
 def test_pooling_step_invariants_random():
