@@ -244,6 +244,10 @@ class ConstraintSpec:
       neg_min_weighted  f(q) = -min_w b_w q[w]
       bump              f(q) = max(0, 1 - ||q - center||_1 / radius)
                         (non-convex; used by the support-size fixture only)
+
+    A grouped_kl spec derives its (cells, k) 0/1 cell indicator once, at
+    construction, into ``indicator``; it stays None when the partition does
+    not cover the states 0..k-1 for any k, which check_dimension rejects.
     """
 
     kind: str
@@ -257,6 +261,7 @@ class ConstraintSpec:
     weights: np.ndarray | None = None
     center: np.ndarray | None = None
     radius: float | None = None
+    indicator: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in CONSTRAINT_KINDS:
@@ -289,6 +294,11 @@ class ConstraintSpec:
                 raise ValidationError("grouped_kl refs must be positive")
             object.__setattr__(self, "partition", cells)
             object.__setattr__(self, "refs", _as_readonly(refs))
+            if sorted(flat) == list(range(len(flat))):
+                indicator = np.zeros((len(cells), len(flat)))
+                for j, cell in enumerate(cells):
+                    indicator[j, list(cell)] = 1.0
+                object.__setattr__(self, "indicator", _as_readonly(indicator))
         elif self.kind == "neg_min_weighted":
             if self.weights is None:
                 raise ValidationError("neg_min_weighted needs weights")
@@ -339,10 +349,9 @@ class ConstraintSpec:
     def check_dimension(self, k: int):
         if self.kind == "linear" and self.coeffs.shape[0] != k:
             raise DimensionMismatch("linear coeffs length != k")
-        if self.kind == "grouped_kl":
-            flat = sorted(i for cell in self.partition for i in cell)
-            if flat != list(range(k)):
-                raise DimensionMismatch("grouped_kl partition must cover all states")
+        if self.kind == "grouped_kl" and (self.indicator is None
+                                          or self.indicator.shape[1] != k):
+            raise DimensionMismatch("grouped_kl partition must cover all states")
         if self.kind == "neg_min_weighted" and self.weights.shape[0] != k:
             raise DimensionMismatch("neg_min_weighted weights length != k")
         if self.kind == "bump" and self.center.shape[0] != k:
@@ -404,10 +413,7 @@ def eval_constraint_batch(spec: ConstraintSpec, Q: np.ndarray,
     if spec.kind == "entropy":
         return reduce_last_axis(np.add, _xlogx(Q))
     if spec.kind == "grouped_kl":
-        indicator = np.zeros((len(spec.partition), Q.shape[1]))
-        for j, cell in enumerate(spec.partition):
-            indicator[j, list(cell)] = 1.0
-        S = Q @ indicator.T
+        S = Q @ spec.indicator.T
         return spec.scale * (reduce_last_axis(np.add, _xlogx(S))
                              - S @ np.log(spec.refs))
     if spec.kind == "neg_min_weighted":
