@@ -57,7 +57,9 @@ from .core import (EX_ANTE, SUM_TOL, ConstraintReport, DimensionMismatch,
 MASS_EPS = 1e-12
 POOL_TOL = 1e-12
 BOUNDARY_TOL = 1e-9
+BISECT_LEVELS = 5     # bisection levels per constraint evaluation
 ORACLE_MAX_VERTICES = 25
+ORACLE_BATCH = 4096    # candidate systems per batched oracle solve
 
 
 @dataclass(frozen=True)
@@ -267,25 +269,44 @@ def _bisect_boundary(spec, prior: Posterior, q_S: np.ndarray,
     """lambda in (0,1) with the mixture on the feasible side of c = spec.bound.
 
     Convexity of f gives a unique crossing on the segment; the bracket keeps
-    f(q_c) <= c while closing the gap to within BOUNDARY_TOL.
+    f(q_c) <= c while closing the gap to within BOUNDARY_TOL.  Each round
+    evaluates, in one batch, the bracket ends and the 2**BISECT_LEVELS - 1
+    midpoints of the next BISECT_LEVELS levels, each formed as the midpoint
+    of its parent bracket exactly as a one-point bisection forms it, and
+    then walks those levels one at a time; the result is the one-point
+    bisection's, bit for bit.
     """
-    def f(x: np.ndarray) -> float:
-        return float(eval_constraint_batch(spec, x[None, :], prior)[0])
-
     c = spec.bound
+    n = 1 << BISECT_LEVELS
+    lam = np.empty(n + 1)
     lam_bad, lam_good = 0.0, 1.0
-    val_good = f(q_S)
-    for _ in range(200):
-        mid = 0.5 * (lam_bad + lam_good)
-        q_mid = mid * q_S + (1.0 - mid) * q_T
-        v = f(q_mid)
-        if v <= c:
-            lam_good, val_good = mid, v
-        else:
-            lam_bad = mid
-        if c - val_good <= BOUNDARY_TOL and lam_good < 1.0:
-            break
-        if lam_good - lam_bad < 1e-16:
+    level = 0
+    while True:
+        # lam[0] and lam[n] are the bracket; each pass fills the midpoints
+        # of one level, halving the stride.
+        lam[0], lam[n] = lam_bad, lam_good
+        step = n
+        while step > 1:
+            lam[step // 2::step] = 0.5 * (lam[:-1:step] + lam[step::step])
+            step //= 2
+        vals = eval_constraint_batch(
+            spec, lam[:, None] * q_S + (1.0 - lam)[:, None] * q_T, prior)
+        lo, hi = 0, n
+        if level == 0:
+            val_good = float(vals[n])
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if vals[mid] <= c:
+                hi, val_good = mid, float(vals[mid])
+            else:
+                lo = mid
+            level += 1
+            done = (c - val_good <= BOUNDARY_TOL and lam[hi] < 1.0
+                    or lam[hi] - lam[lo] < 1e-16 or level == 200)
+            if done:
+                break
+        lam_bad, lam_good = float(lam[lo]), float(lam[hi])
+        if done:
             break
     if val_good > c + BOUNDARY_TOL:  # pragma: no cover - bracket invariant
         raise lp.NumericError("bisection failed to reach the boundary")
@@ -372,11 +393,16 @@ def oracle_solve(instance: ProblemInstance, grid, *,
 
     The grid is a SimplexGrid or a plain (V, k) vertex array with at most
     ORACLE_MAX_VERTICES points (and k <= 3).  For every subset A of ex-ante
-    constraints held tight and every support of size up to k + |A|, the
-    square linear system (Bayes plausibility + normalization + tight rows)
-    is solved directly; feasible solutions are compared on the true Sender
-    utility.  With exact=True the systems are solved in rational arithmetic
-    (every float is a binary rational, so this is exact for the given data).
+    constraints held tight and every support of size up to k + |A| whose
+    bounding box holds the prior, the linear system (Bayes plausibility +
+    normalization + tight rows) is solved directly; feasible solutions are
+    compared on the true Sender utility, and the first best value found in
+    enumeration order (within 1e-15) wins.  The supports of each size are
+    enumerated and box-filtered once; each (A, size) group is solved up to
+    ORACLE_BATCH systems at a time, through one batched SVD with lstsq's
+    rank rule, and checked as arrays.  With exact=True each system is
+    solved in rational arithmetic instead (every float is a binary
+    rational, so this is exact for the given data).
     """
     vertices = np.atleast_2d(np.asarray(getattr(grid, "vertices", grid), dtype=float))
     V, k = vertices.shape
@@ -408,38 +434,32 @@ def oracle_solve(instance: ProblemInstance, grid, *,
     best_w = None
     best_support = None
     checked = 0
+    supports = {}  # size -> (C, size) supports whose box holds the prior
     base_rows = np.vstack([vertices.T, np.ones((1, V))])  # (k+1, V)
     base_rhs = np.concatenate([prior, [1.0]])
     for a_size in range(m + 1):
         for A in itertools.combinations(range(m), a_size):
-            rows = np.vstack([base_rows] + [F[list(A)]]) if A else base_rows
-            rhs = np.concatenate([base_rhs, bounds[list(A)]]) if A else base_rhs
-            max_s = min(k + a_size, V)
-            for s in range(1, max_s + 1):
-                for S in itertools.combinations(range(V), s):
-                    sub = vertices[list(S)]
-                    if np.any(prior < sub.min(axis=0) - 1e-9) or \
-                       np.any(prior > sub.max(axis=0) + 1e-9):
-                        continue
-                    checked += 1
-                    M_sys = rows[:, list(S)]
-                    rhs_sys = rhs
-                    w = _solve_unique(M_sys, rhs_sys, exact=exact)
-                    if w is None:
-                        continue
-                    if np.any(w < -1e-10):
-                        continue
-                    if np.max(np.abs(M_sys @ w - rhs_sys)) > 1e-8:
-                        continue
+            rows = np.vstack([base_rows, F[list(A)]])
+            rhs = np.concatenate([base_rhs, bounds[list(A)]])
+            for s in range(1, min(k + a_size, V) + 1):
+                if s not in supports:
+                    supports[s] = _box_supports(vertices, prior, s)
+                for lo in range(0, len(supports[s]), ORACLE_BATCH):
+                    S = supports[s][lo:lo + ORACLE_BATCH]
+                    checked += len(S)
+                    M = rows[:, S].transpose(1, 0, 2)  # (C, rows, s)
+                    W, ok = _solve_unique_batch(M, rhs, exact)
+                    resid = np.abs((M @ W[:, :, None])[:, :, 0] - rhs).max(axis=1)
+                    ok &= ~(W < -1e-10).any(axis=1) & ~(resid > 1e-8)
                     if m:
-                        ev = F[:, list(S)] @ w
-                        if np.any(ev > bounds + BOUNDARY_TOL):
-                            continue
-                    value = float(util[list(S)] @ w)
-                    if value > best_value + 1e-15:
-                        best_value = value
-                        best_w = np.clip(w, 0.0, None)
-                        best_support = list(S)
+                        ev = np.einsum("jcs,cs->cj", F[:, S], W)
+                        ok &= ~(ev > bounds + BOUNDARY_TOL).any(axis=1)
+                    for c in np.flatnonzero(ok):
+                        value = float(util[S[c]] @ W[c])
+                        if value > best_value + 1e-15:
+                            best_value = value
+                            best_w = np.clip(W[c], 0.0, None)
+                            best_support = S[c]
     if best_w is None:
         return OracleReport("infeasible", float("nan"), None, checked)
     scheme = SignalingScheme.from_points(vertices[best_support],
@@ -447,14 +467,41 @@ def oracle_solve(instance: ProblemInstance, grid, *,
     return OracleReport("optimal", best_value, scheme, checked)
 
 
-def _solve_unique(M: np.ndarray, rhs: np.ndarray, exact: bool):
-    """Unique solution of an (over)determined system, or None."""
+def _box_supports(vertices: np.ndarray, prior: np.ndarray, s: int) -> np.ndarray:
+    """Every size-s row-index set, in combinations order, whose bounding box
+    holds the prior within 1e-9; no other support can be Bayes plausible."""
+    V = vertices.shape[0]
+    S = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(V), s)),
+                    dtype=np.intp, count=math.comb(V, s) * s).reshape(-1, s)
+    X = vertices[S]  # (C, s, k)
+    outside = (prior < X.min(axis=1) - 1e-9) | (prior > X.max(axis=1) + 1e-9)
+    return S[~outside.any(axis=1)]
+
+
+def _solve_unique_batch(M: np.ndarray, rhs: np.ndarray,
+                        exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions of the stacked (over)determined systems M[c] w = rhs.
+
+    Returns (W, ok): ok marks the systems with a unique least-squares
+    solution, W[c].  The float path counts a singular value when it exceeds
+    finfo.eps * max(rows, cols) * the largest, the rank rule of
+    np.linalg.lstsq with rcond=None; the exact one also rejects
+    inconsistent systems.
+    """
+    C, r, s = M.shape
+    W = np.zeros((C, s))
     if exact:
-        return _solve_unique_exact(M, rhs)
-    sol, residual, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
-    if rank < M.shape[1]:
-        return None
-    return sol
+        ok = np.zeros(C, dtype=bool)
+        for c in range(C):
+            w = _solve_unique_exact(M[c], rhs)
+            if w is not None:
+                W[c], ok[c] = w, True
+        return W, ok
+    U, sig, Vt = np.linalg.svd(M, full_matrices=False)
+    ok = sig[:, -1] > np.finfo(float).eps * max(r, s) * sig[:, 0]
+    W[ok] = np.einsum("cji,cj->ci", Vt[ok],
+                      np.einsum("crj,r->cj", U[ok], rhs) / sig[ok])
+    return W, ok
 
 
 def _solve_unique_exact(M: np.ndarray, rhs: np.ndarray):

@@ -1,4 +1,6 @@
-"""Shared random-instance and random-scheme generators for the test suite.
+"""Shared random-instance and random-scheme generators for the test suite,
+and the one-candidate-at-a-time loops that the batched solver code is
+compared against.
 
 Everything is seeded through numpy Generators so runs are reproducible.
 Constraint bounds are set relative to the no-revelation scheme, which makes
@@ -7,13 +9,15 @@ the slack (Slater margin) of every generated instance known by construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from persuade.core import (ConstraintSpec, MaxLinearTerm, Posterior,
                            ProblemInstance, SignalingScheme, UtilitySpec,
-                           eval_constraint_batch)
+                           eval_constraint_batch, eval_utility_batch)
+from persuade.solver import BOUNDARY_TOL, OracleReport, _solve_unique_exact
 
 
 def interior_prior(rng: np.random.Generator, k: int) -> Posterior:
@@ -149,3 +153,82 @@ def random_fan_utility(rng: np.random.Generator, n_pieces: int) -> UtilitySpec:
                           + [np.eye(3)[i] for _, i in inside] + [exit_point(hi)])
         pieces.append((verts, float(rng.uniform(0.0, 2.0))))
     return UtilitySpec.piecewise_constant(pieces)
+
+
+def reference_oracle_solve(instance: ProblemInstance, grid, *,
+                           exact: bool = False) -> OracleReport:
+    """solver.oracle_solve as one np.linalg.lstsq (or one rational solve)
+    per candidate, kept as the reference for the batched oracle.  It skips
+    the oracle's input guards."""
+    vertices = np.atleast_2d(np.asarray(getattr(grid, "vertices", grid), dtype=float))
+    prior = instance.prior.weights
+    keep = np.ones(vertices.shape[0], dtype=bool)
+    for spec in instance.ex_post():
+        keep &= eval_constraint_batch(spec, vertices, instance.prior) \
+            <= spec.bound + BOUNDARY_TOL
+    vertices = vertices[keep]
+    V, k = vertices.shape
+    if V == 0:
+        return OracleReport("infeasible", float("nan"), None, 0)
+    ex_ante = instance.ex_ante()
+    m = len(ex_ante)
+    util = eval_utility_batch(instance.utility, vertices)
+    F = np.vstack([eval_constraint_batch(s, vertices, instance.prior)
+                   for s in ex_ante]) if m else np.zeros((0, V))
+    bounds = np.array([s.bound for s in ex_ante])
+    best_value, best_w, best_support, checked = -math.inf, None, None, 0
+    base_rows = np.vstack([vertices.T, np.ones((1, V))])
+    base_rhs = np.concatenate([prior, [1.0]])
+    for a_size in range(m + 1):
+        for A in itertools.combinations(range(m), a_size):
+            rows = np.vstack([base_rows, F[list(A)]])
+            rhs = np.concatenate([base_rhs, bounds[list(A)]])
+            for s in range(1, min(k + a_size, V) + 1):
+                for S in itertools.combinations(range(V), s):
+                    sub = vertices[list(S)]
+                    if np.any(prior < sub.min(axis=0) - 1e-9) or \
+                       np.any(prior > sub.max(axis=0) + 1e-9):
+                        continue
+                    checked += 1
+                    M_sys = rows[:, list(S)]
+                    if exact:
+                        w = _solve_unique_exact(M_sys, rhs)
+                    else:
+                        w, _, rank, _ = np.linalg.lstsq(M_sys, rhs, rcond=None)
+                        w = w if rank == s else None
+                    if w is None or np.any(w < -1e-10) \
+                            or np.max(np.abs(M_sys @ w - rhs)) > 1e-8:
+                        continue
+                    if m and np.any(F[:, list(S)] @ w > bounds + BOUNDARY_TOL):
+                        continue
+                    value = float(util[list(S)] @ w)
+                    if value > best_value + 1e-15:
+                        best_value, best_w, best_support = value, np.clip(w, 0.0, None), list(S)
+    if best_w is None:
+        return OracleReport("infeasible", float("nan"), None, checked)
+    scheme = SignalingScheme.from_points(vertices[best_support], best_w / best_w.sum())
+    return OracleReport("optimal", best_value, scheme, checked)
+
+
+def reference_bisect_boundary(spec: ConstraintSpec, prior: Posterior,
+                              q_S: np.ndarray, q_T: np.ndarray):
+    """solver._bisect_boundary with one constraint evaluation per level,
+    kept as the reference for the batched boundary search."""
+    def f(x: np.ndarray) -> float:
+        return float(eval_constraint_batch(spec, x[None, :], prior)[0])
+
+    c = spec.bound
+    lam_bad, lam_good = 0.0, 1.0
+    val_good = f(q_S)
+    for _ in range(200):
+        mid = 0.5 * (lam_bad + lam_good)
+        v = f(mid * q_S + (1.0 - mid) * q_T)
+        if v <= c:
+            lam_good, val_good = mid, v
+        else:
+            lam_bad = mid
+        if c - val_good <= BOUNDARY_TOL and lam_good < 1.0:
+            break
+        if lam_good - lam_bad < 1e-16:
+            break
+    return lam_good, lam_good * q_S + (1.0 - lam_good) * q_T

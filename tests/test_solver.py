@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import (feasible_conversion_case, interior_prior, random_instance,
-                     random_plausible_scheme)
+from helpers import (feasible_conversion_case, interior_prior, random_constraint,
+                     random_instance, random_plausible_scheme,
+                     reference_bisect_boundary, reference_oracle_solve)
 from persuade import lp
 from persuade.core import (ConstraintSpec, InfeasibleError, MaxLinearTerm,
                            ProblemInstance, SignalingScheme,
@@ -10,8 +11,10 @@ from persuade.core import (ConstraintSpec, InfeasibleError, MaxLinearTerm,
                            check_bayes_plausible, eval_constraint_batch,
                            eval_utility, eval_utility_batch, full_revelation,
                            scheme_expectation, uniform_prior, verify_scheme)
-from persuade.solver import (bi_criteria_solve, ex_ante_to_ex_post,
-                             oracle_solve, single_criteria_solve)
+from persuade.geometry import build_grid
+from persuade.solver import (_bisect_boundary, bi_criteria_solve,
+                             ex_ante_to_ex_post, oracle_solve,
+                             single_criteria_solve)
 
 UNIFORM2 = uniform_prior(2)
 
@@ -294,6 +297,31 @@ def test_pooling_factor_two_utility_bound():
         assert v_out >= v_in / 2 ** m - 1e-9
 
 
+@pytest.mark.parametrize("kind", ["linear", "norm_distance", "entropy",
+                                  "grouped_kl", "neg_min_weighted"])
+def test_boundary_search_matches_one_point_bisection(kind):
+    # Segments from a strictly feasible point to a violating one, with the
+    # bound drawn between their values; the batched search must return the
+    # one-point bisection's (lam, q_c) bit for bit.
+    rng = np.random.default_rng(77)
+    compared = 0
+    while compared < 25:
+        k = int(rng.integers(2, 5))
+        prior = interior_prior(rng, k)
+        spec = random_constraint(rng, k, prior, kind, slack=0.0)
+        ends = rng.dirichlet(np.ones(k), size=2)
+        f = eval_constraint_batch(spec, ends, prior)
+        if abs(f[0] - f[1]) < 1e-6:
+            continue
+        q_S, q_T = ends[np.argsort(f)]
+        spec = spec.with_bound(f.min() + rng.uniform(0.02, 0.98) * abs(f[0] - f[1]))
+        lam, q_c = _bisect_boundary(spec, prior, q_S, q_T)
+        ref_lam, ref_q_c = reference_bisect_boundary(spec, prior, q_S, q_T)
+        assert lam == ref_lam
+        assert np.array_equal(q_c, ref_q_c)
+        compared += 1
+
+
 # ---------------------------------------------------------------------------
 # oracle_solve
 # ---------------------------------------------------------------------------
@@ -369,6 +397,57 @@ def test_oracle_infeasible():
         constraints=(ConstraintSpec.linear([1, 1], bound=0.5, mode="ex_post"),))
     rep = oracle_solve(inst, np.eye(2))
     assert rep.status == "infeasible"
+
+
+def _same_support(a: SignalingScheme, b: SignalingScheme) -> bool:
+    return np.array_equal(a.support_matrix(), b.support_matrix())
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_oracle_matches_per_candidate_reference(k):
+    rng = np.random.default_rng(40 + k)
+    grid = build_grid(k, 2.0 / (8 if k == 2 else 3))
+    cases = [random_instance(rng, k, m)[0] for m in range(4) for _ in range(5)]
+    prior, utility = cases[-1].prior, cases[-1].utility
+    near_prior = ConstraintSpec.norm_distance(float("inf"), bound=0.5, mode="ex_post")
+    kept = eval_constraint_batch(near_prior, grid.vertices, prior) <= 0.5
+    assert 0 < kept.sum() < grid.vertex_count
+    sum_half = ConstraintSpec.linear(np.ones(k), bound=0.5)
+    cases += [ProblemInstance(k, prior, utility, (c,)) for c in
+              (near_prior, sum_half, sum_half.with_mode("ex_post"))]
+    reports = []
+    for inst in cases:
+        got, ref = oracle_solve(inst, grid), reference_oracle_solve(inst, grid)
+        assert got.status == ref.status
+        assert got.candidates_checked == ref.candidates_checked
+        reports.append(got)
+        if ref.status == "infeasible":
+            continue
+        assert got.value == pytest.approx(ref.value, abs=1e-12)
+        if not _same_support(got.scheme, ref.scheme):  # a tie within 1e-15
+            for rep in (got, ref):
+                check = verify_scheme(inst, rep.scheme, tol=1e-9)
+                assert check.valid
+                assert check.utility == pytest.approx(ref.value, abs=1e-12)
+    # The grid filtered by near_prior still holds the prior; every candidate
+    # breaks sum(q) <= 1/2 ex ante; ex post it leaves no vertex at all.
+    assert reports[-3].status == "optimal"
+    assert reports[-2].status == "infeasible" and reports[-2].candidates_checked > 0
+    assert reports[-1].status == "infeasible" and reports[-1].candidates_checked == 0
+
+
+def test_exact_oracle_matches_per_candidate_reference():
+    rng = np.random.default_rng(9)
+    grid = build_grid(2, 2.0 / 8)
+    for m in range(4):
+        inst, _ = random_instance(rng, 2, m)
+        got = oracle_solve(inst, grid, exact=True)
+        ref = reference_oracle_solve(inst, grid, exact=True)
+        assert (got.status, got.candidates_checked) == (ref.status, ref.candidates_checked)
+        if ref.status == "optimal":
+            assert got.value == ref.value
+            assert _same_support(got.scheme, ref.scheme)
+            assert np.array_equal(got.scheme.probs, ref.scheme.probs)
 
 
 # ---------------------------------------------------------------------------
