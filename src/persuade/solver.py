@@ -269,7 +269,9 @@ def _bisect_boundary(spec, prior: Posterior, q_S: np.ndarray,
     """lambda in (0,1) with the mixture on the feasible side of c = spec.bound.
 
     Convexity of f gives a unique crossing on the segment; the bracket keeps
-    f(q_c) <= c while closing the gap to within BOUNDARY_TOL.  Each round
+    f(q_c) <= c while closing the gap to within POOL_TOL, so the pooled
+    point counts as tight, not as strictly feasible, in later steps; it
+    stops early only when the bracket falls below 1e-16.  Each round
     evaluates, in one batch, the bracket ends and the 2**BISECT_LEVELS - 1
     midpoints of the next BISECT_LEVELS levels, each formed as the midpoint
     of its parent bracket exactly as a one-point bisection forms it, and
@@ -301,7 +303,7 @@ def _bisect_boundary(spec, prior: Posterior, q_S: np.ndarray,
             else:
                 lo = mid
             level += 1
-            done = (c - val_good <= BOUNDARY_TOL and lam[hi] < 1.0
+            done = (c - val_good <= POOL_TOL and lam[hi] < 1.0
                     or lam[hi] - lam[lo] < 1e-16 or level == 200)
             if done:
                 break

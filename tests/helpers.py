@@ -17,7 +17,8 @@ import numpy as np
 from persuade.core import (ConstraintSpec, MaxLinearTerm, Posterior,
                            ProblemInstance, SignalingScheme, UtilitySpec,
                            eval_constraint_batch, eval_utility_batch)
-from persuade.solver import BOUNDARY_TOL, OracleReport, _solve_unique_exact
+from persuade.solver import (BOUNDARY_TOL, POOL_TOL, OracleReport,
+                             _solve_unique_exact)
 
 
 def interior_prior(rng: np.random.Generator, k: int) -> Posterior:
@@ -227,7 +228,7 @@ def reference_bisect_boundary(spec: ConstraintSpec, prior: Posterior,
             lam_good, val_good = mid, v
         else:
             lam_bad = mid
-        if c - val_good <= BOUNDARY_TOL and lam_good < 1.0:
+        if c - val_good <= POOL_TOL and lam_good < 1.0:
             break
         if lam_good - lam_bad < 1e-16:
             break

@@ -248,6 +248,21 @@ def test_pooling_steps_are_recorded_under_their_constraint():
     assert np.allclose(out.probs, [1 / 3, 2 / 3])
 
 
+def test_pooling_on_a_tight_ex_ante_bound_takes_at_most_s_minus_1_steps():
+    # E[q[1]] = 1/3 sits exactly on the bound.  Each pooled point must land
+    # within POOL_TOL of the boundary, or it counts as strictly feasible and
+    # is pooled again: 2 steps from 3 points, support sizes 3 then 2.
+    prior = uniform_prior(3)
+    spec = ConstraintSpec.linear([0, 1, 0], bound=1 / 3)
+    out, trace = ex_ante_to_ex_post(full_revelation(prior), [spec], prior,
+                                    trace=True)
+    assert len(trace.steps_for(0)) <= 3 - 1
+    assert [s.support_size for s in trace.steps] == [3, 2]
+    assert verify_scheme(ProblemInstance(3, prior, UtilitySpec.max_linear(np.eye(3)),
+                                         (spec.with_mode("ex_post"),)),
+                         out, tol=1e-9).valid
+
+
 def test_pooling_stalls_without_a_strictly_feasible_point():
     # One posterior on the boundary of q[1] <= 1/2, one 1e-10 beyond it.
     spec = ConstraintSpec.linear([0, 1], bound=0.5)
