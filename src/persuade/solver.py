@@ -29,12 +29,24 @@ constraint never increases, and each step shrinks the set of non-tight
 posteriors, so the pass ends within support-size many steps (NumericError
 past 4(s+m)+16).  The support is one (s, k) array with one mass vector for
 the whole run: emptied points leave through one mask, and the pooled point
-joins through core.merge_row, the merge rule of SignalingScheme.
+joins through core.merge_row, the merge rule of SignalingScheme.  The
+boundary point is found by bisection on the segment, closed until the
+pooled point is within POOL_TOL of the bound, so it counts as tight rather
+than strictly feasible in later steps; each constraint evaluation covers
+BISECT_LEVELS levels of the bisection at once (33 points on the segment),
+and the levels are then walked one at a time, so the result is that of a
+one-point bisection, bit for bit.
 
 oracle_solve: an independent brute-force reference that enumerates candidate
 (support, tight-constraint) pairs over a small explicit grid and solves each
-square system directly, never touching the simplex solver or the grid
-pipeline.
+system directly, never touching the simplex solver or the grid pipeline.
+The supports of each size are enumerated and filtered by the prior's box
+once; every (tight set, support size) group is then solved as one stack of
+systems through a batched SVD with np.linalg.lstsq's rank rule, checked for
+nonnegativity, residual and the ex-ante bounds as arrays, and only the
+candidates that pass are walked, in enumeration order, so the first best
+value within 1e-15 wins.  exact=True runs the same enumeration and solves
+each candidate in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -281,22 +293,21 @@ def _bisect_boundary(spec, prior: Posterior, q_S: np.ndarray,
     c = spec.bound
     n = 1 << BISECT_LEVELS
     lam = np.empty(n + 1)
-    lam_bad, lam_good = 0.0, 1.0
-    level = 0
-    while True:
-        # lam[0] and lam[n] are the bracket; each pass fills the midpoints
-        # of one level, halving the stride.
-        lam[0], lam[n] = lam_bad, lam_good
+    lam[0], lam[n] = 0.0, 1.0
+    level, done = 0, False
+    while not done:
+        # lam[0] and lam[n] hold the bracket; each pass fills in the
+        # midpoints of one more level, halving the stride.
         step = n
         while step > 1:
             lam[step // 2::step] = 0.5 * (lam[:-1:step] + lam[step::step])
             step //= 2
         vals = eval_constraint_batch(
             spec, lam[:, None] * q_S + (1.0 - lam)[:, None] * q_T, prior)
-        lo, hi = 0, n
         if level == 0:
             val_good = float(vals[n])
-        while hi - lo > 1:
+        lo, hi = 0, n
+        while hi - lo > 1 and not done:
             mid = (lo + hi) // 2
             if vals[mid] <= c:
                 hi, val_good = mid, float(vals[mid])
@@ -305,11 +316,8 @@ def _bisect_boundary(spec, prior: Posterior, q_S: np.ndarray,
             level += 1
             done = (c - val_good <= POOL_TOL and lam[hi] < 1.0
                     or lam[hi] - lam[lo] < 1e-16 or level == 200)
-            if done:
-                break
-        lam_bad, lam_good = float(lam[lo]), float(lam[hi])
-        if done:
-            break
+        lam[0], lam[n] = lam[lo], lam[hi]
+    lam_good = float(lam[n])
     if val_good > c + BOUNDARY_TOL:  # pragma: no cover - bracket invariant
         raise lp.NumericError("bisection failed to reach the boundary")
     return lam_good, lam_good * q_S + (1.0 - lam_good) * q_T
