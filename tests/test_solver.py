@@ -398,6 +398,39 @@ def test_oracle_dominates_bi_on_subgrid():
     assert compared >= 3
 
 
+# ex-ante kinds, then the ex-post kind and its slack range (or None)
+ORACLE_MIXES = {
+    "grouped_kl": (("grouped_kl", "linear"), None),
+    "ex_post_linear": (("linear", "norm_distance", "grouped_kl"), ("linear", 0.02, 0.2)),
+    "ex_post_norm_distance": (("linear", "grouped_kl"), ("norm_distance", 0.3, 0.6)),
+}
+
+
+@pytest.mark.parametrize("mix", sorted(ORACLE_MIXES))
+def test_oracle_dominates_bi_on_subgrid_mixes(mix):
+    # The bi-criteria LP holds every vertex of the oracle's coarse grid, the
+    # same ex-post filter and relaxed ex-ante bounds, so it can do no worse.
+    ante_kinds, post = ORACLE_MIXES[mix]
+    rng = np.random.default_rng(sorted(ORACLE_MIXES).index(mix) + 60)
+    align = {2: 8, 3: 3}
+    compared = 0
+    for i in range(8):
+        k = 2 + i % 2
+        inst, _ = random_instance(rng, k, 1, kinds=ante_kinds)
+        if post is not None:
+            kind, lo, hi = post
+            spec = random_constraint(rng, k, inst.prior, kind,
+                                     slack=float(rng.uniform(lo, hi)), mode="ex_post")
+            inst = ProblemInstance(k, inst.prior, inst.utility,
+                                   inst.constraints + (spec,))
+        orep = oracle_solve(inst, build_grid(k, 2.0 / align[k]))
+        if orep.status == "optimal":
+            compared += 1
+            rep = bi_criteria_solve(inst, 0.1, align_multiple=align[k])
+            assert rep.value >= orep.value - 1e-9
+    assert compared >= 3
+
+
 def test_oracle_guards():
     from persuade.core import ResourceLimitError
     inst = example1_instance(0.1)
