@@ -54,6 +54,9 @@ class AuctionSpec:
     def __post_init__(self):
         if self.objective not in ("welfare", "revenue"):
             raise ValidationError(f"unknown auction objective {self.objective!r}")
+        if self.mc_seed is not None and not (isinstance(self.mc_seed, (int, np.integer))
+                                             and self.mc_seed >= 0):
+            raise ValidationError("mc_seed must be a nonnegative integer")
         bidders = tuple(tuple(types) for types in self.bidders)
         if not bidders or any(len(t) == 0 for t in bidders):
             raise ValidationError("every bidder needs at least one type")

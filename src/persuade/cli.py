@@ -49,6 +49,11 @@ class InputError(PersuasionError):
     """Input file error, with the offending field in the message."""
 
 
+# What parsing a malformed or out-of-range JSON value raises; int(inf) and
+# float(10**400) raise OverflowError.
+_BAD_INPUT = (KeyError, TypeError, ValueError, OverflowError, ValidationError)
+
+
 def _ctx(field: str, exc: Exception) -> InputError:
     return InputError(f"{field}: {exc}")
 
@@ -93,7 +98,7 @@ def auction_from_dict(d: dict, field: str, seed: int | None = None) -> AuctionSp
         return AuctionSpec(bidders=bidders,
                            profile_cap=int(d.get("profile_cap", 10 ** 6)),
                            mc_seed=d.get("mc_seed", seed))
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+    except _BAD_INPUT as exc:
         raise _ctx(field, exc) from exc
 
 
@@ -124,8 +129,7 @@ def utility_from_dict(d: dict, field: str = "utility",
                 auction_from_dict(d["auction"], field + ".auction", seed))
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError, ValidationError,
-            UnsupportedKindError) as exc:
+    except (*_BAD_INPUT, UnsupportedKindError) as exc:
         raise _ctx(field, exc) from exc
     raise InputError(f"{field}.kind: unknown utility kind {kind!r}")
 
@@ -153,6 +157,8 @@ def constraint_from_dict(d: dict, field: str) -> ConstraintSpec:
         raise InputError(f"{field}: expected an object with a 'kind'")
     kind = d["kind"]
     params = d.get("params", {})
+    if not isinstance(params, dict):
+        raise InputError(f"{field}.params: expected an object")
     try:
         bound = float(d["bound"])
         mode = d.get("mode", "ex_ante")
@@ -179,7 +185,7 @@ def constraint_from_dict(d: dict, field: str) -> ConstraintSpec:
                                        float(params["radius"]), bound, mode)
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+    except _BAD_INPUT as exc:
         raise _ctx(field, exc) from exc
     raise InputError(f"{field}.kind: unknown constraint kind {kind!r}")
 
@@ -198,13 +204,15 @@ def instance_from_dict(d: dict, seed: int | None = None) -> ProblemInstance:
             raise InputError(f"{key}: missing")
     try:
         k = int(d["k"])
-    except (TypeError, ValueError) as exc:
+    except _BAD_INPUT as exc:
         raise _ctx("k", exc) from exc
     try:
         prior = Posterior(np.asarray(d["prior"], dtype=float))
-    except (ValidationError, TypeError, ValueError) as exc:
+    except _BAD_INPUT as exc:
         raise _ctx("prior", exc) from exc
     utility = utility_from_dict(d["utility"], "utility", seed)
+    if not isinstance(d.get("constraints", []), list):
+        raise InputError("constraints: expected a list")
     constraints = tuple(constraint_from_dict(c, f"constraints[{i}]")
                         for i, c in enumerate(d.get("constraints", [])))
     try:
@@ -231,7 +239,7 @@ def scheme_from_dict(d: dict) -> SignalingScheme:
     try:
         return SignalingScheme.from_points(np.asarray(d["support"], dtype=float),
                                            np.asarray(d["probs"], dtype=float))
-    except (ValidationError, TypeError, ValueError) as exc:
+    except _BAD_INPUT as exc:
         raise _ctx("scheme", exc) from exc
 
 

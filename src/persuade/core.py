@@ -80,6 +80,15 @@ def check_finite(name: str, a):
     return a
 
 
+def _finite_vector(name: str, a) -> np.ndarray:
+    """A read-only float copy of the 1-d array ``a``; ValidationError naming
+    ``name`` for any other shape or a non-finite entry."""
+    a = _as_readonly(a)
+    if a.ndim != 1:
+        raise ValidationError(f"{name} must be a vector")
+    return check_finite(name, a)
+
+
 # ---------------------------------------------------------------------------
 # Posteriors and schemes
 # ---------------------------------------------------------------------------
@@ -272,8 +281,7 @@ class ConstraintSpec:
         if self.kind == "linear":
             if self.coeffs is None:
                 raise ValidationError("linear constraint needs coeffs")
-            object.__setattr__(self, "coeffs",
-                               check_finite("linear coeffs", _as_readonly(self.coeffs)))
+            object.__setattr__(self, "coeffs", _finite_vector("linear coeffs", self.coeffs))
         elif self.kind == "norm_distance":
             if self.order not in (1, 2, float("inf")):
                 raise ValidationError("norm_distance order must be 1, 2 or inf")
@@ -281,7 +289,7 @@ class ConstraintSpec:
             if self.partition is None or self.scale is None or self.refs is None:
                 raise ValidationError("grouped_kl needs partition, scale and refs")
             cells = tuple(tuple(int(i) for i in cell) for cell in self.partition)
-            refs = check_finite("grouped_kl refs", np.asarray(self.refs, dtype=float))
+            refs = _finite_vector("grouped_kl refs", self.refs)
             check_finite("grouped_kl scale", float(self.scale))
             if len(cells) != refs.shape[0]:
                 raise ValidationError("grouped_kl refs must match partition cells")
@@ -293,7 +301,7 @@ class ConstraintSpec:
             if np.any(refs <= 0):
                 raise ValidationError("grouped_kl refs must be positive")
             object.__setattr__(self, "partition", cells)
-            object.__setattr__(self, "refs", _as_readonly(refs))
+            object.__setattr__(self, "refs", refs)
             if sorted(flat) == list(range(len(flat))):
                 indicator = np.zeros((len(cells), len(flat)))
                 for j, cell in enumerate(cells):
@@ -302,16 +310,15 @@ class ConstraintSpec:
         elif self.kind == "neg_min_weighted":
             if self.weights is None:
                 raise ValidationError("neg_min_weighted needs weights")
-            w = check_finite("neg_min_weighted weights", np.asarray(self.weights, dtype=float))
+            w = _finite_vector("neg_min_weighted weights", self.weights)
             if np.any(w <= 0):
                 raise ValidationError("neg_min_weighted weights must be positive")
-            object.__setattr__(self, "weights", _as_readonly(w))
+            object.__setattr__(self, "weights", w)
         elif self.kind == "bump":
             if self.center is None or self.radius is None or self.radius <= 0:
                 raise ValidationError("bump needs a center and positive radius")
             check_finite("bump radius", float(self.radius))
-            object.__setattr__(self, "center",
-                               check_finite("bump center", _as_readonly(self.center)))
+            object.__setattr__(self, "center", _finite_vector("bump center", self.center))
 
     # -- constructors -------------------------------------------------------
     @classmethod

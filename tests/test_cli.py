@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from persuade import cli, objectives
 from persuade.core import uniform_prior
@@ -382,3 +388,104 @@ def test_verify_unsupported_piece_exit_1(tmp_path, capsys, vertices):
     assert code == 1
     assert err.startswith("error: utility: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed instance and scheme files
+# ---------------------------------------------------------------------------
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 4),
+              st.floats(allow_nan=True, allow_infinity=True),
+              st.sampled_from(["", "bogus", "inf", "ex_post", "max_linear"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) inside a JSON document, the root included."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def _instance_and_scheme(draw):
+    """A valid instance file and full revelation as a scheme file, with up
+    to three nodes of either replaced by arbitrary JSON (malformed shapes,
+    non-finite numbers, unknown kinds, another k) or deleted."""
+    k = draw(st.integers(2, 3))
+    w = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=k, max_size=k)))
+    prior = (w / w.sum()).tolist()
+    ones = [1.0] * k
+    kind = draw(st.sampled_from(["linear", "norm_distance", "entropy", "grouped_kl",
+                                 "neg_min_weighted", "bump"]))
+    params = {"linear": {"coeffs": ones}, "norm_distance": {"order": 1},
+              "entropy": {}, "neg_min_weighted": {"weights": ones},
+              "grouped_kl": {"partition": [[i] for i in range(k)], "scale": 1.0,
+                             "refs": prior},
+              "bump": {"center": prior, "radius": 0.5}}[kind]
+    utilities = [{"kind": "max_linear", "coeffs": np.eye(k).tolist()},
+                 {"kind": "piecewise_constant",
+                  "pieces": [{"vertices": np.eye(k).tolist(), "value": 1.0}]}]
+    if k == 2:  # one bidder with two types; profile_cap 0 takes the Monte Carlo path
+        utilities.append({"kind": "auction_welfare", "auction": {
+            "bidders": [[{"weight": 0.5, "v0": 0.0, "v1": 1.0}] * 2],
+            "profile_cap": draw(st.sampled_from([0, 10])), "mc_seed": 1}})
+    instance = {"k": k, "prior": prior, "utility": draw(st.sampled_from(utilities)),
+                "constraints": [{"kind": kind, "params": params,
+                                 "bound": draw(st.floats(0.0, 1.5)),
+                                 "mode": draw(st.sampled_from(["ex_ante", "ex_post"]))}]}
+    files = [instance, {"support": np.eye(k).tolist(), "probs": prior}]
+    for _ in range(draw(st.integers(0, 3))):
+        path, _ = draw(st.sampled_from(list(_nodes(files))[1:]))
+        parent = files
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_JSON)
+    return files
+
+
+_FUZZ_BASE = {"k": 2, "prior": [0.5, 0.5],
+              "utility": {"kind": "max_linear", "coeffs": [[1.0, 0.0], [0.0, 1.0]]}}
+_FUZZ_SCHEME = {"support": [[1.0, 0.0], [0.0, 1.0]], "probs": [0.5, 0.5]}
+_FUZZ_AUCTION = {"kind": "auction_welfare", "auction": {
+    "bidders": [[{"weight": 0.5, "v0": 0.0, "v1": 1.0}] * 2], "profile_cap": 0,
+    "mc_seed": "x"}}
+
+
+# Each example ended in a traceback before: constraints that are not a list,
+# a (2, 0) coefficient array, params that are not an object, an infinite
+# integer field and a Monte Carlo seed that is not a nonnegative integer.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_instance_and_scheme())
+@example([{**_FUZZ_BASE, "constraints": None}, _FUZZ_SCHEME])
+@example([{**_FUZZ_BASE, "constraints": [{"kind": "linear", "bound": 0.0,
+                                          "params": {"coeffs": [[], []]}}]},
+          _FUZZ_SCHEME])
+@example([{**_FUZZ_BASE, "constraints": [{"kind": "norm_distance", "bound": 0.0,
+                                          "params": None}]}, _FUZZ_SCHEME])
+@example([{**_FUZZ_BASE, "k": math.inf}, _FUZZ_SCHEME])
+@example([{**_FUZZ_BASE, "utility": _FUZZ_AUCTION}, _FUZZ_SCHEME])
+def test_cli_fuzzed_files_exit_cleanly(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("instance.json", "scheme.json")]
+        for path, doc in zip(paths, files):
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+        for argv in (["solve", paths[0], "--eps", "0.5"], ["verify", *paths],
+                     ["convert", *paths]):
+            err = io.StringIO()
+            with mock.patch.dict(os.environ, {"PERSUADE_GRID_CAP": "20000"}), \
+                    contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 1, 2), argv
+            assert err.getvalue().count("\n") <= 1, err.getvalue()
+            assert "Traceback" not in err.getvalue()

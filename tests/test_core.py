@@ -140,6 +140,37 @@ def test_grouped_kl_validation():
         ConstraintSpec.neg_min_weighted([1.0, 0.0], bound=0.0)
 
 
+def test_grouped_kl_cell_indicator_is_built_once():
+    spec = ConstraintSpec.grouped_kl([(0, 2), (1,)], 1.0, [0.6, 0.4], bound=0.0)
+    assert np.array_equal(spec.indicator, [[1, 0, 1], [0, 1, 0]])
+    assert not spec.indicator.flags.writeable
+    moved = spec.with_bound(0.5).with_mode("ex_post")
+    assert (moved.bound, moved.mode) == (0.5, "ex_post")
+    assert np.array_equal(moved.indicator, spec.indicator)
+    q = np.array([[0.2, 0.3, 0.5]])
+    assert np.array_equal(eval_constraint_batch(moved, q, q[0]),
+                          eval_constraint_batch(spec, q, q[0]))
+    with pytest.raises(DimensionMismatch):
+        spec.check_dimension(2)
+    gap = ConstraintSpec.grouped_kl([(0,), (2,)], 1.0, [0.5, 0.5], bound=0.0)
+    assert gap.indicator is None
+    for k in (2, 3):
+        with pytest.raises(DimensionMismatch):
+            gap.check_dimension(k)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: ConstraintSpec.linear(v, bound=0.0),
+    lambda v: ConstraintSpec.neg_min_weighted(v, bound=0.0),
+    lambda v: ConstraintSpec.grouped_kl([(0,), (1,)], 1.0, v, bound=0.0),
+    lambda v: ConstraintSpec.bump(v, 0.5, bound=0.0),
+])
+def test_constraint_vectors_must_be_one_dimensional(make):
+    # A (2, 0) array has a first axis of length k but no entries.
+    with pytest.raises(ValidationError, match="must be a vector"):
+        make(np.zeros((2, 0)))
+
+
 def test_grouped_kl_nonnegative_near_prior():
     spec = ConstraintSpec.grouped_kl([(0,), (1,), (2,)], 1.0,
                                      [0.2, 0.3, 0.5], bound=0.0)
