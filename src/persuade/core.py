@@ -514,6 +514,10 @@ class UtilitySpec:
             k = None
             for verts, value in self.pieces:
                 verts = check_finite("piece vertices", np.atleast_2d(_as_readonly(verts)))
+                if np.any(verts < -MEMBERSHIP_TOL) or \
+                        np.any(np.abs(verts.sum(axis=1) - 1.0) > SUM_TOL):
+                    raise ValidationError(
+                        "piece vertices must lie in the probability simplex")
                 value = check_finite("piece value", float(value))
                 if k is None:
                     k = verts.shape[1]

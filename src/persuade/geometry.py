@@ -250,12 +250,16 @@ def triangulation_grid(k: int, vertices: np.ndarray,
                        _cells=cells)
 
 
-def refine_simplex(simplex: np.ndarray, max_diameter: float) -> tuple[np.ndarray, np.ndarray]:
+def refine_simplex(simplex: np.ndarray, max_diameter: float, *,
+                   vertex_cap: int = DEFAULT_VERTEX_CAP) -> tuple[np.ndarray, np.ndarray]:
     """Edgewise subdivision of one simplex into cells of l1 diameter <= bound.
 
     Returns (vertices, cells); the subdivision maps the staircase cells of
-    the standard simplex through barycentric coordinates.
+    the standard simplex through barycentric coordinates.  Raises
+    ResourceLimitError when it would need more than vertex_cap vertices.
     """
+    if max_diameter <= 0:
+        raise ValidationError("max_diameter must be positive")
     S = np.atleast_2d(np.asarray(simplex, dtype=float))
     k = S.shape[0]
     diam = _l1_diameter(S[None])
@@ -264,6 +268,10 @@ def refine_simplex(simplex: np.ndarray, max_diameter: float) -> tuple[np.ndarray
     # A barycentric l1 difference of b maps to at most (b/2)*diam in x-space;
     # staircase cells have barycentric l1 diameter 2*floor(k/2)/n.
     n = max(1, math.ceil((k // 2) * diam / max_diameter))
+    count = lattice_vertex_count(k, n)
+    if count > vertex_cap:
+        raise ResourceLimitError(
+            f"refining a piece would need {count} vertices, cap is {vertex_cap}")
     bary = _lattice_vertices(k, n).astype(float) / n
     sub = build_grid_cells_for_level(k, n)
     return bary @ S, sub

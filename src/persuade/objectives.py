@@ -88,7 +88,7 @@ def build_upper_approx(utility: UtilitySpec, eps: float, lipschitz_bound: float,
         return _build_lipschitz(utility, eps, lipschitz_bound,
                                 vertex_cap=vertex_cap, align_multiple=align_multiple)
     if utility.kind == "piecewise_constant":
-        return _build_piecewise(utility, eps, lipschitz_bound)
+        return _build_piecewise(utility, eps, lipschitz_bound, vertex_cap=vertex_cap)
     raise UnsupportedKindError(
         f"utility kind {utility.kind!r} has no grid approximation")
 
@@ -112,9 +112,11 @@ def _build_lipschitz(utility: UtilitySpec, eps: float, M: float, *,
                           vertex_base=vertex_base, gap_bound=gap_bound)
 
 
-def _build_piecewise(utility: UtilitySpec, eps: float, M: float) -> GriddedUtility:
+def _build_piecewise(utility: UtilitySpec, eps: float, M: float, *,
+                     vertex_cap: int | None) -> GriddedUtility:
     k = utility.k
     delta = eps / max(M, 1.0)
+    cap = geometry.DEFAULT_VERTEX_CAP if vertex_cap is None else int(vertex_cap)
     verts, cells, values = [], [], []
     offset = 0
     for simplices, (_, value) in zip(utility.simplices, utility.pieces):
@@ -123,7 +125,8 @@ def _build_piecewise(utility: UtilitySpec, eps: float, M: float) -> GriddedUtili
                 "piece polytope is lower-dimensional; the grid approximation "
                 "needs full-dimensional pieces")
         for simplex in simplices:
-            sub_verts, sub_cells = geometry.refine_simplex(simplex, delta)
+            sub_verts, sub_cells = geometry.refine_simplex(simplex, delta,
+                                                           vertex_cap=cap - offset)
             cells.append(sub_cells + offset)
             verts.append(sub_verts)
             offset += len(sub_verts)

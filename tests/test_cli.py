@@ -460,9 +460,16 @@ _FUZZ_AUCTION = {"kind": "auction_welfare", "auction": {
     "mc_seed": "x"}}
 
 
-# Each example ended in a traceback before: constraints that are not a list,
-# a (2, 0) coefficient array, params that are not an object, an infinite
-# integer field and a Monte Carlo seed that is not a nonnegative integer.
+def _fuzz_piece(vertex):
+    return {"kind": "piecewise_constant",
+            "pieces": [{"vertices": [[1.0, 0.0], vertex], "value": 1.0}]}
+
+
+# Each example ended in a traceback or ran out of memory before: constraints
+# that are not a list, a (2, 0) coefficient array, params that are not an
+# object, an infinite integer field, a Monte Carlo seed that is not a
+# nonnegative integer, a piece reaching outside the simplex, and a steep
+# constraint that refined a piecewise utility past the vertex cap.
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_instance_and_scheme())
 @example([{**_FUZZ_BASE, "constraints": None}, _FUZZ_SCHEME])
@@ -473,6 +480,10 @@ _FUZZ_AUCTION = {"kind": "auction_welfare", "auction": {
                                           "params": None}]}, _FUZZ_SCHEME])
 @example([{**_FUZZ_BASE, "k": math.inf}, _FUZZ_SCHEME])
 @example([{**_FUZZ_BASE, "utility": _FUZZ_AUCTION}, _FUZZ_SCHEME])
+@example([{**_FUZZ_BASE, "utility": _fuzz_piece([1.0, -1e16])}, _FUZZ_SCHEME])
+@example([{**_FUZZ_BASE, "utility": _fuzz_piece([0.0, 1.0]),
+           "constraints": [{"kind": "linear", "bound": 0.4,
+                            "params": {"coeffs": [1e277, 1.0]}}]}, _FUZZ_SCHEME])
 def test_cli_fuzzed_files_exit_cleanly(files):
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, name) for name in ("instance.json", "scheme.json")]

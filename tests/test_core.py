@@ -212,6 +212,13 @@ def test_piecewise_uncovered_point_raises():
         eval_utility(u, posterior(0.1, 0.9))
 
 
+@pytest.mark.parametrize("vertex", [[1.0, -3.0, 3.0], [0.5, 0.5, 0.5]])
+def test_piece_vertices_must_lie_in_the_simplex(vertex):
+    # A piece reaching outside the simplex has no bounded refinement.
+    with pytest.raises(ValidationError, match="probability simplex"):
+        UtilitySpec.piecewise_constant([(np.array([[1.0, 0, 0], [0, 1.0, 0], vertex]), 1.0)])
+
+
 def test_rank_max_matches_partition_reference():
     # Ties are frequent: entries are drawn from four values.  The reference
     # is the partition the kernel used for every rank before.

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from persuade.core import ResourceLimitError
+from persuade.core import ResourceLimitError, ValidationError
 from persuade.geometry import (build_grid, build_grid_cells_for_level,
                                cell_volume, composition_rank, contraction_floor,
                                lattice_vertex_count, max_cell_diameter_bound,
@@ -195,6 +195,15 @@ def test_refine_simplex_diameter():
         pts = verts[cell]
         for i in range(3):
             assert np.abs(pts - pts[i]).sum(axis=1).max() <= 0.4 + 1e-12
+
+
+def test_refine_simplex_guards():
+    verts, _ = refine_simplex(np.eye(3), 0.4)
+    assert len(refine_simplex(np.eye(3), 0.4, vertex_cap=len(verts))[0]) == len(verts)
+    with pytest.raises(ResourceLimitError):
+        refine_simplex(np.eye(3), 0.4, vertex_cap=len(verts) - 1)
+    with pytest.raises(ValidationError):
+        refine_simplex(np.eye(3), 0.0)
 
 
 # ---------------------------------------------------------------------------

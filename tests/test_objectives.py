@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from persuade.core import (MaxLinearTerm, Posterior, UnsupportedKindError,
-                           UtilitySpec, eval_utility, eval_utility_batch)
+from persuade.core import (MaxLinearTerm, Posterior, ResourceLimitError,
+                           UnsupportedKindError, UtilitySpec, eval_utility,
+                           eval_utility_batch)
 from persuade.objectives import build_upper_approx
 
 
@@ -139,6 +140,17 @@ def test_degenerate_piece_rejected():
     ])
     with pytest.raises(UnsupportedKindError):
         build_upper_approx(u, eps=0.2, lipschitz_bound=1.0)
+
+
+def test_piecewise_refinement_honors_the_vertex_cap():
+    # A steep constraint shrinks the cells; the refinement must stop at the
+    # cap rather than allocate the vertices.
+    u = UtilitySpec.piecewise_constant([(np.eye(3), 1.0)])
+    assert build_upper_approx(u, eps=0.2, lipschitz_bound=1.0, vertex_cap=100)
+    with pytest.raises(ResourceLimitError, match="cap is 100"):
+        build_upper_approx(u, eps=0.2, lipschitz_bound=50.0, vertex_cap=100)
+    with pytest.raises(ResourceLimitError):
+        build_upper_approx(u, eps=0.2, lipschitz_bound=1e277)
 
 
 def test_polygon_piece_fan_triangulation():
