@@ -41,12 +41,12 @@ oracle_solve: an independent brute-force reference that enumerates candidate
 (support, tight-constraint) pairs over a small explicit grid and solves each
 system directly, never touching the simplex solver or the grid pipeline.
 The supports of each size are enumerated and filtered by the prior's box
-once; every (tight set, support size) group is then solved as one stack of
-systems through a batched SVD with np.linalg.lstsq's rank rule, checked for
-nonnegativity, residual and the ex-ante bounds as arrays, and only the
-candidates that pass are walked, in enumeration order, so the first best
-value within 1e-15 wins.  exact=True runs the same enumeration and solves
-each candidate in rational arithmetic.
+once; every (tight set, support size) group is then solved in stacks of up
+to ORACLE_BATCH systems through a batched SVD with np.linalg.lstsq's rank
+rule, checked for nonnegativity, residual and the ex-ante bounds as arrays,
+and only the candidates that pass are walked, in enumeration order, so the
+first best value within 1e-15 wins.  exact=True runs the same enumeration
+and solves each candidate in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -444,7 +444,8 @@ def oracle_solve(instance: ProblemInstance, grid, *,
     best_w = None
     best_support = None
     checked = 0
-    supports = {}  # size -> (C, size) supports whose box holds the prior
+    supports = {s: _box_supports(vertices, prior, s)
+                for s in range(1, min(k + m, V) + 1)}
     base_rows = np.vstack([vertices.T, np.ones((1, V))])  # (k+1, V)
     base_rhs = np.concatenate([prior, [1.0]])
     for a_size in range(m + 1):
@@ -452,8 +453,6 @@ def oracle_solve(instance: ProblemInstance, grid, *,
             rows = np.vstack([base_rows, F[list(A)]])
             rhs = np.concatenate([base_rhs, bounds[list(A)]])
             for s in range(1, min(k + a_size, V) + 1):
-                if s not in supports:
-                    supports[s] = _box_supports(vertices, prior, s)
                 for lo in range(0, len(supports[s]), ORACLE_BATCH):
                     S = supports[s][lo:lo + ORACLE_BATCH]
                     checked += len(S)
