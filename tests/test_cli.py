@@ -439,7 +439,10 @@ def _instance_and_scheme(draw):
                 "constraints": [{"kind": kind, "params": params,
                                  "bound": draw(st.floats(0.0, 1.5)),
                                  "mode": draw(st.sampled_from(["ex_ante", "ex_post"]))}]}
-    files = [instance, {"support": np.eye(k).tolist(), "probs": prior}]
+    # A JSON round trip unshares the lists used twice above, so a mutation
+    # lands in one place.
+    files = json.loads(json.dumps([instance, {"support": np.eye(k).tolist(),
+                                              "probs": prior}]))
     for _ in range(draw(st.integers(0, 3))):
         path, _ = draw(st.sampled_from(list(_nodes(files))[1:]))
         parent = files
