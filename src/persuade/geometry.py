@@ -206,7 +206,7 @@ def _l1_diameter(simplices: np.ndarray) -> float:
 
 
 def build_grid(k: int, max_diameter: float, *, vertex_cap: int | None = None,
-               align_multiple: int = 1, with_cells: bool = False) -> SimplexGrid:
+               align_multiple: int = 1) -> SimplexGrid:
     """Lattice grid with every cell's l1 diameter <= max_diameter.
 
     N = ceil(2/max_diameter) suffices for k <= 3; higher k needs
@@ -231,8 +231,6 @@ def build_grid(k: int, max_diameter: float, *, vertex_cap: int | None = None,
                        vertices=lattice.astype(float) / N,
                        measured_max_diameter=max_cell_diameter_bound(k, N),
                        _rank_tab=_rank_table(k, N))
-    if with_cells:
-        grid.measured_max_diameter = _l1_diameter(grid.vertices[grid.cells])
     if grid.measured_max_diameter > max_diameter + 1e-12:
         raise ValidationError(
             f"cell diameter {grid.measured_max_diameter} exceeds requested "

@@ -4,21 +4,23 @@ Solves   max c.x   s.t.  A_eq x = b_eq,  A_le x <= b_le,  x >= 0.
 
 The implementation is a revised simplex with an explicit basis inverse, built
 for LPs with a handful of rows and up to millions of columns (grid points).
-Columns are stored vertex-major with the phase-2 cost appended, so pricing
-a set of columns is one tall-skinny BLAS matvec; slack and artificial
-columns stay virtual.
+Structural columns are read from the row-major ``A_eq``, ``A_le`` and ``c``
+of the :class:`LinearProgram`, no row negated; slack and artificial columns
+stay virtual.
 
 Pricing is Dantzig (most positive reduced cost, ties broken by lowest
 index) over a working set W of structural columns plus the slacks
 ("sifting": Bixby, Gregory, Lustig, Marsten and Shanno, Operations Research
 40(5), 1992).  W starts as ``WORKING_SET_INITIAL`` evenly spaced columns and
-keeps a compact copy of their rows.  Only when no column of W and no slack
-improves does a full pass price all n columns; it enters the best column
-overall and adds the ``WORKING_SET_GROWTH`` best improving ones to W.  A
-phase ends only when a full pass finds no reduced cost above ``FEAS_TOL``,
-so optimality is certified over every column.  When W holds every column
-(n <= ``WORKING_SET_INITIAL``) the W pass is the full pass, and pivots are
-those of plain Dantzig pricing.  After ``DEGENERATE_PIVOT_FACTOR * rows``
+keeps a compact (rows+1, |W|) copy of their columns, cost row last, so
+pricing W is one BLAS matvec.  Only when no column of W and no slack
+improves does a full pass compute ``c - y_eq @ A_eq - y_le @ A_le`` into
+preallocated buffers; it enters the best column overall and adds the
+``WORKING_SET_GROWTH`` best improving ones to W.  A phase ends only when a
+full pass finds no reduced cost above ``FEAS_TOL``, so optimality is
+certified over every column.  When W holds every column (n <=
+``WORKING_SET_INITIAL``) the W pass is the full pass, and pivots are those
+of plain Dantzig pricing.  After ``DEGENERATE_PIVOT_FACTOR * rows``
 degenerate pivots the solver switches permanently to Bland's rule (lowest
 improving index over all columns), which guarantees termination.
 """
@@ -119,7 +121,9 @@ class LpSolution:
 
 
 class _Simplex:
-    """Working state for one solve.  Columns: structural | slack | artificial."""
+    """Working state for one solve.  Columns: structural | slack | artificial;
+    the slack of <= row i is +e_i and the artificial of row i sign(b_i) e_i,
+    so the starting basis is feasible for b as given."""
 
     def __init__(self, lp: LinearProgram):
         self.n = lp.n_vars
@@ -127,43 +131,24 @@ class _Simplex:
         self.m_le = lp.A_le.shape[0]
         self.r = self.m_eq + self.m_le
         r, n = self.r, self.n
-        neg = np.concatenate([lp.b_eq, lp.b_le]) < 0
-        sign = np.where(neg, -1.0, 1.0)
-        # Structural matrix stored column-major per vertex: row j holds the
-        # constraint column of variable j (sign-normalized so b >= 0) plus
-        # the phase-2 cost as the final entry, so pricing all columns is one
-        # tall-skinny matvec.
-        self.augT = np.empty((n, r + 1))
-        self.augT[:, : self.m_eq] = lp.A_eq.T
-        self.augT[:, self.m_eq: r] = lp.A_le.T
-        for i in np.nonzero(neg)[0]:
-            self.augT[:, i] *= -1.0
-        self.augT[:, r] = lp.c
-        self.b = np.abs(np.concatenate([lp.b_eq, lp.b_le]))
-        self.row_sign = sign
-        # Slack column for le-row i is sign[m_eq + i] * e_{m_eq + i}.
-        self.slack_sign = sign[self.m_eq:]
-        self.n_slack = self.m_le
-        self.c = lp.c
-        # Basis: slacks where the sign allows, artificials elsewhere.
-        self.basis = np.empty(r, dtype=np.int64)
-        for i in range(r):
-            le_idx = i - self.m_eq
-            if le_idx >= 0 and self.slack_sign[le_idx] > 0:
-                self.basis[i] = n + le_idx
-            else:
-                self.basis[i] = n + self.n_slack + i
+        self.A_eq, self.A_le, self.c = lp.A_eq, lp.A_le, lp.c
+        self.b = np.concatenate([lp.b_eq, lp.b_le])
+        self.art_sign = np.where(self.b < 0, -1.0, 1.0)
+        rows = np.arange(r)
+        self.basis = np.where((rows >= self.m_eq) & (self.b >= 0),
+                              n + rows - self.m_eq, n + self.m_le + rows)
         self.in_basis: set[int] = set(int(j) for j in self.basis)
-        self.B_inv = np.eye(r)
+        self.B_inv = np.diag(self.art_sign)
         self.degenerate_pivots = 0
         self.bland = False
         self.iterations = 0
         self.max_iter = MAX_ITER_BASE + 50 * r
         self.full_passes = 0
         self._buf = np.empty(n)
+        self._tmp = np.empty(n)
         self._y_aug = np.empty(r + 1)
-        # Working set: sorted structural column indices and their augT rows,
-        # plus (when W starts partial) its membership mask over all columns.
+        # Working set: sorted structural column indices and their (r+1, |W|)
+        # block AW, plus (when W starts partial) its membership mask.
         if n <= WORKING_SET_INITIAL:
             self._set_work(np.arange(n))
         else:
@@ -175,25 +160,33 @@ class _Simplex:
     def _set_work(self, work: np.ndarray):
         self.work = work
         self.covered = work.size == self.n
-        self.augW = self.augT if self.covered else self.augT[work]
+        self.AW = np.concatenate([self.A_eq[:, work], self.A_le[:, work],
+                                  self.c[None, work]])
         self._wbuf = self._buf if self.covered else np.empty(work.size)
 
     # -- column access ----------------------------------------------------
     def column(self, j: int) -> np.ndarray:
-        if j < self.n:
-            return self.augT[j, : self.r]
         col = np.zeros(self.r)
-        if j < self.n + self.n_slack:
-            le_idx = j - self.n
-            col[self.m_eq + le_idx] = self.slack_sign[le_idx]
+        if j < self.n:
+            col[: self.m_eq] = self.A_eq[:, j]
+            col[self.m_eq:] = self.A_le[:, j]
+        elif j < self.n + self.m_le:
+            col[self.m_eq + j - self.n] = 1.0
         else:
-            col[j - self.n - self.n_slack] = 1.0
+            i = j - self.n - self.m_le
+            col[i] = self.art_sign[i]
         return col
+
+    def _combine_rows(self, w: np.ndarray) -> np.ndarray:
+        """w[:m_eq] @ A_eq + w[m_eq:] @ A_le over all n columns, into _buf."""
+        out = np.dot(w[: self.m_eq], self.A_eq, out=self._buf)
+        out += np.dot(w[self.m_eq:], self.A_le, out=self._tmp)
+        return out
 
     def _cost_of(self, j: int, phase2: bool) -> float:
         if j < self.n:
             return float(self.c[j]) if phase2 else 0.0
-        if j < self.n + self.n_slack:
+        if j < self.n + self.m_le:
             return 0.0
         return 0.0 if phase2 else -1.0
 
@@ -209,17 +202,11 @@ class _Simplex:
     def _dual(self, phase2: bool) -> np.ndarray:
         c_B = np.fromiter((self._cost_of(int(j), phase2) for j in self.basis),
                           dtype=float, count=self.r)
-        y = c_B @ self.B_inv
-        y_aug = self._y_aug
-        y_aug[: self.r] = -y
-        y_aug[self.r] = 1.0 if phase2 else 0.0
-        return y_aug
+        return c_B @ self.B_inv
 
     def _slack_reduced(self, y_aug: np.ndarray) -> np.ndarray:
-        if not self.n_slack:
-            return np.empty(0)
-        red = self.slack_sign * y_aug[self.m_eq: self.r]
-        for le_idx in range(self.n_slack):
+        red = y_aug[self.m_eq: self.r].copy()
+        for le_idx in range(self.m_le):
             if self.n + le_idx in self.in_basis:
                 red[le_idx] = -np.inf
         return red
@@ -227,7 +214,12 @@ class _Simplex:
     def _price_all(self, y_aug: np.ndarray) -> np.ndarray:
         """Reduced costs of all n structural columns, basic ones at -inf."""
         self.full_passes += 1
-        np.dot(self.augT, y_aug, out=self._buf)
+        if self.covered:
+            np.dot(y_aug, self.AW, out=self._buf)
+        else:
+            self._combine_rows(y_aug[: self.r])
+            if y_aug[self.r]:
+                self._buf += self.c
         for j in self.in_basis:
             if j < self.n:
                 self._buf[j] = -np.inf
@@ -237,7 +229,7 @@ class _Simplex:
         """Reduced costs of the working set, basic ones at -inf."""
         if self.covered:
             return self._price_all(y_aug)
-        np.dot(self.augW, y_aug, out=self._wbuf)
+        np.dot(y_aug, self.AW, out=self._wbuf)
         for j in self.in_basis:
             if j < self.n and self._in_work[j]:
                 self._wbuf[np.searchsorted(self.work, j)] = -np.inf
@@ -265,8 +257,11 @@ class _Simplex:
     def _price(self, phase2: bool) -> int | None:
         """Entering column: Dantzig over the working set and the slacks, then
         over all columns when those have none; or, once the degeneracy guard
-        has tripped, Bland's rule (lowest improving index)."""
-        y_aug = self._dual(phase2)
+        has tripped, Bland's rule (lowest improving index).  Reduced costs
+        are (-y, 1 in phase 2 else 0) against each column with its cost."""
+        y_aug = self._y_aug
+        np.negative(self._dual(phase2), out=y_aug[: self.r])
+        y_aug[self.r] = 1.0 if phase2 else 0.0
         if self.bland:
             if self.n:
                 red = self._price_all(y_aug)
@@ -309,7 +304,8 @@ class _Simplex:
             if not np.any(pos):
                 return "unbounded"
             ratios = np.full(self.r, np.inf)
-            ratios[pos] = x_B[pos] / d[pos]
+            with np.errstate(over="ignore"):  # a ratio of +inf never wins
+                ratios[pos] = x_B[pos] / d[pos]
             min_ratio = ratios.min()
             ties = np.nonzero(ratios <= min_ratio + PIVOT_TOL)[0]
             # Lowest basis-variable index among ties: deterministic and
@@ -336,9 +332,9 @@ class _Simplex:
     # -- phases -------------------------------------------------------------
     def drive_out_artificials(self):
         for i in range(self.r):
-            if self.basis[i] < self.n + self.n_slack:
+            if self.basis[i] < self.n + self.m_le:
                 continue
-            row = self.augT[:, : self.r] @ self.B_inv[i]
+            row = self._combine_rows(self.B_inv[i])
             cand = np.nonzero(np.abs(row) > 1e-7)[0]
             if cand.size:
                 j = int(cand[0])
@@ -355,7 +351,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     numeric failures raise :class:`NumericError`.
     """
     state = _Simplex(lp)
-    n, n_slack = state.n, state.n_slack
+    n, m_le = state.n, state.m_le
     phase1_iterations, phase1_degenerate, phase1_bland = 0, 0, False
 
     def stats() -> SimplexStats:
@@ -367,14 +363,14 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             degenerate_pivots=phase1_degenerate + state.degenerate_pivots,
             bland=phase1_bland or state.bland)
 
-    if any(int(j) >= n + n_slack for j in state.basis):
+    if any(int(j) >= n + m_le for j in state.basis):
         status = state.run(phase2=False)
         if status != "optimal":  # pragma: no cover - phase 1 is always bounded
             raise NumericError("phase 1 terminated " + status)
         phase1_iterations = state.iterations
         phase1_degenerate, phase1_bland = state.degenerate_pivots, state.bland
         x_B = state.B_inv @ state.b
-        art_rows = state.basis >= n + n_slack
+        art_rows = state.basis >= n + m_le
         art_mass = float(x_B[art_rows].sum()) if state.r else 0.0
         if art_mass > FEAS_TOL * max(1.0, float(np.abs(state.b).sum())):
             return LpSolution(status="infeasible", x=None, value=float("nan"),
@@ -401,8 +397,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if lp.A_le.shape[0]:
         if float(np.max(lp.A_le @ x - lp.b_le)) > 100 * FEAS_TOL * scale:
             raise NumericError("optimal basis violates the inequality rows")
-    basis = tuple(int(j) for j in sorted(state.basis) if j < n + n_slack)
-    duals = -state.row_sign * state._dual(phase2=True)[: state.r]
+    basis = tuple(int(j) for j in sorted(state.basis) if j < n + m_le)
+    duals = state._dual(phase2=True)
     return LpSolution(status="optimal", x=x, value=float(state.c @ x), basis=basis,
                       duals=duals, stats=stats())
 
@@ -442,15 +438,3 @@ def build_persuasion_lp(grid, gridded_utility, smoothed_bounds, prior,
         row[:] = smoothed.eval_batch(vertices, p, projections)
     b_le = np.array([bound for _, bound in smoothed_bounds], dtype=float)
     return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le)
-
-
-def dump_lp(lp: LinearProgram, max_cols: int = 50) -> str:
-    """Plain-text row/column listing for debugging."""
-    lines = [f"max  {np.array2string(lp.c[:max_cols], precision=6)}"
-             + (" ..." if lp.n_vars > max_cols else "")]
-    for row, rhs in zip(lp.A_eq, lp.b_eq):
-        lines.append(f"eq   {np.array2string(row[:max_cols], precision=6)} = {rhs:.6g}")
-    for row, rhs in zip(lp.A_le, lp.b_le):
-        lines.append(f"le   {np.array2string(row[:max_cols], precision=6)} <= {rhs:.6g}")
-    lines.append(f"vars x >= 0  (n={lp.n_vars}, rows={lp.n_rows})")
-    return "\n".join(lines)

@@ -471,8 +471,9 @@ def _fuzz_piece(vertex):
 # Each example ended in a traceback or ran out of memory before: constraints
 # that are not a list, a (2, 0) coefficient array, params that are not an
 # object, an infinite integer field, a Monte Carlo seed that is not a
-# nonnegative integer, a piece reaching outside the simplex, and a steep
-# constraint that refined a piecewise utility past the vertex cap.
+# nonnegative integer, a piece reaching outside the simplex, a steep
+# constraint that refined a piecewise utility past the vertex cap, and a
+# bound so far below zero that the simplex ratio test overflowed.
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_instance_and_scheme())
 @example([{**_FUZZ_BASE, "constraints": None}, _FUZZ_SCHEME])
@@ -487,6 +488,9 @@ def _fuzz_piece(vertex):
 @example([{**_FUZZ_BASE, "utility": _fuzz_piece([0.0, 1.0]),
            "constraints": [{"kind": "linear", "bound": 0.4,
                             "params": {"coeffs": [1e277, 1.0]}}]}, _FUZZ_SCHEME])
+@example([{**_FUZZ_BASE, "constraints": [{"kind": "entropy",
+                                          "bound": -1.7976931348623157e+308}]},
+          _FUZZ_SCHEME])
 def test_cli_fuzzed_files_exit_cleanly(files):
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, name) for name in ("instance.json", "scheme.json")]

@@ -11,7 +11,8 @@ from persuade.geometry import (build_grid, build_grid_cells_for_level,
                                lattice_vertex_count, max_cell_diameter_bound,
                                project_to_contraction,
                                project_to_contraction_batch, refine_simplex,
-                               simplex_volume, _lattice_vertices, _rank_table)
+                               simplex_volume, _l1_diameter, _lattice_vertices,
+                               _rank_table)
 from persuade.objectives import build_upper_approx
 
 from helpers import random_fan_utility
@@ -22,22 +23,22 @@ from helpers import random_fan_utility
 # ---------------------------------------------------------------------------
 
 def test_k2_delta1_grid():
-    g = build_grid(2, 1.0, with_cells=True)
+    g = build_grid(2, 1.0)
     assert g.denominator == 2
     np.testing.assert_allclose(g.vertices, [[0, 1], [0.5, 0.5], [1, 0]])
     assert g.cells.shape == (2, 2)
-    assert g.measured_max_diameter == pytest.approx(1.0)
+    assert _l1_diameter(g.vertices[g.cells]) == pytest.approx(1.0)
 
 
 def test_k3_whole_simplex():
-    g = build_grid(3, 2.0, with_cells=True)
+    g = build_grid(3, 2.0)
     assert g.denominator == 1
     assert g.vertex_count == 3
     assert g.cells.shape == (1, 3)
 
 
 def test_k3_n4_vertex_count_and_volumes():
-    g = build_grid(3, 0.5, with_cells=True)
+    g = build_grid(3, 0.5)
     assert g.denominator == 4
     # Oracle: direct enumeration of lattice points.
     brute = {tuple(x) for x in itertools.product(range(5), repeat=3)
@@ -54,7 +55,7 @@ def test_k3_n4_vertex_count_and_volumes():
 def test_cells_unimodular_in_rational_arithmetic():
     # Exact rational check: every cell has the same (k-1)-volume, so the
     # count alone certifies the tiling.
-    g = build_grid(3, 0.5, with_cells=True)
+    g = build_grid(3, 0.5)
     N = g.denominator
     base = None
     for cell in g.cells:
@@ -82,18 +83,19 @@ def test_vertices_are_exact_lattice_multiples():
 
 def test_measured_diameter_within_requested():
     for k, delta in [(2, 0.3), (3, 0.17), (4, 0.5)]:
-        g = build_grid(k, delta, with_cells=True)
-        assert g.measured_max_diameter <= delta + 1e-12
-        assert g.measured_max_diameter == pytest.approx(
+        g = build_grid(k, delta)
+        measured = _l1_diameter(g.vertices[g.cells])
+        assert measured <= delta + 1e-12
+        assert measured == pytest.approx(
             max_cell_diameter_bound(k, g.denominator))
 
 
 def test_k4_diameter_formula_needs_larger_n():
     # Staircase cells in four states pair vertices at l1 distance 4/N, so
     # N must be ceil(4/delta) rather than ceil(2/delta).
-    g = build_grid(4, 0.5, with_cells=True)
+    g = build_grid(4, 0.5)
     assert g.denominator == 8
-    assert g.measured_max_diameter <= 0.5 + 1e-12
+    assert _l1_diameter(g.vertices[g.cells]) <= 0.5 + 1e-12
 
 
 def test_vertex_cap():
@@ -139,7 +141,7 @@ def _cells_containing_brute(grid, q, tol=1e-9):
 
 
 def test_locate_at_vertices_and_edges():
-    g = build_grid(3, 0.5, with_cells=True)
+    g = build_grid(3, 0.5)
     # A grid vertex belongs to every incident cell.
     v = g.vertices[5]
     cells = g.locate_cells(v)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from persuade import geometry, lp, objectives
 from persuade.constraints import smooth_constraint
 from persuade.core import ConstraintSpec, UtilitySpec, uniform_prior
-from persuade.lp import LinearProgram, LpError, build_persuasion_lp, dump_lp, solve_lp
+from persuade.lp import LinearProgram, LpError, build_persuasion_lp, solve_lp
 
 
 def lp_max(c, A_eq=None, b_eq=None, A_le=None, b_le=None):
@@ -167,8 +168,8 @@ def test_fuzz_mixed_rows_against_enumeration():
         A_le = np.vstack([A_le, np.ones((1, n))])  # keep the LP bounded
         b_le = np.concatenate([b_le, [rng.uniform(0.5, 3.0)]])
         c = rng.uniform(-1, 1, size=n)
-        sol = solve_lp(LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq,
-                                     A_le=A_le, b_le=b_le))
+        program = LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le)
+        sol = solve_lp(program)
         ref = enumerate_opt(c, A_eq, b_eq, A_le, b_le)
         if sol.status == "infeasible":
             assert ref is None
@@ -176,6 +177,7 @@ def test_fuzz_mixed_rows_against_enumeration():
             assert sol.status == "optimal"
             assert ref is not None
             assert sol.value == pytest.approx(ref, abs=1e-7)
+            assert_duals_certify(program, sol)  # rows with b < 0 included
 
 
 def test_redundant_equality_rows():
@@ -229,19 +231,24 @@ def lp_scale(program):
     return max(1.0, float(np.abs(program.b_eq).sum() + np.abs(program.b_le).sum()))
 
 
+def assert_duals_certify(program, sol):
+    """sol.duals are y on the rows as given and certify sol.value."""
+    tol = 1e-9 * lp_scale(program)
+    m_eq = program.A_eq.shape[0]
+    y_eq, y_le = sol.duals[:m_eq], sol.duals[m_eq:]
+    reduced = program.c - y_eq @ program.A_eq - y_le @ program.A_le
+    assert reduced.max() <= tol            # every structural column
+    assert np.all(y_le >= -tol)            # every slack column
+    assert abs(program.b_eq @ y_eq + program.b_le @ y_le - sol.value) <= tol
+
+
 @pytest.mark.parametrize("case", range(len(WIDE_CASES)))
 def test_duals_certify_wide_lp(case):
     rng = np.random.default_rng(300 + case)
     program = wide_lp(rng, 3 * lp.WORKING_SET_INITIAL, **WIDE_CASES[case])
     sol = solve_lp(program)
     assert sol.status == "optimal"
-    tol = 1e-9 * lp_scale(program)
-    m_eq = program.A_eq.shape[0]
-    y_eq, y_le = sol.duals[:m_eq], sol.duals[m_eq:]
-    reduced = program.c - y_eq @ program.A_eq - y_le @ program.A_le
-    assert reduced.max() <= tol            # every structural column
-    assert y_le.min() >= -tol              # every slack column
-    assert abs(program.b_eq @ y_eq + program.b_le @ y_le - sol.value) <= tol
+    assert_duals_certify(program, sol)
     st = sol.stats
     assert st.working_set_size > lp.WORKING_SET_INITIAL  # the set grew
     assert 2 <= st.full_pricing_passes < st.phase1_iterations + st.phase2_iterations
@@ -258,6 +265,40 @@ def test_working_set_pricing_matches_full_pricing(case, monkeypatch):
         full.stats.phase1_iterations + full.stats.phase2_iterations
     assert full.stats.working_set_size == program.n_vars
     assert sifted.value == pytest.approx(full.value, abs=1e-9 * lp_scale(program))
+
+
+def test_refactoring_every_pivot_keeps_the_result(monkeypatch):
+    # Refactorization rebuilds B from the basis columns, among them the
+    # artificials of rows whose right-hand side is negative.
+    programs = [lp_max([-1, -1], A_le=[[-1, 0]], b_le=[-0.5]),
+                lp_max([1, 1], A_le=[[1, 1]], b_le=[-1]),                # infeasible
+                lp_max([1, 2], A_eq=[[1, 1], [-1, -1]], b_eq=[1, -1])]  # redundant row
+    programs += [wide_lp(np.random.default_rng(700 + case), lp.WORKING_SET_INITIAL + 500,
+                         **kwargs) for case, kwargs in enumerate(WIDE_CASES)]
+    refs = [solve_lp(program) for program in programs]
+    monkeypatch.setattr(lp, "REFACTOR_EVERY", 1)
+    for program, ref in zip(programs, refs):
+        sol = solve_lp(program)
+        assert sol.status == ref.status
+        if ref.status == "optimal":
+            assert sol.value == pytest.approx(ref.value, abs=1e-9 * lp_scale(program))
+            assert_duals_certify(program, sol)
+
+
+def test_solve_keeps_no_copy_of_the_columns():
+    # Pricing reads the program's own rows: beyond the returned x, a solve
+    # allocates a few n-vectors, less than one (rows + 1)-float copy of
+    # the columns.
+    program = wide_lp(np.random.default_rng(600), 300_000)
+    r = program.n_rows
+    tracemalloc.start()
+    try:
+        sol = solve_lp(program)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal" and r == 5
+    assert peak < 8 * (r + 1) * program.n_vars
 
 
 def test_against_scipy_highs_wide_lps():
@@ -298,7 +339,6 @@ def test_persuasion_lp_k2_full_revelation():
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, [0.5, 0.0, 0.5], atol=1e-12)
     assert sol.value == pytest.approx(1.0)
-    assert "vars x >= 0" in dump_lp(program)
 
 
 def test_weak_duality_spot_check():
