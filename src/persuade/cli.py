@@ -309,12 +309,9 @@ def cmd_solve(args) -> int:
 
 def _write_grid_csv(surrogate, path: str):
     """(posterior, objective value) table of the LP columns, for plotting."""
-    vertices = surrogate.gridded.grid.vertices
-    if surrogate.mask is not None:
-        vertices = vertices[surrogate.mask]
     with open(path, "w") as fh:
-        fh.write(",".join(f"p{i}" for i in range(vertices.shape[1])) + ",value\n")
-        for row, val in zip(vertices, surrogate.program.c):
+        fh.write(",".join(f"p{i}" for i in range(surrogate.points.shape[1])) + ",value\n")
+        for row, val in zip(surrogate.points, surrogate.program.c):
             fh.write(",".join(repr(float(x)) for x in row) + f",{float(val)!r}\n")
 
 

@@ -95,7 +95,6 @@ class SimplexGrid:
     vertices: np.ndarray  # (V, k) float
     measured_max_diameter: float
     _cells: np.ndarray | None = None
-    _rank_tab: np.ndarray | None = field(default=None, repr=False)
     _cell_box: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
@@ -157,7 +156,7 @@ class SimplexGrid:
         chains = _staircase_cells(corners, N).reshape(-1, self.k - 1)
         x = _y_to_x(chains, N).reshape(-1, self.k, self.k)
         x = x[simplices_contain(x / N, q)[:, 0]].reshape(-1, self.k)
-        return list(composition_rank(x, N, self._rank_tab).reshape(-1, self.k))
+        return list(composition_rank(x, N, _rank_table(self.k, N)).reshape(-1, self.k))
 
 
 def _staircase_cells(corners: np.ndarray, N: int) -> np.ndarray:
@@ -229,8 +228,7 @@ def build_grid(k: int, max_diameter: float, *, vertex_cap: int | None = None,
     lattice = _lattice_vertices(k, N)
     grid = SimplexGrid(k=k, denominator=N,
                        vertices=lattice.astype(float) / N,
-                       measured_max_diameter=max_cell_diameter_bound(k, N),
-                       _rank_tab=_rank_table(k, N))
+                       measured_max_diameter=max_cell_diameter_bound(k, N))
     if grid.measured_max_diameter > max_diameter + 1e-12:
         raise ValidationError(
             f"cell diameter {grid.measured_max_diameter} exceeds requested "

@@ -403,38 +403,31 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
                       duals=duals, stats=stats())
 
 
-def build_persuasion_lp(grid, gridded_utility, smoothed_bounds, prior,
-                        vertex_mask=None) -> LinearProgram:
-    """Assemble the grid LP: one variable per grid vertex (its probability).
+def build_persuasion_lp(points, values, smoothed_bounds, prior) -> LinearProgram:
+    """Assemble the LP over the probabilities of the column posteriors.
 
-    Rows are k-1 independent barycenter equalities plus one normalization row
-    (the remaining barycenter row is redundant), and one <= row per smoothed
-    ex-ante constraint with its relaxed bound.  ``vertex_mask`` restricts the
-    columns to a feasible subset (ex-post handling).  Smoothed constraints
-    that share a contraction are evaluated on one projection of the vertices.
+    ``points`` (n, k) are the columns and ``values`` (n,) their objective
+    values.  Rows are k-1 barycenter equalities plus one normalization row
+    (the k-th barycenter row is redundant) and one <= row per smoothed
+    ex-ante constraint with its relaxed bound; constraints that share a
+    contraction are evaluated on one projection of the points.
 
     ``smoothed_bounds`` is a sequence of (smoothed_constraint, relaxed_bound)
     pairs; objects are duck-typed so this module stays dependency-free.
     """
-    vertices = np.asarray(grid.vertices, dtype=float)
+    points = np.asarray(points, dtype=float)
     p = np.asarray(getattr(prior, "weights", prior), dtype=float)
-    c = np.asarray(gridded_utility.vertex_values(), dtype=float)
-    if c.shape[0] != vertices.shape[0]:
-        raise LpError("objective length does not match grid")
-    if vertex_mask is not None:
-        vertices = vertices[vertex_mask]
-        c = c[vertex_mask]
-    n, k = vertices.shape
+    n, k = points.shape
     if p.shape[0] != k:
         raise LpError("prior dimension does not match grid")
     A_eq = np.empty((k, n))
-    A_eq[: k - 1] = vertices[:, : k - 1].T
+    A_eq[: k - 1] = points[:, : k - 1].T
     A_eq[k - 1] = 1.0
     b_eq = np.concatenate([p[: k - 1], [1.0]])
     smoothed_bounds = list(smoothed_bounds)
     A_le = np.empty((len(smoothed_bounds), n))
     projections = {}  # shared by constraints with one contraction
     for row, (smoothed, _) in zip(A_le, smoothed_bounds):  # no stacked copy
-        row[:] = smoothed.eval_batch(vertices, p, projections)
+        row[:] = smoothed.eval_batch(points, p, projections)
     b_le = np.array([bound for _, bound in smoothed_bounds], dtype=float)
-    return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le)
+    return LinearProgram(c=values, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le)

@@ -29,25 +29,19 @@ from .core import (UnsupportedKindError, UtilitySpec, ValidationError,
 class GriddedUtility:
     """Upper approximation u_eps of the source utility over a grid.
 
-    vertex_values() feeds the LP objective; eval() is the upper-envelope
-    evaluation (max over cells whose closure contains the point).
-    gap_bound is a certified bound on sup(u_eps - u_source).
+    vertex_values (the utility at each grid vertex plus pad) is the LP
+    objective; eval() is the upper envelope (max over cells whose closure
+    holds the point); gap_bound is a certified bound on sup(u_eps - u).
     """
 
     grid: geometry.SimplexGrid
-    source: UtilitySpec
-    eps: float
-    lipschitz_bound: float          # M, the constraint-side constant
     pad: float                      # additive slack on vertex values
-    vertex_base: np.ndarray         # utility at the grid vertices
+    vertex_values: np.ndarray       # utility at the grid vertices + pad
     gap_bound: float
     cell_values: np.ndarray | None = None  # piecewise path: value per cell
 
-    def vertex_values(self) -> np.ndarray:
-        return self.vertex_base + self.pad
-
     def cell_value(self, cell: np.ndarray) -> float:
-        return float(self.vertex_base[np.asarray(cell)].max() + self.pad)
+        return float(self.vertex_values[np.asarray(cell)].max())
 
     def eval(self, q) -> float:
         q = np.asarray(getattr(q, "weights", q), dtype=float)
@@ -78,12 +72,8 @@ def build_upper_approx(utility: UtilitySpec, eps: float, lipschitz_bound: float,
         raise ValidationError("lipschitz_bound must be nonnegative")
     if utility.kind in ("auction_welfare", "auction_revenue"):
         from . import auction as _auction
-        converted = _auction.to_max_linear(utility.auction,
-                                           objective=utility.kind.removeprefix("auction_"))
-        gu = build_upper_approx(converted, eps, lipschitz_bound,
-                                vertex_cap=vertex_cap, align_multiple=align_multiple)
-        gu.source = utility
-        return gu
+        utility = _auction.to_max_linear(utility.auction,
+                                         objective=utility.kind.removeprefix("auction_"))
     if utility.kind == "max_linear":
         return _build_lipschitz(utility, eps, lipschitz_bound,
                                 vertex_cap=vertex_cap, align_multiple=align_multiple)
@@ -103,13 +93,11 @@ def _build_lipschitz(utility: UtilitySpec, eps: float, M: float, *,
     grid = geometry.build_grid(k, delta, vertex_cap=vertex_cap,
                                align_multiple=align_multiple)
     pad = L_u * grid.measured_max_diameter
-    vertex_base = eval_utility_batch(utility, grid.vertices)
     gap_bound = 2.0 * L_u * grid.measured_max_diameter
     if gap_bound > eps + 1e-12:  # pragma: no cover - delta formula prevents this
         raise ValidationError("certified gap exceeds eps")
-    return GriddedUtility(grid=grid, source=utility, eps=eps,
-                          lipschitz_bound=M, pad=pad,
-                          vertex_base=vertex_base, gap_bound=gap_bound)
+    return GriddedUtility(grid=grid, pad=pad, gap_bound=gap_bound,
+                          vertex_values=eval_utility_batch(utility, grid.vertices) + pad)
 
 
 def _build_piecewise(utility: UtilitySpec, eps: float, M: float, *,
@@ -143,9 +131,8 @@ def _build_piecewise(utility: UtilitySpec, eps: float, M: float, *,
     if grid.measured_max_diameter > delta + 1e-12:  # pragma: no cover
         raise ValidationError("refinement missed the diameter bound")
     cell_values = np.concatenate(values)
-    vertex_base = np.full(vertices.shape[0], -np.inf)
-    np.maximum.at(vertex_base, cells.reshape(-1), np.repeat(cell_values, k))
-    return GriddedUtility(grid=grid, source=utility, eps=eps,
-                          lipschitz_bound=M, pad=0.0,
-                          vertex_base=vertex_base, gap_bound=0.0,
-                          cell_values=cell_values)
+    vertex_values = np.full(vertices.shape[0], -np.inf)
+    np.maximum.at(vertex_values, cells.reshape(-1), np.repeat(cell_values, k))
+    vertex_values += 0.0  # the pad; turns a -0.0 piece value into 0.0
+    return GriddedUtility(grid=grid, pad=0.0, vertex_values=vertex_values,
+                          gap_bound=0.0, cell_values=cell_values)

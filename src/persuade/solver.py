@@ -6,12 +6,12 @@ Every grid solve runs the same three stages, once each:
 
 build_surrogate smooths the ex-ante constraints, builds the upper utility
 approximation on a grid whose diameter matches the largest constraint
-Lipschitz constant, drops the grid vertices that break an ex-post constraint
-and assembles the finite LP over grid-vertex probabilities with the bounds
-relaxed by eps/2.  Ex-post constraints never become LP rows: restricting the
-columns to the feasible region also caps the support size at k.
-solve_surrogate runs the LP, reads the scheme off its support and reports it
-through core.verify_scheme against the caller's instance.
+Lipschitz constant, keeps the grid vertices that satisfy every ex-post
+constraint as the LP columns (Surrogate.points) and assembles the LP over
+their probabilities, bounds relaxed by eps/2.  Ex-post constraints never
+become LP rows; restricting the columns caps the support size at k.
+solve_surrogate runs the LP, reads the scheme off points[support] and
+reports it through core.verify_scheme against the caller's instance.
 
 bi_criteria_solve: the two stages at eps.  The result is additively
 eps-optimal and violates each ex-ante constraint by at most eps; Bayes
@@ -107,17 +107,16 @@ class Surrogate:
 
     ``instance`` and ``eps`` are the caller's; the LP itself may be built
     from a strengthened copy at a smaller eps (single-criteria mode).
-    ``mask`` marks the grid vertices that are LP columns, or is None when
-    every vertex is one.
+    ``points`` (n, k) are the LP columns: the grid vertices that satisfy
+    every ex-post constraint, column j of ``program`` being points[j].
     """
 
     instance: ProblemInstance
     eps: float
     mode: str             # as SolveReport.mode
     slater_margin: float | None
-    smoothed: tuple[_constraints.SmoothedConstraint, ...]
-    gridded: objectives.GriddedUtility
-    mask: np.ndarray | None
+    grid_denominator: int | None
+    points: np.ndarray
     program: lp.LinearProgram
 
 
@@ -134,6 +133,15 @@ def _raise_infeasible(reason: str, eps: float, slater_margin: float | None):
         f"strengthened problem infeasible: eps={eps:g} exceeds the "
         f"admissible range for the claimed Slater margin "
         f"{slater_margin:g}") from InfeasibleError(reason)
+
+
+def _ex_post_feasible(instance: ProblemInstance, points: np.ndarray) -> np.ndarray:
+    """Which rows of ``points`` meet every ex-post bound within BOUNDARY_TOL."""
+    keep = np.ones(points.shape[0], dtype=bool)
+    for spec in instance.ex_post():
+        vals = eval_constraint_batch(spec, points, instance.prior)
+        keep &= vals <= spec.bound + BOUNDARY_TOL
+    return keep
 
 
 def build_surrogate(instance: ProblemInstance, eps: float, *,
@@ -163,7 +171,7 @@ def build_surrogate(instance: ProblemInstance, eps: float, *,
             instance.k, instance.prior, instance.utility,
             tuple(c.with_bound(c.bound - relax) if c.mode == EX_ANTE else c
                   for c in instance.constraints))
-    ex_ante, ex_post = target.ex_ante(), target.ex_post()
+    ex_ante = target.ex_ante()
     eps2 = relax / 2.0
     smoothed = tuple(_constraints.smooth_constraint(c, eps2, k=target.k)
                      for c in ex_ante)
@@ -171,22 +179,18 @@ def build_surrogate(instance: ProblemInstance, eps: float, *,
     gridded = objectives.build_upper_approx(target.utility, eps2, M,
                                             vertex_cap=grid_cap,
                                             align_multiple=align_multiple)
-    mask = None
-    if ex_post:
-        mask = np.ones(gridded.grid.vertex_count, dtype=bool)
-        for spec in ex_post:
-            vals = eval_constraint_batch(spec, gridded.grid.vertices, target.prior)
-            mask &= vals <= spec.bound + BOUNDARY_TOL
-        if not mask.any():
+    points, values = gridded.grid.vertices, gridded.vertex_values
+    if target.ex_post():
+        keep = _ex_post_feasible(target, points)
+        if not keep.any():
             _raise_infeasible("no grid vertex satisfies the ex-post constraints",
                               eps, slater_margin)
-    program = lp.build_persuasion_lp(
-        gridded.grid, gridded,
-        [(s, c.bound + eps2) for s, c in zip(smoothed, ex_ante)],
-        target.prior, vertex_mask=mask)
-    return Surrogate(instance=instance, eps=eps, mode=mode,
-                     slater_margin=slater_margin, smoothed=smoothed,
-                     gridded=gridded, mask=mask, program=program)
+        points, values = points[keep], values[keep]
+    bounds = [(s, c.bound + eps2) for s, c in zip(smoothed, ex_ante)]
+    program = lp.build_persuasion_lp(points, values, bounds, target.prior)
+    return Surrogate(instance=instance, eps=eps, mode=mode, slater_margin=slater_margin,
+                     grid_denominator=gridded.grid.denominator, points=points,
+                     program=program)
 
 
 def solve_surrogate(surrogate: Surrogate) -> SolveReport:
@@ -205,21 +209,18 @@ def solve_surrogate(surrogate: Surrogate) -> SolveReport:
         raise lp.NumericError(f"unexpected LP status {sol.status}")
     columns = np.flatnonzero(sol.x > MASS_EPS)
     probs = sol.x[columns]
-    if s.mask is not None:
-        columns = np.flatnonzero(s.mask)[columns]
-    scheme = SignalingScheme.from_points(s.gridded.grid.vertices[columns],
-                                         probs / probs.sum())
+    scheme = SignalingScheme.from_points(s.points[columns], probs / probs.sum())
     report = verify_scheme(s.instance, scheme)
     deviation = report.plausibility_deviation
     if deviation > SUM_TOL:  # pragma: no cover - LP equality rows enforce this
         raise lp.NumericError(f"solver output violates Bayes plausibility by {deviation:g}")
-    max_support = s.instance.k + len(s.smoothed)
+    max_support = s.program.n_rows  # k + m
     if scheme.size > max_support:  # pragma: no cover - basic solutions obey this
         raise lp.NumericError(
             f"support {scheme.size} exceeds the k+m bound {max_support}")
     return SolveReport(scheme=scheme, value=report.utility,
                        lp_value=float(sol.value), eps=s.eps, mode=s.mode,
-                       grid_denominator=s.gridded.grid.denominator,
+                       grid_denominator=s.grid_denominator,
                        grid_vertex_count=s.program.n_vars,
                        constraints=report.constraints, support_size=scheme.size,
                        plausibility_deviation=deviation)
@@ -424,12 +425,7 @@ def oracle_solve(instance: ProblemInstance, grid, *,
         raise ResourceLimitError(
             f"oracle grid has {V} vertices, cap is {ORACLE_MAX_VERTICES}")
     prior = instance.prior.weights
-    ex_post = instance.ex_post()
-    keep = np.ones(V, dtype=bool)
-    for spec in ex_post:
-        keep &= eval_constraint_batch(spec, vertices, instance.prior) \
-            <= spec.bound + BOUNDARY_TOL
-    vertices = vertices[keep]
+    vertices = vertices[_ex_post_feasible(instance, vertices)]
     V = vertices.shape[0]
     if V == 0:
         return OracleReport("infeasible", float("nan"), None, 0)

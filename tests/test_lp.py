@@ -324,17 +324,10 @@ def test_persuasion_lp_k2_full_revelation():
     # is full revelation with value 1 at x = (1/2, 0, 1/2).
     # Oracle: enumerate the basic solutions of the 3-variable LP by hand.
     grid = geometry.build_grid(2, 1.0)
-    u = UtilitySpec.max_linear(np.eye(2))
-    gridded = objectives.build_upper_approx(u, eps=1.0, lipschitz_bound=1.0,
-                                            align_multiple=2)
     prior = uniform_prior(2)
     spec = ConstraintSpec.linear([1.0, 1.0], bound=2.0)
     sm = smooth_constraint(spec, 0.5)
-    # Rebuild on the same N=2 grid as the gridded object to keep it simple:
-    gridded.grid = grid
-    gridded.vertex_base = np.array([1.0, 0.5, 1.0])
-    gridded.pad = 0.0
-    program = build_persuasion_lp(grid, gridded, [(sm, 2.5)], prior)
+    program = build_persuasion_lp(grid.vertices, [1.0, 0.5, 1.0], [(sm, 2.5)], prior)
     sol = solve_lp(program)
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, [0.5, 0.0, 0.5], atol=1e-12)
@@ -359,7 +352,8 @@ def test_persuasion_lp_prior_vertex_constant_utility():
     grid = geometry.build_grid(2, 0.5)
     u = UtilitySpec.max_linear(np.full((1, 2), 0.7))
     gridded = objectives.build_upper_approx(u, eps=0.5, lipschitz_bound=1.0)
-    program = build_persuasion_lp(gridded.grid, gridded, [], uniform_prior(2))
+    program = build_persuasion_lp(gridded.grid.vertices, gridded.vertex_values, [],
+                                  uniform_prior(2))
     sol = solve_lp(program)
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(0.7)
@@ -381,7 +375,7 @@ def test_against_scipy_highs_if_available():
         M = max(s.lipschitz_constant for s in smoothed)
         gridded = objectives.build_upper_approx(inst.utility, eps2, M)
         prog = build_persuasion_lp(
-            gridded.grid, gridded,
+            gridded.grid.vertices, gridded.vertex_values,
             [(s, c.bound + eps2) for s, c in zip(smoothed, inst.constraints)],
             inst.prior)
         ours = solve_lp(prog)
@@ -405,7 +399,8 @@ def test_persuasion_lp_support_bound_k_plus_m():
         base = float(s.coeffs @ prior.weights)
         pairs.append((smooth_constraint(s.with_bound(base + 0.05), 0.1),
                       base + 0.05))
-    program = build_persuasion_lp(gridded.grid, gridded, pairs, prior)
+    program = build_persuasion_lp(gridded.grid.vertices, gridded.vertex_values,
+                                  pairs, prior)
     sol = solve_lp(program)
     assert sol.status == "optimal"
     assert np.count_nonzero(sol.x > 1e-12) <= 3 + 2  # k + m
@@ -426,7 +421,7 @@ def test_kl_constraints_share_one_projection(monkeypatch):
     project = geometry.project_to_contraction_batch
     monkeypatch.setattr(geometry, "project_to_contraction_batch",
                         lambda Q, eps: calls.append(eps) or project(Q, eps))
-    program = build_persuasion_lp(gridded.grid, gridded,
+    program = build_persuasion_lp(gridded.grid.vertices, gridded.vertex_values,
                                   [(sm, 0.25) for sm in smoothed], prior)
     assert calls == [smoothed[0].contraction]
     for row, sm in zip(program.A_le, smoothed):

@@ -14,7 +14,7 @@ def sample_simplex(rng, k, n):
 def test_constant_utility_values_everywhere():
     u = UtilitySpec.max_linear(np.full((1, 3), 0.7))
     gu = build_upper_approx(u, eps=0.2, lipschitz_bound=1.0)
-    np.testing.assert_allclose(gu.vertex_values(), 0.7, atol=1e-12)
+    np.testing.assert_allclose(gu.vertex_values, 0.7, atol=1e-12)
     assert gu.eval(Posterior([0.2, 0.3, 0.5])) == pytest.approx(0.7)
     assert gu.gap_bound == 0.0
 
