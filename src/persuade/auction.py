@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MaxLinearTerm, ResourceLimitError, SignalingScheme,
-                   UtilitySpec, ValidationError, check_finite,
+from .core import (EX_POST, InfeasibleError, MaxLinearTerm, ResourceLimitError,
+                   SignalingScheme, UtilitySpec, ValidationError, check_finite,
                    eval_utility_batch)
 
 DEFAULT_PROFILE_CAP = 10 ** 6
@@ -264,7 +264,6 @@ def example2_scheme(instance) -> SignalingScheme:
     q[w] >= -c/b_w; the restricted region is again a simplex whose vertex
     scheme is pinned down by Bayes plausibility.
     """
-    from .core import EX_POST, InfeasibleError
     specs = [c for c in instance.constraints
              if c.kind == "neg_min_weighted" and c.mode == EX_POST]
     if len(specs) != 1 or len(instance.constraints) != 1:

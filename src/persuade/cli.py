@@ -3,6 +3,8 @@
 Instance files:
     {"k": int, "prior": [...], "utility": {...},
      "constraints": [{"kind": ..., "params": {...}, "bound": ..., "mode": ...}]}
+  or a fixture document holding one as "instance".  k, rank and profile_cap
+  must be JSON integers.
 
 Utility objects:
     {"kind": "max_linear", "terms": [{"weight": w, "rank": j, "coeffs": [[...]]}]}
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import fixtures as _fixtures
 from . import solver as _solver
-from .auction import AuctionSpec, BidderType
+from .auction import DEFAULT_PROFILE_CAP, AuctionSpec, BidderType
 from .core import (ConstraintSpec, InfeasibleError, MaxLinearTerm,
                    PersuasionError, Posterior, ProblemInstance,
                    SignalingScheme, UnsupportedKindError, UtilitySpec,
@@ -56,6 +58,13 @@ _BAD_INPUT = (KeyError, TypeError, ValueError, OverflowError, ValidationError)
 
 def _ctx(field: str, exc: Exception) -> InputError:
     return InputError(f"{field}: {exc}")
+
+
+def _int(value, field: str) -> int:
+    """A JSON integer as is; a float, string or bool is an error, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{field}: expected an integer, got {json.dumps(value)}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +90,7 @@ def utility_to_dict(u: UtilitySpec) -> dict:
 def auction_to_dict(a: AuctionSpec) -> dict:
     out = {"bidders": [[{"weight": t.weight, "v0": t.low_value, "v1": t.high_value}
                         for t in types] for types in a.bidders]}
-    if a.profile_cap != 10 ** 6:
+    if a.profile_cap != DEFAULT_PROFILE_CAP:
         out["profile_cap"] = a.profile_cap
     if a.mc_seed is not None:
         out["mc_seed"] = a.mc_seed
@@ -96,7 +105,8 @@ def auction_from_dict(d: dict, field: str, seed: int | None = None) -> AuctionSp
                               for t in types)
                         for types in d["bidders"])
         return AuctionSpec(bidders=bidders,
-                           profile_cap=int(d.get("profile_cap", 10 ** 6)),
+                           profile_cap=_int(d.get("profile_cap", DEFAULT_PROFILE_CAP),
+                                            field + ".profile_cap"),
                            mc_seed=d.get("mc_seed", seed))
     except _BAD_INPUT as exc:
         raise _ctx(field, exc) from exc
@@ -110,13 +120,13 @@ def utility_from_dict(d: dict, field: str = "utility",
     try:
         if kind == "max_linear":
             if "terms" in d:
-                terms = [MaxLinearTerm(coeffs=np.asarray(t["coeffs"], dtype=float),
-                                       rank=int(t.get("rank", 1)),
-                                       weight=float(t.get("weight", 1.0)))
-                         for t in d["terms"]]
+                terms = [MaxLinearTerm(
+                    coeffs=np.asarray(t["coeffs"], dtype=float),
+                    rank=_int(t.get("rank", 1), f"{field}.terms[{i}].rank"),
+                    weight=float(t.get("weight", 1.0))) for i, t in enumerate(d["terms"])]
                 return UtilitySpec.mixture(terms)
             return UtilitySpec.max_linear(np.asarray(d["coeffs"], dtype=float),
-                                          rank=int(d.get("rank", 1)))
+                                          rank=_int(d.get("rank", 1), field + ".rank"))
         if kind == "piecewise_constant":
             pieces = [(np.asarray(p["vertices"], dtype=float), float(p["value"]))
                       for p in d["pieces"]]
@@ -202,10 +212,7 @@ def instance_from_dict(d: dict, seed: int | None = None) -> ProblemInstance:
     for key in ("k", "prior", "utility"):
         if key not in d:
             raise InputError(f"{key}: missing")
-    try:
-        k = int(d["k"])
-    except _BAD_INPUT as exc:
-        raise _ctx("k", exc) from exc
+    k = _int(d["k"], "k")
     try:
         prior = Posterior(np.asarray(d["prior"], dtype=float))
     except _BAD_INPUT as exc:
@@ -260,7 +267,11 @@ def _read_json(path: str, what: str) -> dict:
 
 
 def load_instance(path: str, seed: int | None = None) -> ProblemInstance:
-    return instance_from_dict(_read_json(path, "instance"), seed)
+    """An instance file, or the instance of a ``persuade fixture`` document."""
+    d = _read_json(path, "instance")
+    if isinstance(d, dict) and "instance" in d:
+        d = d["instance"]
+    return instance_from_dict(d, seed)
 
 
 def load_scheme(path: str) -> SignalingScheme:

@@ -288,6 +288,9 @@ class ConstraintSpec:
         elif self.kind == "grouped_kl":
             if self.partition is None or self.scale is None or self.refs is None:
                 raise ValidationError("grouped_kl needs partition, scale and refs")
+            if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                       for cell in self.partition for i in cell):
+                raise ValidationError("grouped_kl partition entries must be integers")
             cells = tuple(tuple(int(i) for i in cell) for cell in self.partition)
             refs = _finite_vector("grouped_kl refs", self.refs)
             check_finite("grouped_kl scale", float(self.scale))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import solver
+from . import geometry, solver
 from .core import (ConstraintSpec, MaxLinearTerm, Posterior, ProblemInstance,
                    SignalingScheme, UtilitySpec, ValidationError,
                    eval_constraint_batch, eval_utility_batch, full_revelation,
@@ -323,8 +323,7 @@ def _verify_gap_fixture(fixture: Fixture, check, tol: float):
     # The ex-post feasible set pins the scheme to the prior: confirm with the
     # oracle on a grid containing the prior (k <= 3 instances).
     if inst.k <= 3:
-        from . import geometry as _geometry
-        grid = _geometry.build_grid(inst.k, 2.0 / inst.k)
+        grid = geometry.build_grid(inst.k, 2.0 / inst.k)
         orep = solver.oracle_solve(post, grid)
         check("ex_post_oracle", orep.status == "optimal"
               and abs(orep.value - post_ref) <= 1e-6,

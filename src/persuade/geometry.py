@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (MEMBERSHIP_TOL, ResourceLimitError, ValidationError,
+from .core import (MEMBERSHIP_TOL, Posterior, ResourceLimitError, ValidationError,
                    reduce_last_axis, simplices_contain)
 from .core import cell_volume  # noqa: F401  (part of this module's API)
 
@@ -331,7 +331,6 @@ def project_to_contraction_batch(Q: np.ndarray, eps: float) -> np.ndarray:
 
 def project_to_contraction(q, eps: float):
     """Project one posterior onto S_eps; idempotent on S_eps itself."""
-    from .core import Posterior
     w = np.asarray(getattr(q, "weights", q), dtype=float)
     out = project_to_contraction_batch(w[None, :], eps)[0]
     return Posterior(out) if isinstance(q, Posterior) else out

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -15,8 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from persuade import cli, objectives
-from persuade.core import uniform_prior
+from persuade.core import eval_constraint_batch, uniform_prior
 from persuade.fixtures import FixtureId, build_fixture
+from persuade.solver import BOUNDARY_TOL
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -260,7 +264,6 @@ def test_solve_non_finite_input_exit_1(example1_paths, capsys, extra):
 def test_grid_csv_single_mode_uses_solved_grid(tmp_path, monkeypatch):
     inst_path = tmp_path / "example1.json"
     assert cli.main(["fixture", "example1:0.1666", "--out", str(inst_path)]) == 0
-    inst_path.write_text(cli.dump_json(json.loads(inst_path.read_text())["instance"]))
     calls = []
     build = objectives.build_upper_approx
 
@@ -279,6 +282,78 @@ def test_grid_csv_single_mode_uses_solved_grid(tmp_path, monkeypatch):
     assert report["grid_denominator"] == 320
     assert len(rows) == report["grid_vertex_count"] == 321
     assert len(calls) == 1
+
+
+def test_grid_csv_ex_post_rows_are_the_feasible_columns(tmp_path):
+    # With its constraint made ex post, example1's CSV holds exactly the LP
+    # columns: the grid vertices that satisfy the constraint within
+    # BOUNDARY_TOL, fewer than the grid's N+1.
+    inst = build_fixture(FixtureId("example1", (1 / 6,))).instance.with_modes("ex_post")
+    inst_path = tmp_path / "post.json"
+    inst_path.write_text(cli.dump_json(cli.instance_to_dict(inst)))
+    out, csv_path = tmp_path / "sol.json", tmp_path / "grid.csv"
+    assert cli.main(["solve", str(inst_path), "--eps", "0.1", "--out", str(out),
+                     "--grid-csv", str(csv_path)]) == 0
+    report = json.loads(out.read_text())["report"]
+    table = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    assert report["mode"] == "ex_post_restricted"
+    assert len(table) == report["grid_vertex_count"] < report["grid_denominator"] + 1
+    (spec,) = inst.constraints
+    values = eval_constraint_batch(spec, table[:, :-1], inst.prior)
+    assert np.all(values <= spec.bound + BOUNDARY_TOL)
+
+
+def test_readme_quick_start_exits_0(tmp_path, monkeypatch, capsys):
+    # The README's CLI block, command by command, in an empty directory:
+    # solve, verify and convert read the document `fixture --out` writes.
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```")[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("persuade ")]
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+
+
+_EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+def _k2_doc(**changes) -> dict:
+    doc = {"k": 2, "prior": [0.5, 0.5], "constraints": [],
+           "utility": {"kind": "max_linear",
+                       "terms": [{"weight": 1.0, "rank": 1, "coeffs": _EYE2}]}}
+    return {**doc, **changes}
+
+
+@pytest.mark.parametrize("field, doc", [
+    pytest.param("k", _k2_doc(k=2.9), id="k-float"),
+    pytest.param("k", _k2_doc(k="2"), id="k-string"),
+    pytest.param("utility.terms[0].rank", _k2_doc(utility={
+        "kind": "max_linear", "terms": [{"weight": 1.0, "rank": 1.7, "coeffs": _EYE2}]}),
+        id="rank-float"),
+    pytest.param("utility.rank", _k2_doc(utility={
+        "kind": "max_linear", "rank": True, "coeffs": _EYE2}), id="rank-bool"),
+    pytest.param("constraints[0]", _k2_doc(
+        k=3, prior=[0.2, 0.3, 0.5],
+        utility={"kind": "max_linear", "coeffs": np.eye(3).tolist()},
+        constraints=[{"kind": "grouped_kl", "bound": 0.3, "params": {
+            "partition": [[0.7], [1.2, 2]], "scale": 1.0, "refs": [0.2, 0.8]}}]),
+        id="partition-float"),
+    pytest.param("utility.auction.profile_cap", _k2_doc(k=4, prior=[0.25] * 4, utility={
+        "kind": "auction_welfare", "auction": {"profile_cap": 2.5, "bidders": [
+            [{"weight": 1.0, "v0": 0.0, "v1": 1.0}],
+            [{"weight": 1.0, "v0": 0.0, "v1": 1.0}]]}}), id="profile-cap-float"),
+])
+def test_non_integer_fields_exit_1(tmp_path, capsys, field, doc):
+    # int() used to truncate each of these (and the grouped-KL partition
+    # entries) and the file solved; now each is one input-error line.
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["solve", str(path), "--eps", "0.5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
 
 
 def test_auction_instance_json(tmp_path):

@@ -12,8 +12,8 @@ from persuade.core import (ConstraintSpec, InfeasibleError, MaxLinearTerm,
                            eval_utility, eval_utility_batch, full_revelation,
                            scheme_expectation, uniform_prior, verify_scheme)
 from persuade.geometry import build_grid
-from persuade.solver import (_bisect_boundary, bi_criteria_solve,
-                             ex_ante_to_ex_post, oracle_solve,
+from persuade.solver import (BOUNDARY_TOL, _bisect_boundary, bi_criteria_solve,
+                             build_surrogate, ex_ante_to_ex_post, oracle_solve,
                              single_criteria_solve)
 
 UNIFORM2 = uniform_prior(2)
@@ -69,6 +69,26 @@ def test_bi_ex_post_example1_gap_value():
     rep = bi_criteria_solve(example1_instance(eps0, mode="ex_post"), 0.01)
     assert rep.value == pytest.approx(2 * eps0 / (1 + 2 * eps0), abs=0.01)
     assert rep.support_size <= 2
+
+
+@pytest.mark.parametrize("offset, kept", [(BOUNDARY_TOL / 2, True),
+                                           (2 * BOUNDARY_TOL, False)])
+def test_ex_post_boundary_vertex_is_column_and_oracle_candidate(offset, kept):
+    # Under q_1 <= 3/4 - offset the vertex (1/4, 3/4) has f = bound + offset.
+    # Within BOUNDARY_TOL it is an LP column and an oracle candidate, and
+    # the only posterior that beats no revelation for |q|_inf on the uniform
+    # prior: {(1/4, 3/4) w.p. 2/3, (1, 0)} is worth 5/6, the prior alone 1/2.
+    inst = ProblemInstance(
+        k=2, prior=UNIFORM2, utility=UtilitySpec.max_linear(np.eye(2)),
+        constraints=(ConstraintSpec.linear([0, 1], bound=0.75 - offset,
+                                           mode="ex_post"),))
+    vertex = np.array([0.25, 0.75])
+    surrogate = build_surrogate(inst, 0.1, align_multiple=4)
+    assert np.all(surrogate.points == vertex, axis=1).any() == kept
+    orep = oracle_solve(inst, build_grid(2, 0.5))
+    assert orep.status == "optimal"
+    assert np.all(orep.scheme.support_matrix() == vertex, axis=1).any() == kept
+    assert orep.value == pytest.approx(5 / 6 if kept else 0.5, abs=1e-12)
 
 
 def test_bi_infeasible_ex_post():
