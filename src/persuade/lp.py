@@ -419,7 +419,7 @@ def build_persuasion_lp(points, values, smoothed_bounds, prior) -> LinearProgram
     p = np.asarray(getattr(prior, "weights", prior), dtype=float)
     n, k = points.shape
     if p.shape[0] != k:
-        raise LpError("prior dimension does not match grid")
+        raise LpError("prior dimension does not match the points")
     A_eq = np.empty((k, n))
     A_eq[: k - 1] = points[:, : k - 1].T
     A_eq[k - 1] = 1.0

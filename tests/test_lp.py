@@ -334,6 +334,14 @@ def test_persuasion_lp_k2_full_revelation():
     assert sol.value == pytest.approx(1.0)
 
 
+def test_persuasion_lp_rejects_mismatched_columns():
+    points = geometry.build_grid(2, 1.0).vertices
+    with pytest.raises(LpError, match="prior dimension"):
+        build_persuasion_lp(points, [1.0, 0.5, 1.0], [], uniform_prior(3))
+    with pytest.raises(LpError, match="objective length"):
+        build_persuasion_lp(points, [1.0, 0.5], [], uniform_prior(2))
+
+
 def test_weak_duality_spot_check():
     # For max c.x s.t. Ax = b, x >= 0, any y with y.A >= c gives the bound
     # y.b >= value.  Hand-computed dual points for the k=2, N=2 fixture LP.
