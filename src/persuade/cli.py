@@ -19,8 +19,9 @@ Scheme files:
 
 Floats are serialized with repr (shortest exact form), so load(save(x))
 round-trips bit-exactly.  Exit codes: 0 success; 1 input error (including a
-non-finite or non-positive eps or Slater margin), resource limit, or LP or
-numeric failure; 2 infeasible or invalid.  The environment variable
+non-finite or non-positive eps or Slater margin, a tol that is not finite and
+>= 0, or an unwritable output file), resource limit, or LP or numeric
+failure; 2 infeasible or invalid.  The environment variable
 PERSUADE_GRID_CAP overrides the grid vertex cap.
 """
 
@@ -278,13 +279,22 @@ def load_scheme(path: str) -> SignalingScheme:
     return scheme_from_dict(_read_json(path, "scheme"))
 
 
+def _write(path: str, what: str, write):
+    """Open ``path`` for writing and pass it to ``write``; an unwritable path
+    is an input error naming the file."""
+    try:
+        with open(path, "w") as fh:
+            write(fh)
+    except OSError as exc:
+        raise InputError(f"{what} file {path!r}: {exc}") from exc
+
+
 def save_json(obj: dict, path: str | None):
     text = dump_json(obj)
     if path is None or path == "-":
         print(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        _write(path, "output", lambda fh: fh.write(text + "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +330,11 @@ def cmd_solve(args) -> int:
 
 def _write_grid_csv(surrogate, path: str):
     """(posterior, objective value) table of the LP columns, for plotting."""
-    with open(path, "w") as fh:
+    def write(fh):
         fh.write(",".join(f"p{i}" for i in range(surrogate.points.shape[1])) + ",value\n")
         for row, val in zip(surrogate.points, surrogate.program.c):
             fh.write(",".join(repr(float(x)) for x in row) + f",{float(val)!r}\n")
+    _write(path, "grid CSV", write)
 
 
 def cmd_convert(args) -> int:

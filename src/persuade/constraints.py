@@ -67,7 +67,7 @@ def _drift_bound(eps_c: float, n_cells: int, scale_abs: float,
     return scale_abs * (n_cells * _xlogx_modulus(per_cell) + t * max_abs_log_ref)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SmoothedConstraint:
     """A function g with 0 <= f - g <= eps and a certified l1 Lipschitz
     constant; evaluation composes the source f with the projection."""

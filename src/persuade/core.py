@@ -8,9 +8,8 @@ over posteriors it induces; the barycenter of that distribution must equal
 the prior (Bayes plausibility).
 
 Piecewise-constant utilities are triangulated once, when the UtilitySpec is
-built (triangulate_piece), and every point-in-simplex question -- piece
-membership, grid-cell location in geometry, the gridded piecewise utility in
-objectives -- goes through one batched barycentric kernel, simplices_contain.
+built (triangulate_piece), and piece membership goes through one batched
+barycentric kernel, simplices_contain.
 
 All types are immutable after construction and all operations are pure
 functions, so shared instances are safe under concurrent use.
@@ -593,8 +592,11 @@ def _rank_max(values: np.ndarray, rank: int) -> np.ndarray:
     return np.partition(values, -rank, axis=-1)[..., -rank]
 
 
-# Below this (m-1)-volume, m vertices count as affinely dependent.
+# Below this (m-1)-volume, m <= 3 vertices count as affinely dependent.
 DEGENERATE_VOLUME = 1e-14
+# Below this ratio of the smallest to the largest singular value of the edge
+# matrix, m >= 4 vertices count as affinely dependent.
+DEGENERATE_RCOND = 1e-12
 
 
 def cell_volume(verts: np.ndarray) -> float | np.ndarray:
@@ -606,6 +608,21 @@ def cell_volume(verts: np.ndarray) -> float | np.ndarray:
     return np.sqrt(np.maximum(det, 0.0)) / math.factorial(E.shape[-2])
 
 
+def _affinely_independent(verts: np.ndarray) -> bool:
+    """Whether the m rows of ``verts`` are affinely independent.
+
+    A point, a segment or a triangle is independent when its volume exceeds
+    DEGENERATE_VOLUME.  A volume threshold does not carry to higher
+    dimensions: the standard simplex in R^k has volume sqrt(k)/(k-1)!, which
+    is below 1e-14 from k = 19.  From four vertices on, the edge matrix must
+    have full rank instead, a test free of scale and of dimension.
+    """
+    if len(verts) <= 3:
+        return bool(cell_volume(verts) > DEGENERATE_VOLUME)
+    s = np.linalg.svd(verts[1:] - verts[:1], compute_uv=False)
+    return bool(s[-1] > DEGENERATE_RCOND * s[0])
+
+
 def triangulate_piece(verts: np.ndarray) -> np.ndarray:
     """(s, m, k) simplices whose union is the closed convex piece ``verts``.
 
@@ -615,7 +632,7 @@ def triangulate_piece(verts: np.ndarray) -> np.ndarray:
     Anything else raises UnsupportedKindError.
     """
     m, k = verts.shape
-    if m <= k and cell_volume(verts) > DEGENERATE_VOLUME:
+    if m <= k and _affinely_independent(verts):
         return verts[None]
     if k == 2:
         # 1-D hull: the extreme points in the first coordinate.
@@ -765,8 +782,10 @@ def verify_scheme(instance: ProblemInstance, scheme: SignalingScheme,
     Ex-ante constraints are scored by the expectation of f over the scheme,
     ex-post constraints by the max of f over the support; violation is
     max(0, value - bound).  Valid means every violation and the Bayes
-    plausibility deviation are within tol.
+    plausibility deviation are within tol, which must be finite and >= 0.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     if scheme.k != instance.k:
         raise DimensionMismatch(f"scheme k={scheme.k} vs instance k={instance.k}")
     _, deviation = check_bayes_plausible(scheme, instance.prior)

@@ -5,11 +5,10 @@ summing to N} and cells given by the Kuhn/Freudenthal triangulation in
 partial-sum coordinates y_i = x_1 + ... + x_i: the simplex maps to the
 ordered region 0 <= y_1 <= ... <= y_{k-1} <= N, whose unit cubes split into
 staircase simplices, N^(k-1) cells in total, all enumerated by one
-whole-array pass (_staircase_cells).  Cells are built lazily; point location
-narrows q to the cells of its few candidate cubes by lattice arithmetic, so
-huge grids never materialize their cell list.  Triangulation grids (refined
-pieces) carry explicit cells.  On both, core.simplices_contain decides
-which cells hold a point.
+whole-array pass (_staircase_cells).  A lattice grid stores only its
+vertices, since the LP reads nothing else; build_grid_cells_for_level
+enumerates its cells on demand.  Triangulation grids (refined pieces) carry
+explicit cells.
 
 Also provides the Euclidean projection onto the contracted simplex
 S_eps = center + (simplex - center) / (1 + eps^2) used by constraint
@@ -21,13 +20,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MEMBERSHIP_TOL, Posterior, ResourceLimitError, ValidationError,
-                   reduce_last_axis, simplices_contain)
-from .core import cell_volume  # noqa: F401  (part of this module's API)
+from .core import Posterior, ResourceLimitError, ValidationError, reduce_last_axis
 
 DEFAULT_VERTEX_CAP = 5_000_000
 
@@ -81,82 +78,24 @@ def composition_rank(x: np.ndarray, N: int, table: np.ndarray) -> np.ndarray:
     return rank
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SimplexGrid:
     """A triangulated subset of the simplex (usually all of it).
 
-    For lattice grids ``denominator`` is N and cells are computed lazily;
-    triangulation grids (piece refinements) carry explicit cells and a
-    ``denominator`` of None.
+    A lattice grid has ``denominator`` N and no explicit ``cells``: its
+    cells are build_grid_cells_for_level(k, N).  A triangulation grid (piece
+    refinements) has a ``denominator`` of None and carries its cells.
     """
 
     k: int
     denominator: int | None
     vertices: np.ndarray  # (V, k) float
     measured_max_diameter: float
-    _cells: np.ndarray | None = None
-    _cell_box: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    cells: np.ndarray | None = None  # (C, k) vertex indices; None on lattices
 
     @property
     def vertex_count(self) -> int:
         return self.vertices.shape[0]
-
-    @property
-    def is_lattice(self) -> bool:
-        return self.denominator is not None
-
-    # -- cells ---------------------------------------------------------------
-    @property
-    def cells(self) -> np.ndarray:
-        """(C, k) vertex-index array; built on first access for lattice grids."""
-        if self._cells is None:
-            if not self.is_lattice:
-                raise ValidationError("triangulation grid has no lattice cells to build")
-            self._cells = build_grid_cells_for_level(self.k, self.denominator)
-        return self._cells
-
-    @property
-    def cell_count(self) -> int:
-        if self._cells is not None:
-            return self._cells.shape[0]
-        return self.denominator ** (self.k - 1)
-
-    # -- point location -------------------------------------------------------
-    def locate_cells(self, q: np.ndarray) -> list[np.ndarray]:
-        """Vertex-index arrays of every cell whose closure contains q."""
-        q = np.asarray(q, dtype=float)
-        if self.is_lattice:
-            return self._locate_lattice(q)
-        return list(self.cells[self.cell_mask(q)])
-
-    def cell_mask(self, q: np.ndarray) -> np.ndarray:
-        """Which explicit cells contain the probability vector q: one batched
-        test over the cells whose bounding box holds q.  With tol =
-        MEMBERSHIP_TOL, weights >= -tol that rebuild q within tol sum to 1
-        within (k+1) tol, so an accepted q lies within 2(k+1) tol of its
-        cell's box: the filter drops no cell."""
-        if self._cell_box is None:
-            verts = self.vertices[self.cells]
-            self._cell_box = (verts.min(axis=1), verts.max(axis=1))
-        lo, hi = self._cell_box
-        slack = 2 * (self.k + 1) * MEMBERSHIP_TOL
-        near = np.flatnonzero(np.all((lo - slack <= q) & (q <= hi + slack), axis=1))
-        mask = np.zeros(lo.shape[0], dtype=bool)
-        mask[near] = simplices_contain(self.vertices[self.cells[near]], q)[:, 0]
-        return mask
-
-    def _locate_lattice(self, q: np.ndarray) -> list[np.ndarray]:
-        N = self.denominator
-        y = np.cumsum(q[:-1]) * N
-        # A containing cube must have z_i <= y_i <= z_i + 1.
-        lo = np.maximum(0, np.ceil(y - 1.0 - N * MEMBERSHIP_TOL)).astype(np.int64)
-        hi = np.minimum(N - 1, np.floor(y + N * MEMBERSHIP_TOL)).astype(np.int64)
-        corners = np.array(list(itertools.product(*map(range, lo, hi + 1))),
-                           dtype=np.int64).reshape(-1, self.k - 1)
-        chains = _staircase_cells(corners, N).reshape(-1, self.k - 1)
-        x = _y_to_x(chains, N).reshape(-1, self.k, self.k)
-        x = x[simplices_contain(x / N, q)[:, 0]].reshape(-1, self.k)
-        return list(composition_rank(x, N, _rank_table(self.k, N)).reshape(-1, self.k))
 
 
 def _staircase_cells(corners: np.ndarray, N: int) -> np.ndarray:
@@ -243,7 +182,7 @@ def triangulation_grid(k: int, vertices: np.ndarray,
     cells = np.asarray(cells, dtype=np.int64)
     return SimplexGrid(k=k, denominator=None, vertices=vertices,
                        measured_max_diameter=_l1_diameter(vertices[cells]),
-                       _cells=cells)
+                       cells=cells)
 
 
 def refine_simplex(simplex: np.ndarray, max_diameter: float, *,

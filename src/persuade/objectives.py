@@ -10,8 +10,9 @@ each piece into at construction (core.triangulate_piece) are subdivided, and
 every sub-cell inherits its parent piece's value, so the approximation
 reproduces the utility exactly (upper envelope included) and the grid
 vertices are exactly the piece vertices the LP restricts support to.
-Evaluating it at a point tests the cells with the same batched barycentric
-kernel that evaluates the pieces (core.simplices_contain).
+
+The LP reads only the vertex values; nothing here evaluates u_eps at an
+off-grid point.
 """
 
 from __future__ import annotations
@@ -25,13 +26,16 @@ from .core import (UnsupportedKindError, UtilitySpec, ValidationError,
                    eval_utility_batch)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GriddedUtility:
     """Upper approximation u_eps of the source utility over a grid.
 
-    vertex_values (the utility at each grid vertex plus pad) is the LP
-    objective; eval() is the upper envelope (max over cells whose closure
-    holds the point); gap_bound is a certified bound on sup(u_eps - u).
+    u_eps at a point is the largest value of a cell whose closure holds it;
+    a lattice cell's value is the max of its vertex values, a refined piece
+    cell's value is its piece's (cell_values), which can fall below the
+    max of its vertex values on a piece boundary.  vertex_values (the
+    utility at each grid vertex plus pad) is the LP objective; gap_bound is
+    a certified bound on sup(u_eps - u).
     """
 
     grid: geometry.SimplexGrid
@@ -39,21 +43,6 @@ class GriddedUtility:
     vertex_values: np.ndarray       # utility at the grid vertices + pad
     gap_bound: float
     cell_values: np.ndarray | None = None  # piecewise path: value per cell
-
-    def cell_value(self, cell: np.ndarray) -> float:
-        return float(self.vertex_values[np.asarray(cell)].max())
-
-    def eval(self, q) -> float:
-        q = np.asarray(getattr(q, "weights", q), dtype=float)
-        if self.cell_values is not None:
-            inside = self.grid.cell_mask(q)
-            if not inside.any():
-                raise ValidationError("point not covered by the refined grid")
-            return float(self.cell_values[inside].max())
-        cells = self.grid.locate_cells(q)
-        if not cells:
-            raise ValidationError("point not covered by the lattice grid")
-        return max(self.cell_value(c) for c in cells)
 
 
 def build_upper_approx(utility: UtilitySpec, eps: float, lipschitz_bound: float,

@@ -1,6 +1,7 @@
 """Shared random-instance and random-scheme generators for the test suite,
-and the one-candidate-at-a-time loops that the batched solver code is
-compared against.
+the one-candidate-at-a-time loops that the batched solver code is compared
+against, and a brute-force evaluator of the gridded utility u_eps off the
+grid (the package itself reads u_eps only at grid vertices).
 
 Everything is seeded through numpy Generators so runs are reproducible.
 Constraint bounds are set relative to the no-revelation scheme, which makes
@@ -16,7 +17,9 @@ import numpy as np
 
 from persuade.core import (ConstraintSpec, MaxLinearTerm, Posterior,
                            ProblemInstance, SignalingScheme, UtilitySpec,
-                           eval_constraint_batch, eval_utility_batch)
+                           eval_constraint_batch, eval_utility_batch,
+                           simplices_contain)
+from persuade.geometry import build_grid_cells_for_level
 from persuade.solver import (BOUNDARY_TOL, POOL_TOL, OracleReport,
                              _solve_unique_exact)
 
@@ -154,6 +157,32 @@ def random_fan_utility(rng: np.random.Generator, n_pieces: int) -> UtilitySpec:
                           + [np.eye(3)[i] for _, i in inside] + [exit_point(hi)])
         pieces.append((verts, float(rng.uniform(0.0, 2.0))))
     return UtilitySpec.piecewise_constant(pieces)
+
+
+def grid_cells(grid) -> np.ndarray:
+    """The (C, k) vertex-index cells of a grid: its explicit cells, or the
+    staircase cells of its denominator on a lattice grid."""
+    if grid.cells is not None:
+        return grid.cells
+    return build_grid_cells_for_level(grid.k, grid.denominator)
+
+
+def cells_containing(grid, Q) -> np.ndarray:
+    """(C, n) mask: whether cell i of grid_cells(grid) holds row j of Q, by
+    one batched barycentric test over every cell."""
+    return simplices_contain(grid.vertices[grid_cells(grid)], Q)
+
+
+def upper_envelope(gridded, Q) -> np.ndarray:
+    """u_eps at each row of Q: the largest value of a cell whose closure
+    holds it (-inf where none does).  A cell's value is its entry of
+    ``cell_values`` on a refined piece grid, else the max of its
+    ``vertex_values``."""
+    values = gridded.cell_values
+    if values is None:
+        values = gridded.vertex_values[grid_cells(gridded.grid)].max(axis=1)
+    inside = cells_containing(gridded.grid, Q)
+    return np.where(inside, values[:, None], -np.inf).max(axis=0)
 
 
 def reference_oracle_solve(instance: ProblemInstance, grid, *,

@@ -206,6 +206,15 @@ def test_fixture_prop3_verify(capsys):
     assert cli.main(["fixture", "prop3:2,1", "--verify"]) == 0
 
 
+def test_fixture_prop3_in_172_states_exits_0(capsys):
+    # 171! overflows a float; deciding that the full-simplex piece is one
+    # simplex computes no factorial.
+    assert cli.main(["fixture", "prop3:172,1"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["id"] == "prop3:172,1"
+    assert err == ""
+
+
 def test_round_trip_bit_exact(example1_paths, tmp_path):
     fx, inst_path, scheme_path = example1_paths
     doc = json.loads(pathlib.Path(inst_path).read_text())
@@ -245,6 +254,32 @@ def test_grid_csv(example1_paths, tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "p0,p1,value"
     assert len(lines) > 3
+
+
+@pytest.mark.parametrize("flag", ["--out", "--grid-csv"])
+def test_solve_unwritable_output_exit_1(example1_paths, tmp_path, capsys, flag):
+    _, inst_path, _ = example1_paths
+    path = str(tmp_path / "missing" / "out.txt")
+    code = cli.main(["solve", inst_path, "--eps", "0.3", flag, path])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "convert"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_tol_not_finite_and_nonnegative_exit_1(example1_paths, tmp_path, capsys,
+                                               command, tol):
+    # The scheme's Bayes deviation is 0.4, which --tol inf used to accept.
+    _, inst_path, _ = example1_paths
+    bad = tmp_path / "bad_scheme.json"
+    bad.write_text(json.dumps({"support": [[1.0, 0.0], [0.0, 1.0]],
+                               "probs": [0.9, 0.1]}))
+    code = cli.main([command, inst_path, str(bad), "--tol", tol])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: tol") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("extra", [

@@ -14,7 +14,7 @@ from persuade.core import (ConstraintSpec, DimensionMismatch, MaxLinearTerm,
                            eval_constraint_batch, eval_utility,
                            eval_utility_batch, full_revelation, merge_row,
                            no_revelation, reduce_last_axis, scheme_expectation,
-                           uniform_prior, verify_scheme)
+                           triangulate_piece, uniform_prior, verify_scheme)
 from persuade.objectives import build_upper_approx
 
 UNIFORM2 = uniform_prior(2)
@@ -219,6 +219,17 @@ def test_piece_vertices_must_lie_in_the_simplex(vertex):
         UtilitySpec.piecewise_constant([(np.array([[1.0, 0, 0], [0, 1.0, 0], vertex]), 1.0)])
 
 
+@pytest.mark.parametrize("k", [4, 19, 172])
+def test_full_dimensional_piece_is_one_simplex_in_any_dimension(k):
+    # The standard simplex has volume sqrt(k)/(k-1)!: below 1e-14 from
+    # k = 19, and 171! overflows a float.
+    assert triangulate_piece(np.eye(k)).shape == (1, k, k)
+    flat = np.eye(k)
+    flat[-1] = flat[:-1].mean(axis=0)  # in the affine hull of the others
+    with pytest.raises(UnsupportedKindError):
+        triangulate_piece(flat)
+
+
 def test_rank_max_matches_partition_reference():
     # Ties are frequent: entries are drawn from four values.  The reference
     # is the partition the kernel used for every rank before.
@@ -403,6 +414,12 @@ def test_verify_trivial_constraints_no_revelation():
         k=2, prior=UNIFORM2, utility=UtilitySpec.max_linear(np.eye(2)),
         constraints=(ConstraintSpec.linear([1, 1], bound=2.0),))
     assert verify_scheme(inst, no_revelation(UNIFORM2)).valid
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+def test_verify_rejects_a_tol_that_is_not_finite_and_nonnegative(tol):
+    with pytest.raises(ValidationError, match="tol"):
+        verify_scheme(example1_instance(0.1), full_revelation(UNIFORM2), tol=tol)
 
 
 def test_verify_report_dict_roundtrips_to_json():

@@ -44,6 +44,15 @@ def test_prop3_reference_scheme(k, m):
     assert v.passed, failed_checks(v)
 
 
+def test_prop3_in_19_states_verifies():
+    # The full-simplex piece has volume sqrt(19)/18! < 1e-14 and is still
+    # one simplex.
+    fx = build_fixture(FixtureId("prop3", (19, 1)))
+    assert len(fx.instance.utility.simplices[0]) == 1
+    v = verify_fixture(fx.id)
+    assert v.passed, failed_checks(v)
+
+
 def test_prop3_support_is_k_plus_m():
     v = verify_fixture(FixtureId("prop3", (2, 1)))
     assert v.passed, failed_checks(v)

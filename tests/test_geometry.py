@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from persuade.core import ResourceLimitError, ValidationError
+from persuade.core import ResourceLimitError, ValidationError, cell_volume
 from persuade.geometry import (build_grid, build_grid_cells_for_level,
-                               cell_volume, composition_rank, contraction_floor,
+                               composition_rank, contraction_floor,
                                lattice_vertex_count, max_cell_diameter_bound,
                                project_to_contraction,
                                project_to_contraction_batch, refine_simplex,
@@ -15,7 +15,7 @@ from persuade.geometry import (build_grid, build_grid_cells_for_level,
                                _rank_table)
 from persuade.objectives import build_upper_approx
 
-from helpers import random_fan_utility
+from helpers import cells_containing, grid_cells, random_fan_utility
 
 
 # ---------------------------------------------------------------------------
@@ -26,15 +26,15 @@ def test_k2_delta1_grid():
     g = build_grid(2, 1.0)
     assert g.denominator == 2
     np.testing.assert_allclose(g.vertices, [[0, 1], [0.5, 0.5], [1, 0]])
-    assert g.cells.shape == (2, 2)
-    assert _l1_diameter(g.vertices[g.cells]) == pytest.approx(1.0)
+    assert grid_cells(g).shape == (2, 2)
+    assert _l1_diameter(g.vertices[grid_cells(g)]) == pytest.approx(1.0)
 
 
 def test_k3_whole_simplex():
     g = build_grid(3, 2.0)
     assert g.denominator == 1
     assert g.vertex_count == 3
-    assert g.cells.shape == (1, 3)
+    assert grid_cells(g).shape == (1, 3)
 
 
 def test_k3_n4_vertex_count_and_volumes():
@@ -47,9 +47,9 @@ def test_k3_n4_vertex_count_and_volumes():
     got = {tuple(v) for v in (g.vertices * 4 + 0.5).astype(int)}
     assert got == brute
     # Cells tile the simplex: volumes sum to the full simplex area.
-    total = sum(cell_volume(g.vertices[c]) for c in g.cells)
+    total = sum(cell_volume(g.vertices[c]) for c in grid_cells(g))
     assert total == pytest.approx(simplex_volume(3), rel=1e-9)
-    assert g.cell_count == 16  # N^(k-1)
+    assert len(grid_cells(g)) == 16  # N^(k-1)
 
 
 def test_cells_unimodular_in_rational_arithmetic():
@@ -58,7 +58,7 @@ def test_cells_unimodular_in_rational_arithmetic():
     g = build_grid(3, 0.5)
     N = g.denominator
     base = None
-    for cell in g.cells:
+    for cell in grid_cells(g):
         verts = [[Fraction(int(round(x * N)), N) for x in row]
                  for row in g.vertices[cell]]
         e1 = [a - b for a, b in zip(verts[1], verts[0])]
@@ -84,7 +84,7 @@ def test_vertices_are_exact_lattice_multiples():
 def test_measured_diameter_within_requested():
     for k, delta in [(2, 0.3), (3, 0.17), (4, 0.5)]:
         g = build_grid(k, delta)
-        measured = _l1_diameter(g.vertices[g.cells])
+        measured = _l1_diameter(g.vertices[grid_cells(g)])
         assert measured <= delta + 1e-12
         assert measured == pytest.approx(
             max_cell_diameter_bound(k, g.denominator))
@@ -95,7 +95,7 @@ def test_k4_diameter_formula_needs_larger_n():
     # N must be ceil(4/delta) rather than ceil(2/delta).
     g = build_grid(4, 0.5)
     assert g.denominator == 8
-    assert _l1_diameter(g.vertices[g.cells]) <= 0.5 + 1e-12
+    assert _l1_diameter(g.vertices[grid_cells(g)]) <= 0.5 + 1e-12
 
 
 def test_vertex_cap():
@@ -117,7 +117,7 @@ def test_composition_rank_matches_enumeration_order():
 
 
 # ---------------------------------------------------------------------------
-# point location / coverage
+# cell coverage
 # ---------------------------------------------------------------------------
 
 def test_union_coverage_random_points():
@@ -125,14 +125,14 @@ def test_union_coverage_random_points():
     for k, delta in [(2, 0.13), (3, 0.27)]:
         g = build_grid(k, delta)
         Q = rng.dirichlet(np.ones(k), size=10_000)
-        for q in Q:
-            assert g.locate_cells(q), f"uncovered point {q}"
+        covered = cells_containing(g, Q).any(axis=0)
+        assert covered.all(), f"uncovered points {Q[~covered]}"
 
 
 def _cells_containing_brute(grid, q, tol=1e-9):
     """Per-cell barycentric test: weights >= -tol and residual <= tol."""
     found = set()
-    for cell in grid.cells:
+    for cell in grid_cells(grid):
         V = grid.vertices[cell]
         beta = np.linalg.solve(V.T, q)
         if beta.min() >= -tol and np.max(np.abs(V.T @ beta - q)) <= tol:
@@ -144,14 +144,14 @@ def test_locate_at_vertices_and_edges():
     g = build_grid(3, 0.5)
     # A grid vertex belongs to every incident cell.
     v = g.vertices[5]
-    cells = g.locate_cells(v)
+    cells = grid_cells(g)[cells_containing(g, v)[:, 0]]
     assert len(cells) >= 2
     for cell in cells:
         assert any(np.allclose(g.vertices[i], v) for i in cell)
-    # Brute-force cross-check against the explicit cell list, on the lattice
-    # grid and on the refined triangulation of a piecewise utility, at random
-    # points, at grid vertices (which sit on cell borders) and at vertices
-    # moved by 4e-10, within the tolerance, in the simplex plane.
+    # The batched test over every cell agrees with a per-cell solve, on the
+    # lattice grid and on the refined triangulation of a piecewise utility,
+    # at random points, at grid vertices (which sit on cell borders) and at
+    # vertices moved by 4e-10, within the tolerance, in the simplex plane.
     rng = np.random.default_rng(5)
     pieces = build_upper_approx(random_fan_utility(rng, 5), eps=0.4,
                                 lipschitz_bound=1.0).grid
@@ -159,8 +159,8 @@ def test_locate_at_vertices_and_edges():
         shift = rng.dirichlet(np.ones(3), size=grid.vertex_count) - 1 / 3
         Q = np.vstack([rng.dirichlet(np.ones(3), size=200), grid.vertices[::3],
                        (grid.vertices + 4e-10 * shift)[1::3]])
-        for q in Q:
-            located = {tuple(sorted(c.tolist())) for c in grid.locate_cells(q)}
+        for q, inside in zip(Q, cells_containing(grid, Q).T):
+            located = {tuple(sorted(c.tolist())) for c in grid_cells(grid)[inside]}
             assert located == _cells_containing_brute(grid, q)
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from persuade.core import (MaxLinearTerm, Posterior, ResourceLimitError,
-                           UnsupportedKindError, UtilitySpec, eval_utility,
-                           eval_utility_batch)
+from persuade.core import (MaxLinearTerm, ResourceLimitError,
+                           UnsupportedKindError, UtilitySpec, eval_utility_batch)
 from persuade.objectives import build_upper_approx
+
+from helpers import cells_containing, grid_cells, upper_envelope
 
 
 def sample_simplex(rng, k, n):
@@ -15,7 +16,7 @@ def test_constant_utility_values_everywhere():
     u = UtilitySpec.max_linear(np.full((1, 3), 0.7))
     gu = build_upper_approx(u, eps=0.2, lipschitz_bound=1.0)
     np.testing.assert_allclose(gu.vertex_values, 0.7, atol=1e-12)
-    assert gu.eval(Posterior([0.2, 0.3, 0.5])) == pytest.approx(0.7)
+    assert upper_envelope(gu, [0.2, 0.3, 0.5])[0] == pytest.approx(0.7)
     assert gu.gap_bound == 0.0
 
 
@@ -28,9 +29,9 @@ def test_infnorm_k2_cell_value_bounds():
     assert gu.grid.denominator == 8
     t = np.linspace(0.875, 1.0, 2001)
     sup_oracle = np.maximum(t, 1 - t).max()
-    cell = [c for c in gu.grid.locate_cells(np.array([0.9375, 0.0625]))]
-    assert cell
-    val = gu.cell_value(cell[0])
+    cell = grid_cells(gu.grid)[cells_containing(gu.grid, [0.9375, 0.0625])[:, 0]]
+    assert len(cell)
+    val = gu.vertex_values[cell[0]].max()
     assert sup_oracle <= val <= sup_oracle + 0.5
     assert val == pytest.approx(1.0 + gu.pad)
 
@@ -42,13 +43,14 @@ def test_piecewise_aligned_boundary_envelope():
     ])
     gu = build_upper_approx(u, eps=0.25, lipschitz_bound=1.0)
     # Exact reproduction: cells refine the pieces, values from parent pieces.
-    assert gu.eval(Posterior([0.6, 0.4])) == 0.0
-    assert gu.eval(Posterior([0.5, 0.5])) == 1.0  # upper envelope
-    assert gu.eval(Posterior([0.4, 0.6])) == 1.0
+    at = upper_envelope(gu, [[0.6, 0.4], [0.5, 0.5], [0.4, 0.6]])
+    assert at[0] == 0.0
+    assert at[1] == 1.0  # upper envelope
+    assert at[2] == 1.0
     assert gu.gap_bound == 0.0
     rng = np.random.default_rng(0)
     Q = sample_simplex(rng, 2, 2000)
-    vals = np.array([gu.eval(q) for q in Q])
+    vals = upper_envelope(gu, Q)
     np.testing.assert_allclose(vals, eval_utility_batch(u, Q), atol=0)
 
 
@@ -56,7 +58,7 @@ def test_example1_utility_gridded_at_high_posterior():
     u = UtilitySpec.mixture([MaxLinearTerm(np.array([[0.0, 0.0], [-1.0, 1.0]]))])
     eps = 0.1
     gu = build_upper_approx(u, eps=eps, lipschitz_bound=1.0)
-    val = gu.eval(Posterior([0.0, 1.0]))  # u_s = 1 there
+    val = upper_envelope(gu, [0.0, 1.0])[0]  # u_s = 1 there
     assert 1.0 <= val <= 1.0 + eps
 
 
@@ -68,7 +70,7 @@ def test_sandwich_on_random_points(k, eps, M):
     gu = build_upper_approx(u, eps=eps, lipschitz_bound=M)
     Q = sample_simplex(rng, k, 10_000)
     base = eval_utility_batch(u, Q)
-    approx = np.array([gu.eval(q) for q in Q])
+    approx = upper_envelope(gu, Q)
     gaps = approx - base
     assert gaps.min() >= -1e-12
     assert gaps.max() <= eps + 1e-12
@@ -86,7 +88,7 @@ def test_sandwich_piecewise_exact():
     rng = np.random.default_rng(9)
     Q = sample_simplex(rng, 3, 2000)
     base = eval_utility_batch(u, Q)
-    approx = np.array([gu.eval(q) for q in Q])
+    approx = upper_envelope(gu, Q)
     np.testing.assert_allclose(approx, base, atol=1e-12)
 
 
@@ -96,10 +98,10 @@ def test_eval_at_grid_vertex_is_max_over_incident_cells():
     gu = build_upper_approx(u, eps=0.4, lipschitz_bound=1.5)
     grid = gu.grid
     v = grid.vertices[grid.vertex_count // 2]
-    incident = grid.locate_cells(v)
+    incident = grid_cells(grid)[cells_containing(grid, v)[:, 0]]
     assert len(incident) >= 2
-    expected = max(gu.cell_value(c) for c in incident)
-    assert gu.eval(Posterior(v)) == pytest.approx(expected, abs=0)
+    expected = max(gu.vertex_values[c].max() for c in incident)
+    assert upper_envelope(gu, v)[0] == pytest.approx(expected, abs=0)
 
 
 def test_gap_bound_monotone_in_eps():
@@ -114,13 +116,12 @@ def test_constant_inside_cells():
     gu = build_upper_approx(u, eps=0.3, lipschitz_bound=1.0)
     rng = np.random.default_rng(1)
     grid = gu.grid
-    cells = grid.cells
+    cells = grid_cells(grid)
     for ci in rng.integers(0, len(cells), size=20):
         verts = grid.vertices[cells[ci]]
         w = rng.dirichlet(np.ones(3), size=2) * 0.7 + 0.3 / 3  # interior combos
         pts = w @ verts
-        v0 = gu.eval(pts[0])
-        v1 = gu.eval(pts[1])
+        v0, v1 = upper_envelope(gu, pts)
         assert v0 == pytest.approx(v1, abs=0)
 
 
@@ -129,7 +130,7 @@ def test_rank2_utility_supported():
     gu = build_upper_approx(u, eps=0.4, lipschitz_bound=1.0)
     rng = np.random.default_rng(8)
     Q = sample_simplex(rng, 3, 1000)
-    gaps = np.array([gu.eval(q) for q in Q]) - eval_utility_batch(u, Q)
+    gaps = upper_envelope(gu, Q) - eval_utility_batch(u, Q)
     assert gaps.min() >= -1e-12 and gaps.max() <= 0.4 + 1e-12
 
 
@@ -164,7 +165,7 @@ def test_polygon_piece_fan_triangulation():
     ])
     gu = build_upper_approx(u, eps=0.3, lipschitz_bound=1.0)
     inner = quad.mean(axis=0)
-    assert gu.eval(Posterior(inner)) == 1.0
+    assert upper_envelope(gu, inner)[0] == 1.0
 
 
 def test_piecewise_grid_merges_signed_zero_vertices():
