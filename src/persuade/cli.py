@@ -331,8 +331,8 @@ def cmd_solve(args) -> int:
 def _write_grid_csv(surrogate, path: str):
     """(posterior, objective value) table of the LP columns, for plotting."""
     def write(fh):
-        fh.write(",".join(f"p{i}" for i in range(surrogate.points.shape[1])) + ",value\n")
-        for row, val in zip(surrogate.points, surrogate.program.c):
+        fh.write(",".join(f"p{i}" for i in range(surrogate.instance.k)) + ",value\n")
+        for row, val in zip(surrogate.posteriors(), surrogate.program.c):
             fh.write(",".join(repr(float(x)) for x in row) + f",{float(val)!r}\n")
     _write(path, "grid CSV", write)
 

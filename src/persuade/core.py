@@ -71,6 +71,13 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` with its writeable flag cleared.  Only for arrays the package
+    allocated: a caller's array is frozen through a view, frozen(a.view())."""
+    a.flags.writeable = False
+    return a
+
+
 def check_finite(name: str, a):
     """``a`` (a float or an array) unchanged; ValidationError naming
     ``name`` if any entry is NaN or infinite."""
@@ -788,16 +795,27 @@ def verify_scheme(instance: ProblemInstance, scheme: SignalingScheme,
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     if scheme.k != instance.k:
         raise DimensionMismatch(f"scheme k={scheme.k} vs instance k={instance.k}")
-    _, deviation = check_bayes_plausible(scheme, instance.prior)
     pts = scheme.support_matrix()
+    return score_scheme(instance, scheme,
+                        [eval_constraint_batch(spec, pts, instance.prior)
+                         for spec in instance.constraints],
+                        eval_utility_batch(instance.utility, pts), tol)
+
+
+def score_scheme(instance: ProblemInstance, scheme: SignalingScheme,
+                 constraint_values, utility_values: np.ndarray,
+                 tol: float = SUM_TOL) -> VerifyReport:
+    """verify_scheme's report from the values of each constraint and of the
+    utility at the scheme's support points, in support order, so schemes
+    that share a support are scored on one evaluation."""
+    _, deviation = check_bayes_plausible(scheme, instance.prior)
     reports = []
-    for spec in instance.constraints:
-        vals = eval_constraint_batch(spec, pts, instance.prior)
+    for spec, vals in zip(instance.constraints, constraint_values):
         value = float(scheme.probs @ vals) if spec.mode == EX_ANTE else float(vals.max())
         reports.append(ConstraintReport(kind=spec.kind, mode=spec.mode,
                                         value=value, bound=spec.bound,
                                         violation=max(0.0, value - spec.bound)))
-    utility = float(scheme.probs @ eval_utility_batch(instance.utility, pts))
+    utility = float(scheme.probs @ utility_values)
     valid = deviation <= tol and all(r.violation <= tol for r in reports)
     return VerifyReport(plausibility_deviation=deviation,
                         constraints=tuple(reports), utility=utility,

@@ -28,7 +28,7 @@ from . import geometry, solver
 from .core import (ConstraintSpec, MaxLinearTerm, Posterior, ProblemInstance,
                    SignalingScheme, UtilitySpec, ValidationError,
                    eval_constraint_batch, eval_utility_batch, full_revelation,
-                   no_revelation, uniform_prior, verify_scheme)
+                   no_revelation, score_scheme, uniform_prior, verify_scheme)
 
 HYPERCUBE_MAX_M = 4
 
@@ -261,6 +261,12 @@ def _verify_prop3(fixture: Fixture, check, tol: float):
     check("support_size", scheme.size == fixture.references["support_size"],
           f"{scheme.size}")
     # Perturbing any single weight breaks validity or strictly lowers value.
+    # The perturbed schemes keep the support (its points are pairwise
+    # farther apart than MERGE_TOL), so the values there are computed once.
+    pts = scheme.support_matrix()
+    constraint_values = [eval_constraint_batch(spec, pts, inst.prior)
+                         for spec in inst.constraints]
+    utility_values = eval_utility_batch(inst.utility, pts)
     base_w = np.array(scheme.probs)
     all_degrade = True
     for i in range(scheme.size):
@@ -269,7 +275,7 @@ def _verify_prop3(fixture: Fixture, check, tol: float):
             w[i] = max(w[i] + delta, 0.0)
             w = w / w.sum()
             pert = SignalingScheme(scheme.support, w)
-            prep = verify_scheme(inst, pert, tol=tol)
+            prep = score_scheme(inst, pert, constraint_values, utility_values, tol)
             if prep.valid and prep.utility >= rep.utility - 1e-12:
                 all_degrade = False
     check("perturbations_degrade", all_degrade, "")

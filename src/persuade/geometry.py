@@ -5,10 +5,12 @@ summing to N} and cells given by the Kuhn/Freudenthal triangulation in
 partial-sum coordinates y_i = x_1 + ... + x_i: the simplex maps to the
 ordered region 0 <= y_1 <= ... <= y_{k-1} <= N, whose unit cubes split into
 staircase simplices, N^(k-1) cells in total, all enumerated by one
-whole-array pass (_staircase_cells).  A lattice grid stores only its
-vertices, since the LP reads nothing else; build_grid_cells_for_level
-enumerates its cells on demand.  Triangulation grids (refined pieces) carry
-explicit cells.
+whole-array pass (_staircase_cells).  A lattice grid stores no array: its
+vertices come in lexicographic blocks of at most LATTICE_BLOCK rows
+(lattice_blocks), so a consumer that reads them block by block never holds
+all V of them, and build_grid_cells_for_level enumerates its cells on
+demand.  Triangulation grids (refined pieces) carry explicit vertices and
+cells, one block.
 
 Also provides the Euclidean projection onto the contracted simplex
 S_eps = center + (simplex - center) / (1 + eps^2) used by constraint
@@ -24,9 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Posterior, ResourceLimitError, ValidationError, reduce_last_axis
+from .core import (Posterior, ResourceLimitError, ValidationError, frozen,
+                   reduce_last_axis)
 
 DEFAULT_VERTEX_CAP = 5_000_000
+# Rows per lattice block: above the largest grid of the many-small-solves
+# benchmark workload (73,153 vertices), so its grids are built in one piece.
+LATTICE_BLOCK = 1 << 17
 
 
 def lattice_vertex_count(k: int, N: int) -> int:
@@ -78,24 +84,85 @@ def composition_rank(x: np.ndarray, N: int, table: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _unrank_compositions(ranks: np.ndarray, k: int, N: int,
+                         table: np.ndarray) -> np.ndarray:
+    """Compositions of N into k parts at lexicographic ``ranks``, the inverse
+    of composition_rank, one pass over the rows per part.
+
+    With n left for p parts, the compositions whose first part is a hold
+    the ranks [C(n) - C(n-a), C(n) - C(n-a-1)), C = table[p]; so, counting
+    t = C(n) - rank from the end, the rest n - a is the first m with
+    C(m) >= t, and the rank within that rest is C(m) - t.  Two parts left
+    are (rank, n - rank).
+    """
+    x = np.empty((ranks.shape[0], k), dtype=np.int64)
+    n, rank = N, ranks
+    for pos in range(k - 2):
+        count = table[k - pos]
+        t = count[n] - rank
+        rest = np.searchsorted(count, t)
+        x[:, pos] = n - rest
+        rank, n = count[rest] - t, rest
+    x[:, -2] = rank
+    x[:, -1] = n - rank
+    return x
+
+
+def lattice_blocks(k: int, N: int):
+    """The lattice vertices x/N in lexicographic order, LATTICE_BLOCK rows a
+    block, read-only.
+
+    Rows are bit for bit those of _lattice_vertices(k, N) / N.  A lattice
+    of at most LATTICE_BLOCK vertices is one block, built by
+    _lattice_vertices; a larger one unranks each block's rank range.
+    """
+    V = lattice_vertex_count(k, N)
+    table = _rank_table(k, N) if V > LATTICE_BLOCK else None
+    for start in range(0, V, LATTICE_BLOCK):
+        block = (_lattice_vertices(k, N) if table is None else _unrank_compositions(
+            np.arange(start, min(start + LATTICE_BLOCK, V)), k, N, table)).astype(float)
+        block /= N
+        yield frozen(block)
+
+
+def join_blocks(blocks) -> np.ndarray:
+    """The blocks stacked into one read-only array; a lone block as it is."""
+    blocks = list(blocks)
+    return blocks[0] if len(blocks) == 1 else frozen(np.concatenate(blocks))
+
+
 @dataclass(frozen=True, eq=False)
 class SimplexGrid:
     """A triangulated subset of the simplex (usually all of it).
 
-    A lattice grid has ``denominator`` N and no explicit ``cells``: its
-    cells are build_grid_cells_for_level(k, N).  A triangulation grid (piece
-    refinements) has a ``denominator`` of None and carries its cells.
+    A lattice grid has ``denominator`` N and holds no array: blocks()
+    generates its vertices and build_grid_cells_for_level(k, N) its cells.
+    A triangulation grid (piece refinements) has a ``denominator`` of None
+    and carries its vertices and cells, read-only, as one block.
     """
 
     k: int
     denominator: int | None
-    vertices: np.ndarray  # (V, k) float
     measured_max_diameter: float
     cells: np.ndarray | None = None  # (C, k) vertex indices; None on lattices
+    explicit_vertices: np.ndarray | None = None  # (V, k); None on lattices
 
     @property
     def vertex_count(self) -> int:
-        return self.vertices.shape[0]
+        if self.denominator is None:
+            return self.explicit_vertices.shape[0]
+        return lattice_vertex_count(self.k, self.denominator)
+
+    def blocks(self):
+        """The (rows, k) vertex blocks, in vertex order."""
+        if self.denominator is None:
+            return iter((self.explicit_vertices,))
+        return lattice_blocks(self.k, self.denominator)
+
+    @property
+    def vertices(self) -> np.ndarray:
+        """(V, k) read-only; a lattice's are generated anew at each access."""
+        return join_blocks(self.blocks())
 
 
 def _staircase_cells(corners: np.ndarray, N: int) -> np.ndarray:
@@ -164,9 +231,7 @@ def build_grid(k: int, max_diameter: float, *, vertex_cap: int | None = None,
     if count > cap:
         raise ResourceLimitError(
             f"grid would need {count} vertices (k={k}, N={N}), cap is {cap}")
-    lattice = _lattice_vertices(k, N)
     grid = SimplexGrid(k=k, denominator=N,
-                       vertices=lattice.astype(float) / N,
                        measured_max_diameter=max_cell_diameter_bound(k, N))
     if grid.measured_max_diameter > max_diameter + 1e-12:
         raise ValidationError(
@@ -177,12 +242,15 @@ def build_grid(k: int, max_diameter: float, *, vertex_cap: int | None = None,
 
 def triangulation_grid(k: int, vertices: np.ndarray,
                        cells: np.ndarray) -> SimplexGrid:
-    """Grid from an explicit triangulation (piecewise-constant refinements)."""
-    vertices = np.asarray(vertices, dtype=float)
-    cells = np.asarray(cells, dtype=np.int64)
-    return SimplexGrid(k=k, denominator=None, vertices=vertices,
+    """Grid from an explicit triangulation (piecewise-constant refinements).
+
+    The grid holds read-only views, so the caller's arrays stay writeable.
+    """
+    vertices = frozen(np.asarray(vertices, dtype=float).view())
+    cells = frozen(np.asarray(cells, dtype=np.int64).view())
+    return SimplexGrid(k=k, denominator=None,
                        measured_max_diameter=_l1_diameter(vertices[cells]),
-                       cells=cells)
+                       cells=cells, explicit_vertices=vertices)
 
 
 def refine_simplex(simplex: np.ndarray, max_diameter: float, *,

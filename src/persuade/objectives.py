@@ -11,8 +11,10 @@ every sub-cell inherits its parent piece's value, so the approximation
 reproduces the utility exactly (upper envelope included) and the grid
 vertices are exactly the piece vertices the LP restricts support to.
 
-The LP reads only the vertex values; nothing here evaluates u_eps at an
-off-grid point.
+The LP reads only the vertex values, block by block (GriddedUtility.blocks,
+over the grid's own blocks), so a lattice's values never exist as one
+array unless a caller asks for vertex_values; nothing here evaluates u_eps
+at an off-grid point.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import geometry
 from .core import (UnsupportedKindError, UtilitySpec, ValidationError,
-                   eval_utility_batch)
+                   eval_utility_batch, frozen)
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,16 +35,38 @@ class GriddedUtility:
     u_eps at a point is the largest value of a cell whose closure holds it;
     a lattice cell's value is the max of its vertex values, a refined piece
     cell's value is its piece's (cell_values), which can fall below the
-    max of its vertex values on a piece boundary.  vertex_values (the
-    utility at each grid vertex plus pad) is the LP objective; gap_bound is
-    a certified bound on sup(u_eps - u).
+    max of its vertex values on a piece boundary.  The vertex values are
+    the LP objective: on a lattice the max-linear ``utility`` at each
+    vertex plus pad, on a piece grid the largest value of a cell at the
+    vertex.  gap_bound is a certified bound on sup(u_eps - u).
     """
 
     grid: geometry.SimplexGrid
     pad: float                      # additive slack on vertex values
-    vertex_values: np.ndarray       # utility at the grid vertices + pad
     gap_bound: float
+    utility: UtilitySpec | None = None     # lattice path: max-linear utility
     cell_values: np.ndarray | None = None  # piecewise path: value per cell
+
+    def blocks(self):
+        """(vertices, vertex values) of each grid block in vertex order,
+        read-only; a piece grid is one block."""
+        if self.cell_values is None:
+            parts = ((points, eval_utility_batch(self.utility, points))
+                     for points in self.grid.blocks())
+        else:
+            grid = self.grid
+            values = np.full(grid.vertex_count, -np.inf)
+            np.maximum.at(values, grid.cells.reshape(-1),
+                          np.repeat(self.cell_values, grid.k))
+            parts = [(grid.vertices, values)]
+        for points, values in parts:
+            values += self.pad  # on a piece grid 0.0, which turns -0.0 into 0.0
+            yield points, frozen(values)
+
+    @property
+    def vertex_values(self) -> np.ndarray:
+        """(V,) read-only, evaluated anew at each access."""
+        return geometry.join_blocks(values for _, values in self.blocks())
 
 
 def build_upper_approx(utility: UtilitySpec, eps: float, lipschitz_bound: float,
@@ -85,8 +109,7 @@ def _build_lipschitz(utility: UtilitySpec, eps: float, M: float, *,
     gap_bound = 2.0 * L_u * grid.measured_max_diameter
     if gap_bound > eps + 1e-12:  # pragma: no cover - delta formula prevents this
         raise ValidationError("certified gap exceeds eps")
-    return GriddedUtility(grid=grid, pad=pad, gap_bound=gap_bound,
-                          vertex_values=eval_utility_batch(utility, grid.vertices) + pad)
+    return GriddedUtility(grid=grid, pad=pad, gap_bound=gap_bound, utility=utility)
 
 
 def _build_piecewise(utility: UtilitySpec, eps: float, M: float, *,
@@ -119,9 +142,5 @@ def _build_piecewise(utility: UtilitySpec, eps: float, M: float, *,
     grid = geometry.triangulation_grid(k, vertices, cells)
     if grid.measured_max_diameter > delta + 1e-12:  # pragma: no cover
         raise ValidationError("refinement missed the diameter bound")
-    cell_values = np.concatenate(values)
-    vertex_values = np.full(vertices.shape[0], -np.inf)
-    np.maximum.at(vertex_values, cells.reshape(-1), np.repeat(cell_values, k))
-    vertex_values += 0.0  # the pad; turns a -0.0 piece value into 0.0
-    return GriddedUtility(grid=grid, pad=0.0, vertex_values=vertex_values,
-                          gap_bound=0.0, cell_values=cell_values)
+    return GriddedUtility(grid=grid, pad=0.0, gap_bound=0.0,
+                          cell_values=frozen(np.concatenate(values)))

@@ -6,12 +6,19 @@ Every grid solve runs the same three stages, once each:
 
 build_surrogate smooths the ex-ante constraints, builds the upper utility
 approximation on a grid whose diameter matches the largest constraint
-Lipschitz constant, keeps the grid vertices that satisfy every ex-post
-constraint as the LP columns (Surrogate.points) and assembles the LP over
-their probabilities, bounds relaxed by eps/2.  Ex-post constraints never
-become LP rows; restricting the columns caps the support size at k.
-solve_surrogate runs the LP, reads the scheme off points[support] and
-reports it through core.verify_scheme against the caller's instance.
+Lipschitz constant, and assembles the LP over the probabilities of the grid
+vertices that satisfy every ex-post constraint, bounds relaxed by eps/2.
+Ex-post constraints never become LP rows; restricting the columns caps the
+support size at k.  The grid is read block by block (geometry.LATTICE_BLOCK
+rows): each block's vertex values, ex-post filter and LP columns
+(lp.build_persuasion_lp) are computed and copied into arrays sized for the
+whole grid, the kept columns packed at the front, so no (V, k) vertex array
+outlives its block; a grid of one block keeps that block's LP as it is.
+No vertex array is kept either: Surrogate.posteriors recovers a lattice
+column's posterior from its A_eq entries and N, bit for bit.
+solve_surrogate runs the LP, reads the scheme off the posteriors of its
+support columns and reports it through core.verify_scheme against the
+caller's instance.
 
 bi_criteria_solve: the two stages at eps.  The result is additively
 eps-optimal and violates each ex-ante constraint by at most eps; Bayes
@@ -64,7 +71,7 @@ from .core import (EX_ANTE, SUM_TOL, ConstraintReport, DimensionMismatch,
                    InfeasibleError, Posterior, ProblemInstance,
                    ResourceLimitError, SignalingScheme, UnsupportedKindError,
                    ValidationError, eval_constraint_batch, eval_utility_batch,
-                   merge_row, verify_scheme)
+                   frozen, merge_row, verify_scheme)
 
 MASS_EPS = 1e-12
 POOL_TOL = 1e-12
@@ -107,17 +114,40 @@ class Surrogate:
 
     ``instance`` and ``eps`` are the caller's; the LP itself may be built
     from a strengthened copy at a smaller eps (single-criteria mode).
-    ``points`` (n, k) are the LP columns: the grid vertices that satisfy
-    every ex-post constraint, column j of ``program`` being points[j].
+    Column j of ``program`` is the probability of the j-th grid vertex, in
+    vertex order, that satisfies every ex-post constraint; the columns were
+    assembled grid block by grid block, and no vertex array is kept:
+    posteriors()[j] recovers column j's posterior.  ``gridded`` is the
+    upper approximation the LP was built from.
     """
 
     instance: ProblemInstance
     eps: float
     mode: str             # as SolveReport.mode
     slater_margin: float | None
-    grid_denominator: int | None
-    points: np.ndarray
+    gridded: objectives.GriddedUtility
     program: lp.LinearProgram
+
+    @property
+    def grid_denominator(self) -> int | None:
+        return self.gridded.grid.denominator
+
+    def posteriors(self, columns=slice(None)) -> np.ndarray:
+        """(len, k) posteriors of the LP ``columns`` (all by default).
+
+        On a lattice of denominator N, A_eq[i, j] = x_i / N for i < k-1, so
+        x_i = rint(A_eq[i, j] N), x_k = N - sum, and x / N is the vertex bit
+        for bit, with or without an ex-post filter.  A piece grid's columns
+        are its vertices that pass the filter again; the strengthened copy
+        of single-criteria mode keeps the caller's ex-post constraints.
+        """
+        grid = self.gridded.grid
+        N = grid.denominator
+        if N is None:
+            points = grid.vertices
+            return points[_ex_post_feasible(self.instance, points)][columns]
+        x = np.rint(self.program.A_eq[:-1, columns].T * N)
+        return np.column_stack([x, N - x.sum(axis=1)]) / N
 
 
 def _require_finite_positive(name: str, value: float):
@@ -179,18 +209,55 @@ def build_surrogate(instance: ProblemInstance, eps: float, *,
     gridded = objectives.build_upper_approx(target.utility, eps2, M,
                                             vertex_cap=grid_cap,
                                             align_multiple=align_multiple)
-    points, values = gridded.grid.vertices, gridded.vertex_values
-    if target.ex_post():
-        keep = _ex_post_feasible(target, points)
-        if not keep.any():
-            _raise_infeasible("no grid vertex satisfies the ex-post constraints",
-                              eps, slater_margin)
-        points, values = points[keep], values[keep]
     bounds = [(s, c.bound + eps2) for s, c in zip(smoothed, ex_ante)]
-    program = lp.build_persuasion_lp(points, values, bounds, target.prior)
+    parts = (lp.build_persuasion_lp(points, values, bounds, target.prior)
+             for points, values in _ex_post_columns(target, gridded.blocks()))
+    program = _join_columns(parts, gridded.grid.vertex_count)
+    if program is None:
+        _raise_infeasible("no grid vertex satisfies the ex-post constraints",
+                          eps, slater_margin)
     return Surrogate(instance=instance, eps=eps, mode=mode, slater_margin=slater_margin,
-                     grid_denominator=gridded.grid.denominator, points=points,
-                     program=program)
+                     gridded=gridded, program=program)
+
+
+def _ex_post_columns(instance: ProblemInstance, blocks):
+    """The (points, values) blocks cut to the rows that meet every ex-post
+    bound; a block left empty is skipped."""
+    for points, values in blocks:
+        if instance.ex_post():
+            keep = _ex_post_feasible(instance, points)
+            points, values = points[keep], values[keep]
+        if values.size:
+            yield points, values
+
+
+def _join_columns(parts, capacity: int) -> lp.LinearProgram | None:
+    """The read-only LP with the columns of ``parts``, LPs on the same rows,
+    in order; None when there is no part.
+
+    A lone part is the LP as it is.  More parts are copied one by one into
+    arrays of ``capacity`` columns, and the LP is a view of the first n;
+    at most two parts are held at a time.
+    """
+    part, following = next(parts, None), next(parts, None)
+    if following is not None:
+        b_eq, b_le = part.b_eq, part.b_le
+        c = np.empty(capacity)
+        A_eq = np.empty((b_eq.shape[0], capacity))
+        A_le = np.empty((b_le.shape[0], capacity))
+        n = 0
+        while part is not None:
+            cols = slice(n, n + part.n_vars)
+            c[cols], A_eq[:, cols], A_le[:, cols] = part.c, part.A_eq, part.A_le
+            n = cols.stop
+            part = following
+            following = next(parts, None)
+        part = lp.LinearProgram(c=c[:n], A_eq=A_eq[:, :n], b_eq=b_eq,
+                                A_le=A_le[:, :n], b_le=b_le)
+    if part is not None:
+        for a in (part.c, part.A_eq, part.A_le, part.b_eq, part.b_le):
+            frozen(a)
+    return part
 
 
 def solve_surrogate(surrogate: Surrogate) -> SolveReport:
@@ -209,7 +276,7 @@ def solve_surrogate(surrogate: Surrogate) -> SolveReport:
         raise lp.NumericError(f"unexpected LP status {sol.status}")
     columns = np.flatnonzero(sol.x > MASS_EPS)
     probs = sol.x[columns]
-    scheme = SignalingScheme.from_points(s.points[columns], probs / probs.sum())
+    scheme = SignalingScheme.from_points(s.posteriors(columns), probs / probs.sum())
     report = verify_scheme(s.instance, scheme)
     deviation = report.plausibility_deviation
     if deviation > SUM_TOL:  # pragma: no cover - LP equality rows enforce this

@@ -5,14 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from persuade import geometry
 from persuade.core import ResourceLimitError, ValidationError, cell_volume
 from persuade.geometry import (build_grid, build_grid_cells_for_level,
                                composition_rank, contraction_floor,
-                               lattice_vertex_count, max_cell_diameter_bound,
-                               project_to_contraction,
+                               lattice_blocks, lattice_vertex_count,
+                               max_cell_diameter_bound, project_to_contraction,
                                project_to_contraction_batch, refine_simplex,
-                               simplex_volume, _l1_diameter, _lattice_vertices,
-                               _rank_table)
+                               simplex_volume, triangulation_grid, _l1_diameter,
+                               _lattice_vertices, _rank_table)
 from persuade.objectives import build_upper_approx
 
 from helpers import cells_containing, grid_cells, random_fan_utility
@@ -114,6 +115,55 @@ def test_composition_rank_matches_enumeration_order():
         table = _rank_table(k, N)
         ranks = composition_rank(verts, N, table)
         np.testing.assert_array_equal(ranks, np.arange(verts.shape[0]))
+
+
+# ---------------------------------------------------------------------------
+# lattice blocks
+# ---------------------------------------------------------------------------
+
+# (k, N, block): V = C(N+k-1, k-1) is one below, at and one above a multiple
+# of the block size, for each k.
+BLOCK_CASES = [(2, 19, 7), (2, 20, 7), (2, 14, 7),
+               (3, 9, 7), (3, 5, 7), (3, 4, 7),
+               (4, 3, 7), (4, 4, 7), (4, 7, 7),
+               (5, 8, 8), (5, 3, 7), (5, 10, 8)]
+
+
+@pytest.mark.parametrize("k, N, block", BLOCK_CASES)
+def test_lattice_blocks_are_the_lattice_rows(monkeypatch, k, N, block):
+    V = lattice_vertex_count(k, N)
+    assert V % block in (block - 1, 0, 1) and V > 2 * block
+    monkeypatch.setattr(geometry, "LATTICE_BLOCK", block)
+    blocks = list(lattice_blocks(k, N))
+    assert [b.shape for b in blocks] == [(min(block, V - start), k)
+                                         for start in range(0, V, block)]
+    assert np.array_equal(np.concatenate(blocks), _lattice_vertices(k, N) / N)
+    assert np.array_equal(build_grid(k, 2.0 * (k // 2) / N).vertices,
+                          _lattice_vertices(k, N) / N)
+
+
+def test_lattice_of_at_most_one_block_is_one_block(monkeypatch):
+    # The largest grid of the many-small-solves benchmark (k=3, N=381) fits
+    # in one block; a lattice of exactly the block size is one block too.
+    assert lattice_vertex_count(3, 381) == 73_153 < geometry.LATTICE_BLOCK
+    assert len(list(lattice_blocks(3, 381))) == 1
+    V = lattice_vertex_count(4, 6)
+    for block, count in [(V, 1), (V + 1, 1), (V - 1, 2)]:
+        monkeypatch.setattr(geometry, "LATTICE_BLOCK", block)
+        assert len(list(lattice_blocks(4, 6))) == count
+
+
+def test_grid_arrays_are_read_only_and_caller_arrays_stay_writeable():
+    g = build_grid(3, 0.5)
+    with pytest.raises(ValueError):
+        g.vertices[0, 0] = 1.0
+    vertices, cells = np.eye(3), np.arange(3)[None, :]
+    tri = triangulation_grid(3, vertices, cells)
+    for a in (tri.vertices, tri.cells):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1
+    assert vertices.flags.writeable and cells.flags.writeable
+    vertices[0, 0] = 0.5  # the caller's own array is not frozen
 
 
 # ---------------------------------------------------------------------------

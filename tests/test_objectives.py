@@ -180,3 +180,16 @@ def test_piecewise_grid_merges_signed_zero_vertices():
     grid = build_upper_approx(u, eps=4.0, lipschitz_bound=1.0).grid
     assert grid.vertex_count == 4
     np.testing.assert_array_equal(grid.cells, [[0, 1, 2], [1, 3, 2]])
+
+
+def test_gridded_arrays_are_read_only():
+    lattice = build_upper_approx(UtilitySpec.max_linear(np.eye(3)), eps=0.2,
+                                 lipschitz_bound=1.0)
+    pieces = build_upper_approx(UtilitySpec.piecewise_constant([
+        (np.array([[1.0, 0.0], [0.5, 0.5]]), 0.0),
+        (np.array([[0.5, 0.5], [0.0, 1.0]]), 1.0)]), eps=0.25, lipschitz_bound=1.0)
+    arrays = [lattice.vertex_values, pieces.vertex_values, pieces.cell_values]
+    arrays += [a for gu in (lattice, pieces) for block in gu.blocks() for a in block]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0.0

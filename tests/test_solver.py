@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import (feasible_conversion_case, interior_prior, random_constraint,
                      random_instance, random_plausible_scheme,
                      reference_bisect_boundary, reference_oracle_solve)
-from persuade import lp
+from persuade import geometry, lp
 from persuade.core import (ConstraintSpec, InfeasibleError, MaxLinearTerm,
                            ProblemInstance, SignalingScheme,
                            UnsupportedKindError, UtilitySpec, ValidationError,
@@ -84,7 +86,7 @@ def test_ex_post_boundary_vertex_is_column_and_oracle_candidate(offset, kept):
                                            mode="ex_post"),))
     vertex = np.array([0.25, 0.75])
     surrogate = build_surrogate(inst, 0.1, align_multiple=4)
-    assert np.all(surrogate.points == vertex, axis=1).any() == kept
+    assert np.all(surrogate.posteriors() == vertex, axis=1).any() == kept
     orep = oracle_solve(inst, build_grid(2, 0.5))
     assert orep.status == "optimal"
     assert np.all(orep.scheme.support_matrix() == vertex, axis=1).any() == kept
@@ -192,6 +194,68 @@ def test_each_solve_runs_every_stage_once(monkeypatch):
         solve()
         assert calls == {"smooth_constraint": 2, "build_upper_approx": 1,
                          "build_persuasion_lp": 1, "verify_scheme": 1}
+
+
+# ---------------------------------------------------------------------------
+# Blockwise surrogate assembly
+# ---------------------------------------------------------------------------
+
+def kl_instance(k: int, *extra) -> ProblemInstance:
+    """Uniform prior, largest-entry utility, one KL constraint and ``extra``."""
+    prior = uniform_prior(k)
+    kl = ConstraintSpec.grouped_kl([(i,) for i in range(k)], 1.0, prior.weights,
+                                   bound=0.2)
+    return ProblemInstance(k, prior, UtilitySpec.max_linear(np.eye(k)),
+                           (kl, *extra))
+
+
+def program_arrays(program):
+    return [program.c, program.A_eq, program.b_eq, program.A_le, program.b_le]
+
+
+@pytest.mark.parametrize("k, eps", [(3, 0.1), (4, 0.4)])
+@pytest.mark.parametrize("ex_post", [False, True])
+def test_blockwise_surrogate_is_the_one_block_surrogate(monkeypatch, k, eps, ex_post):
+    # The columns of many small blocks are those of one block, in the same
+    # order; each column's posterior, recovered from A_eq and N, is its
+    # lattice vertex bit for bit, with or without the ex-post filter.
+    extra = (ConstraintSpec.linear(np.eye(k)[0], bound=0.6, mode="ex_post"),)
+    inst = kl_instance(k, *extra[:ex_post])
+    whole = build_surrogate(inst, eps)
+    monkeypatch.setattr(geometry, "LATTICE_BLOCK", 97)
+    blocked = build_surrogate(inst, eps)
+    N = blocked.grid_denominator
+    V = geometry.lattice_vertex_count(k, N)
+    assert V > 5 * 97 and V % 97
+    lattice = geometry._lattice_vertices(k, N) / N
+    kept = lattice[:, 0] <= 0.6 + BOUNDARY_TOL if ex_post else np.ones(V, bool)
+    assert blocked.program.n_vars == kept.sum()
+    assert kept.all() != ex_post  # the ex-post bound cuts some vertices off
+    for ours, ref in zip(program_arrays(blocked.program), program_arrays(whole.program)):
+        assert np.array_equal(ours, ref)
+        with pytest.raises(ValueError):
+            ours[..., 0] = 0.0
+    for s in (whole, blocked):
+        assert s.posteriors().tobytes() == lattice[kept].tobytes()
+    columns = np.array([0, 5, blocked.program.n_vars - 1])
+    assert blocked.posteriors(columns).tobytes() == lattice[kept][columns].tobytes()
+
+
+def test_build_peak_stays_near_the_lp_itself():
+    # The build holds the LP's own k + m + 1 rows of floats plus one or two
+    # lattice blocks at a time, never the (V, k) lattice: on 868k columns in
+    # 7 blocks the peak is 1.7 times the LP, where building the whole
+    # lattice first took 3.6 times.
+    inst = kl_instance(3)
+    tracemalloc.start()
+    try:
+        surrogate = build_surrogate(inst, 0.03)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = surrogate.program.n_vars
+    assert peak < 2 * 8 * (3 + 1 + 1) * n
+    assert n > 4 * geometry.LATTICE_BLOCK
 
 
 # ---------------------------------------------------------------------------
