@@ -20,13 +20,14 @@ Fixture ids:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, solver
 from .core import (ConstraintSpec, MaxLinearTerm, Posterior, ProblemInstance,
-                   SignalingScheme, UtilitySpec, ValidationError,
+                   ResourceLimitError, SignalingScheme, UtilitySpec, ValidationError,
                    eval_constraint_batch, eval_utility_batch, full_revelation,
                    no_revelation, score_scheme, uniform_prior, verify_scheme)
 
@@ -42,13 +43,39 @@ class FixtureId:
         return f"{self.kind}:" + ",".join(f"{p:g}" for p in self.params)
 
 
+# The parameters of each fixture kind, in order, with their types.
+FIXTURE_PARAMS = {"example1": {"eps0": float}, "prop3": {"k": int, "m": int},
+                  "appE1": {"m": int}, "appE2": {"M": float}, "appE3": {"m": int}}
+
+
 def parse_fixture_id(text: str) -> FixtureId:
+    """``kind:p1,...`` with the kind's parameters, each finite and k and m
+    integral; ResourceLimitError past DEFAULT_VERTEX_CAP k x k entries."""
     kind, _, rest = text.partition(":")
     kind = kind.strip()
-    if kind not in ("example1", "prop3", "appE1", "appE2", "appE3"):
+    if kind not in FIXTURE_PARAMS:
         raise ValidationError(f"unknown fixture id {text!r}")
-    params = tuple(float(p) for p in rest.split(",") if p.strip()) if rest else ()
-    return FixtureId(kind, params)
+    names = FIXTURE_PARAMS[kind]
+    parts = rest.split(",") if rest.strip() else []
+    if len(parts) != len(names):
+        raise ValidationError(f"fixture id {text!r} does not match "
+                              f"{kind}:{','.join(names)}")
+    params = []
+    for (name, kind_of), part in zip(names.items(), parts):
+        try:
+            value = float(part)
+        except ValueError:
+            value = math.nan
+        integral = kind_of is int
+        if not (math.isfinite(value) and (value.is_integer() or not integral)):
+            raise ValidationError(f"fixture {kind}: {name} must be a finite "
+                                  f"{'integer' if integral else 'number'}, got {part.strip()!r}")
+        params.append(value)
+    k = {"prop3": params[0], "appE3": params[-1] + 1}.get(kind, 2.0)
+    if k * k > geometry.DEFAULT_VERTEX_CAP:
+        raise ResourceLimitError(f"fixture {kind} with {k:g} states needs {k:g} x {k:g} "
+                                 f"arrays, cap is {geometry.DEFAULT_VERTEX_CAP} entries")
+    return FixtureId(kind, tuple(params))
 
 
 @dataclass(frozen=True)
@@ -72,22 +99,13 @@ class FixtureVerification:
 
 
 def build_fixture(fid: FixtureId) -> Fixture:
-    if fid.kind == "example1":
-        (eps0,) = fid.params
-        return _example1(eps0)
-    if fid.kind == "prop3":
-        k, m = fid.params
-        return _prop3(int(k), int(m))
-    if fid.kind == "appE1":
-        (m,) = fid.params
-        return _app_e1(int(m))
-    if fid.kind == "appE2":
-        (M,) = fid.params
-        return _app_e2(M)
-    if fid.kind == "appE3":
-        (m,) = fid.params
-        return _app_e3(int(m))
-    raise ValidationError(f"unknown fixture kind {fid.kind!r}")
+    builders = {"example1": _example1, "prop3": _prop3, "appE1": _app_e1,
+                "appE2": _app_e2, "appE3": _app_e3}
+    if fid.kind not in builders:
+        raise ValidationError(f"unknown fixture kind {fid.kind!r}")
+    kinds = FIXTURE_PARAMS[fid.kind].values()
+    return builders[fid.kind](*(kind_of(p) for kind_of, p in
+                                zip(kinds, fid.params, strict=True)))
 
 
 # ---------------------------------------------------------------------------

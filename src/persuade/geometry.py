@@ -9,8 +9,9 @@ whole-array pass (_staircase_cells).  A lattice grid stores no array: its
 vertices come in lexicographic blocks of at most LATTICE_BLOCK rows
 (lattice_blocks), so a consumer that reads them block by block never holds
 all V of them, and build_grid_cells_for_level enumerates its cells on
-demand.  Triangulation grids (refined pieces) carry explicit vertices and
-cells, one block.
+demand.  Triangulation grids (refined pieces) carry explicit vertices,
+one block, and no cell: refine_simplex returns a piece simplex's refined
+vertices and the certified diameter of their staircase cells.
 
 Also provides the Euclidean projection onto the contracted simplex
 S_eps = center + (simplex - center) / (1 + eps^2) used by constraint
@@ -49,12 +50,8 @@ def _lattice_vertices(k: int, N: int) -> np.ndarray:
     if k == 3:
         i, j = np.triu_indices(N + 1)
         return np.column_stack([i, j - i, N - j]).astype(np.int64)
-    blocks = []
-    for first in range(N + 1):
-        rest = _lattice_vertices(k - 1, N - first)
-        col = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([col, rest]))
-    return np.vstack(blocks)
+    return _unrank_compositions(np.arange(lattice_vertex_count(k, N)), k, N,
+                                _rank_table(k, N))
 
 
 def _rank_table(k: int, N: int) -> np.ndarray:
@@ -138,13 +135,13 @@ class SimplexGrid:
     A lattice grid has ``denominator`` N and holds no array: blocks()
     generates its vertices and build_grid_cells_for_level(k, N) its cells.
     A triangulation grid (piece refinements) has a ``denominator`` of None
-    and carries its vertices and cells, read-only, as one block.
+    and carries its vertices, read-only, as one block, and no cell.
+    ``measured_max_diameter`` bounds every cell's l1 diameter.
     """
 
     k: int
     denominator: int | None
     measured_max_diameter: float
-    cells: np.ndarray | None = None  # (C, k) vertex indices; None on lattices
     explicit_vertices: np.ndarray | None = None  # (V, k); None on lattices
 
     @property
@@ -241,25 +238,24 @@ def build_grid(k: int, max_diameter: float, *, vertex_cap: int | None = None,
 
 
 def triangulation_grid(k: int, vertices: np.ndarray,
-                       cells: np.ndarray) -> SimplexGrid:
-    """Grid from an explicit triangulation (piecewise-constant refinements).
+                       max_diameter: float) -> SimplexGrid:
+    """Grid of explicit vertices (piecewise-constant refinements) whose
+    cells have l1 diameter at most ``max_diameter``.
 
-    The grid holds read-only views, so the caller's arrays stay writeable.
+    The grid holds a read-only view, so the caller's array stays writeable.
     """
-    vertices = frozen(np.asarray(vertices, dtype=float).view())
-    cells = frozen(np.asarray(cells, dtype=np.int64).view())
-    return SimplexGrid(k=k, denominator=None,
-                       measured_max_diameter=_l1_diameter(vertices[cells]),
-                       cells=cells, explicit_vertices=vertices)
+    return SimplexGrid(k=k, denominator=None, measured_max_diameter=max_diameter,
+                       explicit_vertices=frozen(np.asarray(vertices, dtype=float).view()))
 
 
 def refine_simplex(simplex: np.ndarray, max_diameter: float, *,
-                   vertex_cap: int = DEFAULT_VERTEX_CAP) -> tuple[np.ndarray, np.ndarray]:
+                   vertex_cap: int = DEFAULT_VERTEX_CAP) -> tuple[np.ndarray, float]:
     """Edgewise subdivision of one simplex into cells of l1 diameter <= bound.
 
-    Returns (vertices, cells); the subdivision maps the staircase cells of
-    the standard simplex through barycentric coordinates.  Raises
-    ResourceLimitError when it would need more than vertex_cap vertices.
+    Returns (vertices, certified cell diameter): at level n, the lattice
+    points of denominator n in lattice order mapped through barycentric
+    coordinates, whose cells (not built) are build_grid_cells_for_level(k, n).
+    Raises ResourceLimitError past vertex_cap vertices.
     """
     if max_diameter <= 0:
         raise ValidationError("max_diameter must be positive")
@@ -267,7 +263,7 @@ def refine_simplex(simplex: np.ndarray, max_diameter: float, *,
     k = S.shape[0]
     diam = _l1_diameter(S[None])
     if diam <= max_diameter:
-        return S.copy(), np.arange(k, dtype=np.int64)[None, :]
+        return S.copy(), diam
     # A barycentric l1 difference of b maps to at most (b/2)*diam in x-space;
     # staircase cells have barycentric l1 diameter 2*floor(k/2)/n.
     n = max(1, math.ceil((k // 2) * diam / max_diameter))
@@ -276,8 +272,7 @@ def refine_simplex(simplex: np.ndarray, max_diameter: float, *,
         raise ResourceLimitError(
             f"refining a piece would need {count} vertices, cap is {vertex_cap}")
     bary = _lattice_vertices(k, n).astype(float) / n
-    sub = build_grid_cells_for_level(k, n)
-    return bary @ S, sub
+    return bary @ S, (k // 2) * diam / n
 
 
 def build_grid_cells_for_level(k: int, n: int) -> np.ndarray:

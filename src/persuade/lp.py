@@ -69,9 +69,11 @@ class LinearProgram:
         b_eq = np.atleast_1d(np.asarray(self.b_eq, dtype=float))
         b_le = np.atleast_1d(np.asarray(self.b_le, dtype=float))
         n = c.shape[0]
-        if A_eq.size == 0:
+        # An empty matrix stands for no rows, unless it is the (r, 0) matrix
+        # of r rows over no column.
+        if A_eq.size == 0 and A_eq.shape != (b_eq.shape[0], n):
             A_eq = np.zeros((0, n))
-        if A_le.size == 0:
+        if A_le.size == 0 and A_le.shape != (b_le.shape[0], n):
             A_le = np.zeros((0, n))
         if A_eq.shape[1] != n or A_le.shape[1] != n:
             raise LpError("constraint matrices do not match objective length")
@@ -403,31 +405,52 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
                       duals=duals, stats=stats())
 
 
-def build_persuasion_lp(points, values, smoothed_bounds, prior) -> LinearProgram:
-    """Assemble the LP over the probabilities of the column posteriors.
+def build_persuasion_lp(columns, capacity: int, smoothed_bounds,
+                        prior) -> LinearProgram:
+    """Assemble the read-only LP over the probabilities of the column posteriors.
 
-    ``points`` (n, k) are the columns and ``values`` (n,) their objective
-    values.  Rows are k-1 barycenter equalities plus one normalization row
-    (the k-th barycenter row is redundant) and one <= row per smoothed
-    ex-ante constraint with its relaxed bound; constraints that share a
-    contraction are evaluated on one projection of the points.
+    ``columns`` yields (points (n_i, k), values (n_i,)) blocks of at most
+    ``capacity`` columns in all, each written straight into c, A_eq and A_le
+    arrays of ``capacity`` columns allocated at the first block; the LP is a
+    view of their first n columns (none without a block), and a lone block
+    that fills it keeps a view of its ``values`` as c.  Rows are k-1
+    barycenter equalities plus one normalization row (the k-th is redundant)
+    and one <= row per smoothed ex-ante constraint with its relaxed bound;
+    in a block, constraints that share a contraction share one projection.
 
     ``smoothed_bounds`` is a sequence of (smoothed_constraint, relaxed_bound)
     pairs; objects are duck-typed so this module stays dependency-free.
     """
-    points = np.asarray(points, dtype=float)
     p = np.asarray(getattr(prior, "weights", prior), dtype=float)
-    n, k = points.shape
-    if p.shape[0] != k:
-        raise LpError("prior dimension does not match the points")
-    A_eq = np.empty((k, n))
-    A_eq[: k - 1] = points[:, : k - 1].T
-    A_eq[k - 1] = 1.0
-    b_eq = np.concatenate([p[: k - 1], [1.0]])
+    k = p.shape[0]
     smoothed_bounds = list(smoothed_bounds)
-    A_le = np.empty((len(smoothed_bounds), n))
-    projections = {}  # shared by constraints with one contraction
-    for row, (smoothed, _) in zip(A_le, smoothed_bounds):  # no stacked copy
-        row[:] = smoothed.eval_batch(points, p, projections)
+    b_eq = np.concatenate([p[: k - 1], [1.0]])
     b_le = np.array([bound for _, bound in smoothed_bounds], dtype=float)
-    return LinearProgram(c=values, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le)
+    c, A_eq, A_le = np.empty(0), np.empty((k, 0)), np.empty((b_le.shape[0], 0))
+    n, lone = 0, False
+    for points, values in columns:
+        points = np.asarray(points, dtype=float)
+        values = np.asarray(values, dtype=float)
+        if points.shape[1] != k:
+            raise LpError("prior dimension does not match the points")
+        if values.shape != points.shape[:1]:
+            raise LpError("objective length does not match the points")
+        cols = slice(n, n + values.shape[0])
+        if n == 0:
+            lone = cols.stop == capacity
+            c = values.view() if lone else np.empty(capacity)
+            A_eq = np.empty((k, capacity))
+            A_le = np.empty((b_le.shape[0], capacity))
+        if not lone:
+            c[cols] = values
+        A_eq[: k - 1, cols] = points[:, : k - 1].T
+        A_eq[k - 1, cols] = 1.0
+        projections = {}  # shared by constraints with one contraction
+        for row, (smoothed, _) in zip(A_le, smoothed_bounds):
+            row[cols] = smoothed.eval_batch(points, p, projections)
+        n = cols.stop
+    program = LinearProgram(c=c[:n], A_eq=A_eq[:, :n], b_eq=b_eq,
+                            A_le=A_le[:, :n], b_le=b_le)
+    for a in (program.c, program.A_eq, program.b_eq, program.A_le, program.b_le):
+        a.flags.writeable = False
+    return program

@@ -9,7 +9,10 @@ For piecewise-constant utilities the simplices that UtilitySpec triangulated
 each piece into at construction (core.triangulate_piece) are subdivided, and
 every sub-cell inherits its parent piece's value, so the approximation
 reproduces the utility exactly (upper envelope included) and the grid
-vertices are exactly the piece vertices the LP restricts support to.
+vertices are exactly the piece vertices the LP restricts support to.  The
+sub-cells themselves are never built: a vertex's value, the largest value
+of a cell at it, is the largest piece value among the refined vertices
+merged into it.
 
 The LP reads only the vertex values, block by block (GriddedUtility.blocks,
 over the grid's own blocks), so a lattice's values never exist as one
@@ -32,35 +35,29 @@ from .core import (UnsupportedKindError, UtilitySpec, ValidationError,
 class GriddedUtility:
     """Upper approximation u_eps of the source utility over a grid.
 
-    u_eps at a point is the largest value of a cell whose closure holds it;
-    a lattice cell's value is the max of its vertex values, a refined piece
-    cell's value is its piece's (cell_values), which can fall below the
-    max of its vertex values on a piece boundary.  The vertex values are
-    the LP objective: on a lattice the max-linear ``utility`` at each
-    vertex plus pad, on a piece grid the largest value of a cell at the
-    vertex.  gap_bound is a certified bound on sup(u_eps - u).
+    u_eps at a point is the largest value of a cell whose closure holds it:
+    the max of its vertex values on a lattice, its piece's value on a piece
+    grid (below the max of its vertex values on a piece boundary).  The
+    vertex values are the LP objective: the max-linear ``utility`` plus pad
+    on a lattice, the largest value of a cell at the vertex on a piece grid
+    (``piece_values``).  gap_bound is a certified bound on sup(u_eps - u).
     """
 
     grid: geometry.SimplexGrid
     pad: float                      # additive slack on vertex values
     gap_bound: float
-    utility: UtilitySpec | None = None     # lattice path: max-linear utility
-    cell_values: np.ndarray | None = None  # piecewise path: value per cell
+    utility: UtilitySpec | None = None      # lattice path: max-linear utility
+    piece_values: np.ndarray | None = None  # piecewise path: value per vertex
 
     def blocks(self):
         """(vertices, vertex values) of each grid block in vertex order,
         read-only; a piece grid is one block."""
-        if self.cell_values is None:
-            parts = ((points, eval_utility_batch(self.utility, points))
-                     for points in self.grid.blocks())
-        else:
-            grid = self.grid
-            values = np.full(grid.vertex_count, -np.inf)
-            np.maximum.at(values, grid.cells.reshape(-1),
-                          np.repeat(self.cell_values, grid.k))
-            parts = [(grid.vertices, values)]
-        for points, values in parts:
-            values += self.pad  # on a piece grid 0.0, which turns -0.0 into 0.0
+        if self.piece_values is not None:
+            yield self.grid.vertices, self.piece_values
+            return
+        for points in self.grid.blocks():
+            values = eval_utility_batch(self.utility, points)
+            values += self.pad
             yield points, frozen(values)
 
     @property
@@ -117,30 +114,29 @@ def _build_piecewise(utility: UtilitySpec, eps: float, M: float, *,
     k = utility.k
     delta = eps / max(M, 1.0)
     cap = geometry.DEFAULT_VERTEX_CAP if vertex_cap is None else int(vertex_cap)
-    verts, cells, values = [], [], []
-    offset = 0
+    verts, values, count, diameter = [], [], 0, 0.0
     for simplices, (_, value) in zip(utility.simplices, utility.pieces):
         if simplices.shape[1] != k:
             raise UnsupportedKindError(
                 "piece polytope is lower-dimensional; the grid approximation "
                 "needs full-dimensional pieces")
         for simplex in simplices:
-            sub_verts, sub_cells = geometry.refine_simplex(simplex, delta,
-                                                           vertex_cap=cap - offset)
-            cells.append(sub_cells + offset)
-            verts.append(sub_verts)
-            offset += len(sub_verts)
-            values.append(np.full(len(sub_cells), value))
+            sub, sub_diameter = geometry.refine_simplex(simplex, delta,
+                                                        vertex_cap=cap - count)
+            verts.append(sub)
+            values.append(np.full(len(sub), value))
+            count += len(sub)
+            diameter = max(diameter, sub_diameter)
     raw = np.vstack(verts)
     # Merge vertices equal after rounding to 12 digits, keeping the first
     # occurrence of each and that order; + 0.0 turns -0.0 into 0.0.
     _, first, inverse = np.unique(np.round(raw, 12) + 0.0, axis=0,
                                   return_index=True, return_inverse=True)
     by_first = np.argsort(first)
-    vertices = raw[first[by_first]]
-    cells = np.argsort(by_first)[inverse.reshape(-1)][np.vstack(cells)]
-    grid = geometry.triangulation_grid(k, vertices, cells)
-    if grid.measured_max_diameter > delta + 1e-12:  # pragma: no cover
-        raise ValidationError("refinement missed the diameter bound")
+    vertex_values = np.full(len(first), -np.inf)
+    np.maximum.at(vertex_values, np.argsort(by_first)[inverse.reshape(-1)],
+                  np.concatenate(values))
+    vertex_values += 0.0  # as a pad of 0.0: -0.0 becomes 0.0
+    grid = geometry.triangulation_grid(k, raw[first[by_first]], diameter)
     return GriddedUtility(grid=grid, pad=0.0, gap_bound=0.0,
-                          cell_values=frozen(np.concatenate(values)))
+                          piece_values=frozen(vertex_values))

@@ -10,12 +10,11 @@ Lipschitz constant, and assembles the LP over the probabilities of the grid
 vertices that satisfy every ex-post constraint, bounds relaxed by eps/2.
 Ex-post constraints never become LP rows; restricting the columns caps the
 support size at k.  The grid is read block by block (geometry.LATTICE_BLOCK
-rows): each block's vertex values, ex-post filter and LP columns
-(lp.build_persuasion_lp) are computed and copied into arrays sized for the
-whole grid, the kept columns packed at the front, so no (V, k) vertex array
-outlives its block; a grid of one block keeps that block's LP as it is.
-No vertex array is kept either: Surrogate.posteriors recovers a lattice
-column's posterior from its A_eq entries and N, bit for bit.
+rows): lp.build_persuasion_lp writes each block's ex-post feasible columns
+and their vertex values straight into LP arrays sized for the whole grid,
+the kept columns packed at the front, so no (V, k) vertex array outlives
+its block.  No vertex array is kept either: Surrogate.posteriors recovers a
+lattice column's posterior from its A_eq entries and N, bit for bit.
 solve_surrogate runs the LP, reads the scheme off the posteriors of its
 support columns and reports it through core.verify_scheme against the
 caller's instance.
@@ -71,7 +70,7 @@ from .core import (EX_ANTE, SUM_TOL, ConstraintReport, DimensionMismatch,
                    InfeasibleError, Posterior, ProblemInstance,
                    ResourceLimitError, SignalingScheme, UnsupportedKindError,
                    ValidationError, eval_constraint_batch, eval_utility_batch,
-                   frozen, merge_row, verify_scheme)
+                   merge_row, verify_scheme)
 
 MASS_EPS = 1e-12
 POOL_TOL = 1e-12
@@ -210,10 +209,9 @@ def build_surrogate(instance: ProblemInstance, eps: float, *,
                                             vertex_cap=grid_cap,
                                             align_multiple=align_multiple)
     bounds = [(s, c.bound + eps2) for s, c in zip(smoothed, ex_ante)]
-    parts = (lp.build_persuasion_lp(points, values, bounds, target.prior)
-             for points, values in _ex_post_columns(target, gridded.blocks()))
-    program = _join_columns(parts, gridded.grid.vertex_count)
-    if program is None:
+    program = lp.build_persuasion_lp(_ex_post_columns(target, gridded.blocks()),
+                                     gridded.grid.vertex_count, bounds, target.prior)
+    if program.n_vars == 0:
         _raise_infeasible("no grid vertex satisfies the ex-post constraints",
                           eps, slater_margin)
     return Surrogate(instance=instance, eps=eps, mode=mode, slater_margin=slater_margin,
@@ -221,43 +219,12 @@ def build_surrogate(instance: ProblemInstance, eps: float, *,
 
 
 def _ex_post_columns(instance: ProblemInstance, blocks):
-    """The (points, values) blocks cut to the rows that meet every ex-post
-    bound; a block left empty is skipped."""
+    """The (points, values) blocks cut to the rows that meet every ex-post bound."""
     for points, values in blocks:
         if instance.ex_post():
             keep = _ex_post_feasible(instance, points)
             points, values = points[keep], values[keep]
-        if values.size:
-            yield points, values
-
-
-def _join_columns(parts, capacity: int) -> lp.LinearProgram | None:
-    """The read-only LP with the columns of ``parts``, LPs on the same rows,
-    in order; None when there is no part.
-
-    A lone part is the LP as it is.  More parts are copied one by one into
-    arrays of ``capacity`` columns, and the LP is a view of the first n;
-    at most two parts are held at a time.
-    """
-    part, following = next(parts, None), next(parts, None)
-    if following is not None:
-        b_eq, b_le = part.b_eq, part.b_le
-        c = np.empty(capacity)
-        A_eq = np.empty((b_eq.shape[0], capacity))
-        A_le = np.empty((b_le.shape[0], capacity))
-        n = 0
-        while part is not None:
-            cols = slice(n, n + part.n_vars)
-            c[cols], A_eq[:, cols], A_le[:, cols] = part.c, part.A_eq, part.A_le
-            n = cols.stop
-            part = following
-            following = next(parts, None)
-        part = lp.LinearProgram(c=c[:n], A_eq=A_eq[:, :n], b_eq=b_eq,
-                                A_le=A_le[:, :n], b_le=b_le)
-    if part is not None:
-        for a in (part.c, part.A_eq, part.A_le, part.b_eq, part.b_le):
-            frozen(a)
-    return part
+        yield points, values
 
 
 def solve_surrogate(surrogate: Surrogate) -> SolveReport:

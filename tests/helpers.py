@@ -1,7 +1,9 @@
 """Shared random-instance and random-scheme generators for the test suite,
 the one-candidate-at-a-time loops that the batched solver code is compared
-against, and a brute-force evaluator of the gridded utility u_eps off the
-grid (the package itself reads u_eps only at grid vertices).
+against, a brute-force enumeration of the lattice, the refined cells of a
+piece grid (the package keeps only their vertices) and a brute-force
+evaluator of the gridded utility u_eps off the grid (the package itself
+reads u_eps only at grid vertices).
 
 Everything is seeded through numpy Generators so runs are reproducible.
 Constraint bounds are set relative to the no-revelation scheme, which makes
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +22,9 @@ from persuade.core import (ConstraintSpec, MaxLinearTerm, Posterior,
                            ProblemInstance, SignalingScheme, UtilitySpec,
                            eval_constraint_batch, eval_utility_batch,
                            simplices_contain)
-from persuade.geometry import build_grid_cells_for_level
+from persuade.geometry import (build_grid_cells_for_level, lattice_vertex_count,
+                               refine_simplex)
+from persuade.objectives import GriddedUtility, build_upper_approx
 from persuade.solver import (BOUNDARY_TOL, POOL_TOL, OracleReport,
                              _solve_unique_exact)
 
@@ -159,10 +164,64 @@ def random_fan_utility(rng: np.random.Generator, n_pieces: int) -> UtilitySpec:
     return UtilitySpec.piecewise_constant(pieces)
 
 
+def lattice_compositions(k: int, N: int) -> np.ndarray:
+    """The compositions of N into k parts in lexicographic order, one per
+    choice of k-1 bar positions among N+k-1 slots (stars and bars)."""
+    rows = [np.diff([-1, *bars, N + k - 1]) - 1
+            for bars in itertools.combinations(range(N + k - 1), k - 1)]
+    return np.array(rows, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class RefinedPieces:
+    """A piece grid's u_eps with the refined cells the package never
+    builds: ``cells`` (C, k) index ``gridded.grid.vertices`` and cell i has
+    its piece's value ``cell_values[i]``.  It stands in for the grid in
+    grid_cells, cells_containing and upper_envelope."""
+
+    gridded: GriddedUtility
+    cells: np.ndarray
+    cell_values: np.ndarray
+
+    @property
+    def vertices(self) -> np.ndarray:
+        return self.gridded.grid.vertices
+
+    @property
+    def vertex_count(self) -> int:
+        return self.gridded.grid.vertex_count
+
+
+def refined_pieces(utility: UtilitySpec, eps: float,
+                   lipschitz_bound: float) -> RefinedPieces:
+    """build_upper_approx of a piecewise-constant utility with its refined
+    cells rebuilt: each piece simplex's staircase cells at its refinement
+    level n, mapped through the barycentric map (refine_simplex's vertices,
+    in lattice order) and matched to the grid's vertices by the 12-digit
+    rounding the grid merged them with."""
+    gridded = build_upper_approx(utility, eps, lipschitz_bound)
+    delta = eps / max(lipschitz_bound, 1.0)
+    k = utility.k
+    index = {tuple(v): i for i, v in
+             enumerate((np.round(gridded.grid.vertices, 12) + 0.0).tolist())}
+    cells, values = [], []
+    for simplices, (_, value) in zip(utility.simplices, utility.pieces):
+        for simplex in simplices:
+            sub, _ = refine_simplex(simplex, delta)
+            n = next(n for n in itertools.count(1)
+                     if lattice_vertex_count(k, n) == len(sub))
+            keys = (np.round(sub, 12) + 0.0).tolist()
+            for cell in build_grid_cells_for_level(k, n):
+                cells.append([index[tuple(keys[i])] for i in cell])
+                values.append(value)
+    return RefinedPieces(gridded, np.array(cells, dtype=np.int64),
+                         np.array(values))
+
+
 def grid_cells(grid) -> np.ndarray:
-    """The (C, k) vertex-index cells of a grid: its explicit cells, or the
-    staircase cells of its denominator on a lattice grid."""
-    if grid.cells is not None:
+    """The (C, k) vertex-index cells of a lattice grid (the staircase cells
+    of its denominator) or of RefinedPieces (its rebuilt cells)."""
+    if isinstance(grid, RefinedPieces):
         return grid.cells
     return build_grid_cells_for_level(grid.k, grid.denominator)
 
@@ -175,13 +234,15 @@ def cells_containing(grid, Q) -> np.ndarray:
 
 def upper_envelope(gridded, Q) -> np.ndarray:
     """u_eps at each row of Q: the largest value of a cell whose closure
-    holds it (-inf where none does).  A cell's value is its entry of
-    ``cell_values`` on a refined piece grid, else the max of its
-    ``vertex_values``."""
-    values = gridded.cell_values
-    if values is None:
-        values = gridded.vertex_values[grid_cells(gridded.grid)].max(axis=1)
-    inside = cells_containing(gridded.grid, Q)
+    holds it (-inf where none does).  ``gridded`` is RefinedPieces, whose
+    cells carry their piece values, or a lattice GriddedUtility, whose
+    cells carry the max of their ``vertex_values``."""
+    if isinstance(gridded, RefinedPieces):
+        grid, values = gridded, gridded.cell_values
+    else:
+        grid = gridded.grid
+        values = gridded.vertex_values[grid_cells(grid)].max(axis=1)
+    inside = cells_containing(grid, Q)
     return np.where(inside, values[:, None], -np.inf).max(axis=0)
 
 

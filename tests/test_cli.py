@@ -182,6 +182,27 @@ def test_fixture_command(tmp_path, capsys):
     assert cli.main(["fixture", "bogus"]) == 1
 
 
+@pytest.mark.parametrize("fid, message", [
+    ("example1:0.1,0.2", "does not match example1:eps0"),
+    ("prop3:2", "does not match prop3:k,m"),
+    ("example1:abc", "eps0 must be a finite number"),
+    ("example1:", "does not match example1:eps0"),
+    ("example1:nan", "eps0 must be a finite number"),
+    ("appE1:2.5", "m must be a finite integer"),
+    ("prop3:2.7,1", "k must be a finite integer"),
+    ("prop3:1e300,1", "1e+300 states"),
+    ("appE3:1e9", "1e+09 states"),
+])
+def test_malformed_fixture_id_exit_1(capsys, fid, message):
+    # Each used to end in a traceback (appE3:1e9 in a failed allocation) or,
+    # for the non-integral counts, to be truncated to an integer.
+    code = cli.main(["fixture", fid])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: fixture") and err.count("\n") == 1
+    assert message in err
+
+
 def test_fixture_example1_verify(capsys):
     assert cli.main(["fixture", "example1:0.16666666666666666", "--verify"]) == 0
 

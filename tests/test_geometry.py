@@ -14,9 +14,9 @@ from persuade.geometry import (build_grid, build_grid_cells_for_level,
                                project_to_contraction_batch, refine_simplex,
                                simplex_volume, triangulation_grid, _l1_diameter,
                                _lattice_vertices, _rank_table)
-from persuade.objectives import build_upper_approx
 
-from helpers import cells_containing, grid_cells, random_fan_utility
+from helpers import (cells_containing, grid_cells, lattice_compositions,
+                     random_fan_utility, refined_pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +109,15 @@ def test_align_multiple_rounds_up():
     assert g.denominator % 12 == 0
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_lattice_vertices_are_the_compositions(k):
+    for N in (0, 1, 2, 7):
+        assert np.array_equal(_lattice_vertices(k, N), lattice_compositions(k, N))
+
+
 def test_composition_rank_matches_enumeration_order():
-    for k, N in [(2, 5), (3, 4), (4, 3)]:
-        verts = _lattice_vertices(k, N)
+    for k, N in [(2, 5), (3, 4), (4, 3), (5, 6)]:
+        verts = lattice_compositions(k, N)
         table = _rank_table(k, N)
         ranks = composition_rank(verts, N, table)
         np.testing.assert_array_equal(ranks, np.arange(verts.shape[0]))
@@ -137,9 +143,9 @@ def test_lattice_blocks_are_the_lattice_rows(monkeypatch, k, N, block):
     blocks = list(lattice_blocks(k, N))
     assert [b.shape for b in blocks] == [(min(block, V - start), k)
                                          for start in range(0, V, block)]
-    assert np.array_equal(np.concatenate(blocks), _lattice_vertices(k, N) / N)
+    assert np.array_equal(np.concatenate(blocks), lattice_compositions(k, N) / N)
     assert np.array_equal(build_grid(k, 2.0 * (k // 2) / N).vertices,
-                          _lattice_vertices(k, N) / N)
+                          lattice_compositions(k, N) / N)
 
 
 def test_lattice_of_at_most_one_block_is_one_block(monkeypatch):
@@ -157,12 +163,11 @@ def test_grid_arrays_are_read_only_and_caller_arrays_stay_writeable():
     g = build_grid(3, 0.5)
     with pytest.raises(ValueError):
         g.vertices[0, 0] = 1.0
-    vertices, cells = np.eye(3), np.arange(3)[None, :]
-    tri = triangulation_grid(3, vertices, cells)
-    for a in (tri.vertices, tri.cells):
-        with pytest.raises(ValueError):
-            a[0, 0] = 1
-    assert vertices.flags.writeable and cells.flags.writeable
+    vertices = np.eye(3)
+    tri = triangulation_grid(3, vertices, 2.0)
+    with pytest.raises(ValueError):
+        tri.vertices[0, 0] = 1
+    assert vertices.flags.writeable
     vertices[0, 0] = 0.5  # the caller's own array is not frozen
 
 
@@ -203,8 +208,7 @@ def test_locate_at_vertices_and_edges():
     # at random points, at grid vertices (which sit on cell borders) and at
     # vertices moved by 4e-10, within the tolerance, in the simplex plane.
     rng = np.random.default_rng(5)
-    pieces = build_upper_approx(random_fan_utility(rng, 5), eps=0.4,
-                                lipschitz_bound=1.0).grid
+    pieces = refined_pieces(random_fan_utility(rng, 5), eps=0.4, lipschitz_bound=1.0)
     for grid in (g, pieces):
         shift = rng.dirichlet(np.ones(3), size=grid.vertex_count) - 1 / 3
         Q = np.vstack([rng.dirichlet(np.ones(3), size=200), grid.vertices[::3],
@@ -216,7 +220,7 @@ def test_locate_at_vertices_and_edges():
 
 def _staircase_cells_per_chain(k, n):
     """Staircase cells by walking each base corner's chains one at a time."""
-    index = {tuple(x): i for i, x in enumerate(_lattice_vertices(k, n).tolist())}
+    index = {tuple(x): i for i, x in enumerate(lattice_compositions(k, n).tolist())}
     cells = []
     for z in itertools.combinations_with_replacement(range(n), k - 1):
         for perm in itertools.permutations(range(k - 1)):
@@ -241,12 +245,19 @@ def test_staircase_cells_match_per_chain_reference(k, n):
 
 
 def test_refine_simplex_diameter():
+    # The staircase cells at level n = ceil(2/0.4) = 5, mapped through the
+    # barycentric map, stay within the certified diameter 2/5.
     S = np.eye(3)
-    verts, cells = refine_simplex(S, 0.4)
-    for cell in cells:
+    verts, diameter = refine_simplex(S, 0.4)
+    assert len(verts) == lattice_vertex_count(3, 5) and diameter == 0.4
+    for cell in build_grid_cells_for_level(3, 5):
         pts = verts[cell]
         for i in range(3):
-            assert np.abs(pts - pts[i]).sum(axis=1).max() <= 0.4 + 1e-12
+            assert np.abs(pts - pts[i]).sum(axis=1).max() <= diameter + 1e-12
+    # A simplex within the bound is its own one cell, of its own diameter.
+    small = S * 0.1 + 0.3
+    verts, diameter = refine_simplex(small, 0.4)
+    assert np.array_equal(verts, small) and diameter == pytest.approx(0.2)
 
 
 def test_refine_simplex_guards():

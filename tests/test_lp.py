@@ -327,7 +327,8 @@ def test_persuasion_lp_k2_full_revelation():
     prior = uniform_prior(2)
     spec = ConstraintSpec.linear([1.0, 1.0], bound=2.0)
     sm = smooth_constraint(spec, 0.5)
-    program = build_persuasion_lp(grid.vertices, [1.0, 0.5, 1.0], [(sm, 2.5)], prior)
+    program = build_persuasion_lp([(grid.vertices, [1.0, 0.5, 1.0])], 3, [(sm, 2.5)],
+                                  prior)
     sol = solve_lp(program)
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, [0.5, 0.0, 0.5], atol=1e-12)
@@ -337,9 +338,9 @@ def test_persuasion_lp_k2_full_revelation():
 def test_persuasion_lp_rejects_mismatched_columns():
     points = geometry.build_grid(2, 1.0).vertices
     with pytest.raises(LpError, match="prior dimension"):
-        build_persuasion_lp(points, [1.0, 0.5, 1.0], [], uniform_prior(3))
+        build_persuasion_lp([(points, [1.0, 0.5, 1.0])], 3, [], uniform_prior(3))
     with pytest.raises(LpError, match="objective length"):
-        build_persuasion_lp(points, [1.0, 0.5], [], uniform_prior(2))
+        build_persuasion_lp([(points, [1.0, 0.5])], 3, [], uniform_prior(2))
 
 
 def test_weak_duality_spot_check():
@@ -360,7 +361,7 @@ def test_persuasion_lp_prior_vertex_constant_utility():
     grid = geometry.build_grid(2, 0.5)
     u = UtilitySpec.max_linear(np.full((1, 2), 0.7))
     gridded = objectives.build_upper_approx(u, eps=0.5, lipschitz_bound=1.0)
-    program = build_persuasion_lp(gridded.grid.vertices, gridded.vertex_values, [],
+    program = build_persuasion_lp(gridded.blocks(), gridded.grid.vertex_count, [],
                                   uniform_prior(2))
     sol = solve_lp(program)
     assert sol.status == "optimal"
@@ -383,7 +384,7 @@ def test_against_scipy_highs_if_available():
         M = max(s.lipschitz_constant for s in smoothed)
         gridded = objectives.build_upper_approx(inst.utility, eps2, M)
         prog = build_persuasion_lp(
-            gridded.grid.vertices, gridded.vertex_values,
+            gridded.blocks(), gridded.grid.vertex_count,
             [(s, c.bound + eps2) for s, c in zip(smoothed, inst.constraints)],
             inst.prior)
         ours = solve_lp(prog)
@@ -407,7 +408,7 @@ def test_persuasion_lp_support_bound_k_plus_m():
         base = float(s.coeffs @ prior.weights)
         pairs.append((smooth_constraint(s.with_bound(base + 0.05), 0.1),
                       base + 0.05))
-    program = build_persuasion_lp(gridded.grid.vertices, gridded.vertex_values,
+    program = build_persuasion_lp(gridded.blocks(), gridded.grid.vertex_count,
                                   pairs, prior)
     sol = solve_lp(program)
     assert sol.status == "optimal"
@@ -429,9 +430,64 @@ def test_kl_constraints_share_one_projection(monkeypatch):
     project = geometry.project_to_contraction_batch
     monkeypatch.setattr(geometry, "project_to_contraction_batch",
                         lambda Q, eps: calls.append(eps) or project(Q, eps))
-    program = build_persuasion_lp(gridded.grid.vertices, gridded.vertex_values,
+    program = build_persuasion_lp(gridded.blocks(), gridded.grid.vertex_count,
                                   [(sm, 0.25) for sm in smoothed], prior)
     assert calls == [smoothed[0].contraction]
     for row, sm in zip(program.A_le, smoothed):
         assert np.array_equal(row, sm.eval_batch(gridded.grid.vertices, prior))
 
+
+
+def test_zero_column_lp_keeps_its_rows_and_is_infeasible():
+    program = LinearProgram(c=np.zeros(0), A_eq=np.zeros((2, 0)), b_eq=[0.5, 1.0],
+                            A_le=np.zeros((1, 0)), b_le=[0.3])
+    assert (program.A_eq.shape, program.A_le.shape, program.n_rows) == ((2, 0), (1, 0), 3)
+    assert solve_lp(program).status == "infeasible"
+
+
+def test_persuasion_lp_with_no_column():
+    prior = uniform_prior(3)
+    sm = smooth_constraint(ConstraintSpec.linear([1.0, 0.0, 0.0], bound=0.5), 0.1)
+    program = build_persuasion_lp(iter(()), 10, [(sm, 0.6)], prior)
+    assert program.n_vars == 0
+    assert (program.A_eq.shape, program.A_le.shape) == ((3, 0), (1, 0))
+    np.testing.assert_array_equal(program.b_eq, [1 / 3, 1 / 3, 1.0])
+    assert solve_lp(program).status == "infeasible"
+
+
+def test_persuasion_lp_over_blocks_is_the_one_block_lp():
+    # Blocks of 0 to 77 columns, one of them empty, give the arrays of one
+    # block bit for bit; the two KL constraints share one contraction, so
+    # each block projects its points once for both rows.
+    prior = uniform_prior(3)
+    specs = [ConstraintSpec.grouped_kl([(0,), (1,), (2,)], 1.0, np.full(3, 1 / 3), 0.2),
+             ConstraintSpec.grouped_kl([(0, 1), (2,)], 1.0, [2 / 3, 1 / 3], 0.2)]
+    smoothed = [smooth_constraint(spec, 0.05) for spec in specs]
+    assert smoothed[0].contraction == smoothed[1].contraction
+    bounds = [(sm, 0.25) for sm in smoothed]
+    gridded = objectives.build_upper_approx(UtilitySpec.max_linear(np.eye(3)), eps=0.1,
+                                            lipschitz_bound=1.0)
+    points, values = gridded.grid.vertices, gridded.vertex_values
+    V = len(values)
+    whole = build_persuasion_lp([(points, values)], V, bounds, prior)
+    assert np.shares_memory(whole.c, values)  # a lone full block is not copied
+
+    def blocked(cuts, capacity):
+        blocks = [(points[a:b], values[a:b]) for a, b in zip(cuts, cuts[1:])]
+        program = build_persuasion_lp(iter(blocks), capacity, bounds, prior)
+        assert not np.shares_memory(program.c, values)
+        return [program.c, program.A_eq, program.b_eq, program.A_le, program.b_le]
+
+    reference = [whole.c, whole.A_eq, whole.b_eq, whole.A_le, whole.b_le]
+    for capacity in (V, V + 9):
+        for ours, ref in zip(blocked([0, 40, 40, 117, V - 2, V], capacity), reference):
+            assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes()
+            with pytest.raises(ValueError):
+                ours[..., 0] = 0.0
+    # numpy multiplies a one-row matrix by another kernel than a many-row
+    # one, so a block of one column can differ in the last bit of its KL
+    # rows, and in nothing else.
+    ours = blocked([0, 40, V - 1, V], V)
+    np.testing.assert_array_max_ulp(ours[3], whole.A_le, maxulp=1)
+    for a, ref in zip(ours[:3], reference):
+        assert a.tobytes() == ref.tobytes()

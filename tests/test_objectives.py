@@ -5,7 +5,8 @@ from persuade.core import (MaxLinearTerm, ResourceLimitError,
                            UnsupportedKindError, UtilitySpec, eval_utility_batch)
 from persuade.objectives import build_upper_approx
 
-from helpers import cells_containing, grid_cells, upper_envelope
+from helpers import (cells_containing, grid_cells, random_fan_utility,
+                     refined_pieces, upper_envelope)
 
 
 def sample_simplex(rng, k, n):
@@ -41,13 +42,13 @@ def test_piecewise_aligned_boundary_envelope():
         (np.array([[1.0, 0.0], [0.5, 0.5]]), 0.0),
         (np.array([[0.5, 0.5], [0.0, 1.0]]), 1.0),
     ])
-    gu = build_upper_approx(u, eps=0.25, lipschitz_bound=1.0)
+    gu = refined_pieces(u, eps=0.25, lipschitz_bound=1.0)
     # Exact reproduction: cells refine the pieces, values from parent pieces.
     at = upper_envelope(gu, [[0.6, 0.4], [0.5, 0.5], [0.4, 0.6]])
     assert at[0] == 0.0
     assert at[1] == 1.0  # upper envelope
     assert at[2] == 1.0
-    assert gu.gap_bound == 0.0
+    assert gu.gridded.gap_bound == 0.0
     rng = np.random.default_rng(0)
     Q = sample_simplex(rng, 2, 2000)
     vals = upper_envelope(gu, Q)
@@ -84,7 +85,7 @@ def test_sandwich_piecewise_exact():
         (np.vstack([e[1], e[2], center]), 1.5),
         (np.vstack([e[2], e[0], center]), 1.0),
     ])
-    gu = build_upper_approx(u, eps=0.3, lipschitz_bound=2.0)
+    gu = refined_pieces(u, eps=0.3, lipschitz_bound=2.0)
     rng = np.random.default_rng(9)
     Q = sample_simplex(rng, 3, 2000)
     base = eval_utility_batch(u, Q)
@@ -163,7 +164,7 @@ def test_polygon_piece_fan_triangulation():
         (np.eye(3), rest_value),
         (quad, 1.0),
     ])
-    gu = build_upper_approx(u, eps=0.3, lipschitz_bound=1.0)
+    gu = refined_pieces(u, eps=0.3, lipschitz_bound=1.0)
     inner = quad.mean(axis=0)
     assert upper_envelope(gu, inner)[0] == 1.0
 
@@ -177,9 +178,10 @@ def test_piecewise_grid_merges_signed_zero_vertices():
         (np.vstack([e[0], [0.9, 0.1, 0.0], e[2]]), 1.0),
         (np.vstack([[0.9, 0.1, 1 - 0.9 - 0.1], e[1], e[2]]), 2.0),
     ])
-    grid = build_upper_approx(u, eps=4.0, lipschitz_bound=1.0).grid
-    assert grid.vertex_count == 4
-    np.testing.assert_array_equal(grid.cells, [[0, 1, 2], [1, 3, 2]])
+    pieces = refined_pieces(u, eps=4.0, lipschitz_bound=1.0)
+    assert pieces.vertex_count == 4
+    np.testing.assert_array_equal(pieces.cells, [[0, 1, 2], [1, 3, 2]])
+    np.testing.assert_array_equal(pieces.gridded.vertex_values, [1.0, 2.0, 2.0, 2.0])
 
 
 def test_gridded_arrays_are_read_only():
@@ -188,8 +190,34 @@ def test_gridded_arrays_are_read_only():
     pieces = build_upper_approx(UtilitySpec.piecewise_constant([
         (np.array([[1.0, 0.0], [0.5, 0.5]]), 0.0),
         (np.array([[0.5, 0.5], [0.0, 1.0]]), 1.0)]), eps=0.25, lipschitz_bound=1.0)
-    arrays = [lattice.vertex_values, pieces.vertex_values, pieces.cell_values]
+    arrays = [lattice.vertex_values, pieces.vertex_values]
     arrays += [a for gu in (lattice, pieces) for block in gu.blocks() for a in block]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+def _aligned_pieces():
+    return UtilitySpec.piecewise_constant([
+        (np.array([[1.0, 0.0], [0.5, 0.5]]), 0.0),
+        (np.array([[0.5, 0.5], [0.0, 1.0]]), 1.0)])
+
+
+@pytest.mark.parametrize("utility, eps, M", [
+    pytest.param(_aligned_pieces(), 0.25, 1.0, id="k2-aligned"),
+    pytest.param(UtilitySpec.piecewise_constant([(np.eye(3), -0.0)]), 0.3, 1.0,
+                 id="k3-negative-zero"),
+    *[pytest.param(random_fan_utility(np.random.default_rng(seed), 3 + seed), eps, M,
+                   id=f"fan{seed}") for seed, eps, M in [(0, 0.3, 1.0), (1, 0.2, 2.0),
+                                                          (2, 0.5, 1.0), (3, 0.07, 1.0)]],
+])
+def test_piece_vertex_value_is_the_max_over_incident_cells(utility, eps, M):
+    # The package merges the refined vertices and takes the largest piece
+    # value among them; the rebuilt cells give the same array bit for bit.
+    pieces = refined_pieces(utility, eps, M)
+    expected = np.full(pieces.vertex_count, -np.inf)
+    np.maximum.at(expected, pieces.cells.reshape(-1),
+                  np.repeat(pieces.cell_values, utility.k))
+    expected += 0.0
+    assert pieces.gridded.vertex_values.tobytes() == expected.tobytes()
+    assert np.isfinite(expected).all()

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (feasible_conversion_case, interior_prior, random_constraint,
-                     random_instance, random_plausible_scheme,
+from helpers import (feasible_conversion_case, interior_prior, lattice_compositions,
+                     random_constraint, random_instance, random_plausible_scheme,
                      reference_bisect_boundary, reference_oracle_solve)
 from persuade import geometry, lp
 from persuade.core import (ConstraintSpec, InfeasibleError, MaxLinearTerm,
@@ -227,7 +227,7 @@ def test_blockwise_surrogate_is_the_one_block_surrogate(monkeypatch, k, eps, ex_
     N = blocked.grid_denominator
     V = geometry.lattice_vertex_count(k, N)
     assert V > 5 * 97 and V % 97
-    lattice = geometry._lattice_vertices(k, N) / N
+    lattice = lattice_compositions(k, N) / N
     kept = lattice[:, 0] <= 0.6 + BOUNDARY_TOL if ex_post else np.ones(V, bool)
     assert blocked.program.n_vars == kept.sum()
     assert kept.all() != ex_post  # the ex-post bound cuts some vertices off
@@ -242,10 +242,9 @@ def test_blockwise_surrogate_is_the_one_block_surrogate(monkeypatch, k, eps, ex_
 
 
 def test_build_peak_stays_near_the_lp_itself():
-    # The build holds the LP's own k + m + 1 rows of floats plus one or two
-    # lattice blocks at a time, never the (V, k) lattice: on 868k columns in
-    # 7 blocks the peak is 1.7 times the LP, where building the whole
-    # lattice first took 3.6 times.
+    # The build holds the LP's own k + m + 1 rows of floats plus one lattice
+    # block and its columns at a time, never the (V, k) lattice: on 868k
+    # columns in 7 blocks the peak is 1.45 times the LP.
     inst = kl_instance(3)
     tracemalloc.start()
     try:
@@ -254,8 +253,22 @@ def test_build_peak_stays_near_the_lp_itself():
     finally:
         tracemalloc.stop()
     n = surrogate.program.n_vars
-    assert peak < 2 * 8 * (3 + 1 + 1) * n
+    assert peak < 1.6 * 8 * (3 + 1 + 1) * n
     assert n > 4 * geometry.LATTICE_BLOCK
+
+
+@pytest.mark.parametrize("block", [None, 97])
+def test_grid_emptied_by_the_ex_post_filter_is_infeasible(monkeypatch, block):
+    # No vertex has q[0] <= -0.1: the LP builder gets no column, on a grid
+    # of one block and on one of many.
+    if block is not None:
+        monkeypatch.setattr(geometry, "LATTICE_BLOCK", block)
+    inst = kl_instance(3, ConstraintSpec.linear(np.eye(3)[0], bound=-0.1,
+                                                mode="ex_post"))
+    with pytest.raises(InfeasibleError, match="no grid vertex satisfies"):
+        build_surrogate(inst, 0.1)
+    N = build_surrogate(kl_instance(3), 0.1).grid_denominator
+    assert (len(list(geometry.lattice_blocks(3, N))) > 1) == (block is not None)
 
 
 # ---------------------------------------------------------------------------
