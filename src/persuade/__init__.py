@@ -11,8 +11,8 @@ from .core import (ConstraintSpec, DimensionMismatch, InfeasibleError,
                    ResourceLimitError, SignalingScheme, UnsupportedKindError,
                    UtilitySpec, ValidationError, VerifyReport,
                    check_bayes_plausible, eval_constraint, eval_utility,
-                   full_revelation, no_revelation, scheme_expectation,
-                   uniform_prior, verify_scheme)
+                   full_revelation, no_revelation, uniform_prior,
+                   verify_scheme)
 from .auction import (AuctionSpec, BidderType, auction_utility,
                       example2_scheme, to_max_linear, verify_jensen_factor)
 from .constraints import SmoothedConstraint, smooth_constraint
@@ -36,7 +36,7 @@ __all__ = [
     "check_bayes_plausible", "eval_constraint", "eval_utility",
     "ex_ante_to_ex_post", "example2_scheme", "full_revelation",
     "no_revelation", "oracle_solve", "parse_fixture_id",
-    "project_to_contraction", "scheme_expectation", "single_criteria_solve",
+    "project_to_contraction", "single_criteria_solve",
     "smooth_constraint", "solve_lp", "to_max_linear", "uniform_prior",
     "verify_fixture", "verify_jensen_factor", "verify_scheme",
 ]

@@ -280,9 +280,9 @@ def example2_scheme(instance) -> SignalingScheme:
         raise InfeasibleError("prior lies outside the restricted simplex")
     if slack <= 1e-12:
         # Degenerate: the region is the single point lo = prior.
-        return SignalingScheme((instance.prior,), np.array([1.0]))
+        return SignalingScheme(prior[None], [1.0])
     vertices = lo[None, :] + slack * np.eye(k)
     probs = (prior - lo) / slack
     probs = np.clip(probs, 0.0, None)
     keep = probs > 1e-12
-    return SignalingScheme.from_points(vertices[keep], probs[keep] / probs[keep].sum())
+    return SignalingScheme(vertices[keep], probs[keep] / probs[keep].sum())

@@ -232,7 +232,7 @@ def instance_from_dict(d: dict, seed: int | None = None) -> ProblemInstance:
 
 def scheme_to_dict(scheme: SignalingScheme, value: float | None = None,
                    report: dict | None = None) -> dict:
-    out = {"support": _floats(scheme.support_matrix()),
+    out = {"support": _floats(scheme.support),
            "probs": _floats(scheme.probs)}
     if value is not None:
         out["value"] = value
@@ -245,8 +245,7 @@ def scheme_from_dict(d: dict) -> SignalingScheme:
     if not isinstance(d, dict) or "support" not in d or "probs" not in d:
         raise InputError("scheme: expected an object with 'support' and 'probs'")
     try:
-        return SignalingScheme.from_points(np.asarray(d["support"], dtype=float),
-                                           np.asarray(d["probs"], dtype=float))
+        return SignalingScheme(d["support"], d["probs"])
     except _BAD_INPUT as exc:
         raise _ctx("scheme", exc) from exc
 

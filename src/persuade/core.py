@@ -4,8 +4,8 @@ A problem is a prior over k states of nature, a Sender utility defined on
 posteriors, and a list of constraint functions with bounds, each enforced
 either in expectation over the scheme (ex ante) or pointwise on every support
 posterior (ex post).  A signaling scheme is represented by the distribution
-over posteriors it induces; the barycenter of that distribution must equal
-the prior (Bayes plausibility).
+over posteriors it induces, an (s, k) support array and a mass vector; the
+barycenter of that distribution must equal the prior (Bayes plausibility).
 
 Piecewise-constant utilities are triangulated once, when the UtilitySpec is
 built (triangulate_piece), and piece membership goes through one batched
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -99,32 +99,43 @@ def _finite_vector(name: str, a) -> np.ndarray:
 # Posteriors and schemes
 # ---------------------------------------------------------------------------
 
+def _simplex_rows(a: np.ndarray, name: str) -> np.ndarray:
+    """The rows of the 2-d array ``a`` as points of the probability simplex,
+    in a new float array.
+
+    Entries in [-ENTRY_TOL, 0) are clamped to zero and each row divided by
+    its sum, so solver output noise cannot produce invalid probabilities.
+    An empty row, an entry that is not finite or is below -ENTRY_TOL, or a
+    row sum off 1 by more than SUM_TOL raises ValidationError naming
+    ``name``.  Posterior is the one-row case.
+    """
+    if a.shape[1] < 1:
+        raise ValidationError(f"{name} are empty")
+    check_finite(name, a)
+    if a.min() < -ENTRY_TOL:
+        raise ValidationError(f"{name} include {a.min():.3e}, below -{ENTRY_TOL:g}")
+    totals = a.sum(axis=1)
+    off = np.abs(totals - 1.0) > SUM_TOL
+    if off.any():
+        raise ValidationError(f"{name} sum to {float(totals[off][0])!r}, "
+                              f"expected 1 within {SUM_TOL:g}")
+    a = np.maximum(a, 0.0)
+    a /= a.sum(axis=1, keepdims=True)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Posterior:
-    """A point of the probability simplex over the k states of nature.
-
-    Entries in [-1e-12, 0) are clamped to zero and the vector renormalized,
-    so solver output noise cannot produce invalid probabilities.  Entries
-    below -1e-12 or a total mass off by more than 1e-9 are rejected.
-    """
+    """A point of the probability simplex over the k states of nature, the
+    one-row case of _simplex_rows: entries in [-1e-12, 0) clamp to zero and
+    the vector is renormalized; lower entries or a sum off 1 by > 1e-9 fail."""
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.size < 1:
-            raise ValidationError("posterior needs at least one entry")
-        check_finite("posterior entries", w)
-        if np.any(w < -ENTRY_TOL):
-            raise ValidationError(
-                f"posterior entry {w.min():.3e} below -{ENTRY_TOL:g}")
-        total = float(w.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValidationError(
-                f"posterior entries sum to {total!r}, expected 1 within {SUM_TOL:g}")
-        w = np.clip(w, 0.0, None)
-        w = w / w.sum()
-        object.__setattr__(self, "weights", _as_readonly(w))
+        w = np.asarray(self.weights, dtype=float).reshape(1, -1)
+        object.__setattr__(self, "weights",
+                           frozen(_simplex_rows(w, "posterior entries")[0]))
 
     @property
     def k(self) -> int:
@@ -142,63 +153,54 @@ def uniform_prior(k: int) -> Posterior:
 class SignalingScheme:
     """A finitely supported distribution over posteriors.
 
-    Support points within MERGE_TOL in l-infinity are merged with their
-    probabilities summed (merge_row), so grid/pooling output never
-    carries near duplicates.
+    ``support`` is a read-only (s, k) float array, one posterior per row,
+    and ``probs`` the read-only mass vector of its rows.  The rows and the
+    masses are each validated and normalized by _simplex_rows; then, in
+    support order, a row within MERGE_TOL in l-infinity of a kept row is
+    merged into it (merge_row) with its mass added, so grid/pooling output
+    never carries near duplicates.
     """
 
-    support: tuple[Posterior, ...]
+    support: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self):
-        support = tuple(self.support)
-        probs = np.asarray(self.probs, dtype=float).reshape(-1)
-        if len(support) != probs.shape[0]:
+        pts = np.asarray(self.support, dtype=float, order="C")
+        probs = np.asarray(self.probs, dtype=float).reshape(1, -1)
+        if pts.ndim != 2:
+            raise ValidationError("support must be an (s, k) array of posteriors")
+        if pts.shape[0] != probs.shape[1]:
             raise ValidationError("support and probs lengths differ")
-        if len(support) == 0:
+        if pts.shape[0] == 0:
             raise ValidationError("scheme needs at least one support point")
-        k = support[0].k
-        if any(p.k != k for p in support):
-            raise DimensionMismatch("support posteriors have mixed dimensions")
-        if np.any(probs < -ENTRY_TOL):
-            raise ValidationError("scheme probabilities must be nonnegative")
-        total = float(probs.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValidationError(
-                f"scheme probabilities sum to {total!r}, expected 1 within {SUM_TOL:g}")
-        probs = np.clip(probs, 0.0, None)
-        pts = np.vstack([p.weights for p in support])
-        kept: list[int] = []
-        merged: list[float] = []
-        for i, pr in enumerate(probs / probs.sum()):
-            j = merge_row(pts[kept], pts[i])
+        pts = _simplex_rows(pts, "posterior entries")
+        probs = _simplex_rows(probs, "scheme probabilities")[0]
+        # Kept rows move to the front in place; pts[:n] holds them.
+        n = 0
+        for i in range(pts.shape[0]):
+            j = merge_row(pts[:n], pts[i])
             if j is None:
-                kept.append(i)
-                merged.append(float(pr))
+                pts[n], probs[n] = pts[i], probs[i]
+                n += 1
             else:
-                merged[j] += pr
-        object.__setattr__(self, "support", tuple(support[i] for i in kept))
-        object.__setattr__(self, "probs", _as_readonly(np.array(merged)))
-
-    @classmethod
-    def from_points(cls, points: np.ndarray | Sequence[Sequence[float]],
-                    probs: Sequence[float]) -> "SignalingScheme":
-        pts = np.asarray(points, dtype=float)
-        return cls(tuple(Posterior(row) for row in pts), np.asarray(probs, dtype=float))
+                probs[j] += probs[i]
+        object.__setattr__(self, "support", frozen(pts[:n]))
+        object.__setattr__(self, "probs", frozen(probs[:n]))
 
     @property
     def k(self) -> int:
-        return self.support[0].k
+        return self.support.shape[1]
 
     @property
     def size(self) -> int:
-        return len(self.support)
+        return self.support.shape[0]
 
     def support_matrix(self) -> np.ndarray:
-        return np.vstack([p.weights for p in self.support])
+        """The (s, k) support array itself, not a copy."""
+        return self.support
 
     def barycenter(self) -> np.ndarray:
-        return self.probs @ self.support_matrix()
+        return self.probs @ self.support
 
 
 def merge_row(points: np.ndarray, q: np.ndarray) -> int | None:
@@ -214,14 +216,18 @@ def merge_row(points: np.ndarray, q: np.ndarray) -> int | None:
 
 def full_revelation(prior: Posterior) -> SignalingScheme:
     """Point masses on the unit vectors, weighted by the prior."""
-    k = prior.k
     keep = prior.weights > 0
-    pts = np.eye(k)[keep]
-    return SignalingScheme.from_points(pts, prior.weights[keep])
+    return SignalingScheme(np.eye(prior.k)[keep], prior.weights[keep])
 
 
 def no_revelation(prior: Posterior) -> SignalingScheme:
-    return SignalingScheme((prior,), np.array([1.0]))
+    return SignalingScheme(prior.weights[None], [1.0])
+
+
+def _bayes_deviation(support: np.ndarray, probs: np.ndarray,
+                     prior: Posterior) -> float:
+    """l-infinity distance of the barycenter probs @ support from the prior."""
+    return float(np.max(np.abs(probs @ support - prior.weights)))
 
 
 def check_bayes_plausible(scheme: SignalingScheme,
@@ -232,14 +238,8 @@ def check_bayes_plausible(scheme: SignalingScheme,
     """
     if scheme.k != prior.k:
         raise DimensionMismatch(f"scheme k={scheme.k} vs prior k={prior.k}")
-    deviation = float(np.max(np.abs(scheme.barycenter() - prior.weights)))
+    deviation = _bayes_deviation(scheme.support, scheme.probs, prior)
     return deviation <= SUM_TOL, deviation
-
-
-def scheme_expectation(scheme: SignalingScheme,
-                       fn: Callable[[Posterior], float]) -> float:
-    """Expectation of fn over the scheme's posterior distribution."""
-    return float(sum(pr * fn(pt) for pt, pr in zip(scheme.support, scheme.probs)))
 
 
 # ---------------------------------------------------------------------------
@@ -795,27 +795,28 @@ def verify_scheme(instance: ProblemInstance, scheme: SignalingScheme,
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     if scheme.k != instance.k:
         raise DimensionMismatch(f"scheme k={scheme.k} vs instance k={instance.k}")
-    pts = scheme.support_matrix()
-    return score_scheme(instance, scheme,
+    pts = scheme.support
+    return score_scheme(instance, pts, scheme.probs,
                         [eval_constraint_batch(spec, pts, instance.prior)
                          for spec in instance.constraints],
                         eval_utility_batch(instance.utility, pts), tol)
 
 
-def score_scheme(instance: ProblemInstance, scheme: SignalingScheme,
+def score_scheme(instance: ProblemInstance, support: np.ndarray, probs: np.ndarray,
                  constraint_values, utility_values: np.ndarray,
                  tol: float = SUM_TOL) -> VerifyReport:
-    """verify_scheme's report from the values of each constraint and of the
-    utility at the scheme's support points, in support order, so schemes
-    that share a support are scored on one evaluation."""
-    _, deviation = check_bayes_plausible(scheme, instance.prior)
+    """verify_scheme's report for the mass vector ``probs`` on the (s, k)
+    ``support`` array, from the values of each constraint and of the utility
+    at the support rows, so masses on one support are scored on one
+    evaluation of those values."""
+    deviation = _bayes_deviation(support, probs, instance.prior)
     reports = []
     for spec, vals in zip(instance.constraints, constraint_values):
-        value = float(scheme.probs @ vals) if spec.mode == EX_ANTE else float(vals.max())
+        value = float(probs @ vals) if spec.mode == EX_ANTE else float(vals.max())
         reports.append(ConstraintReport(kind=spec.kind, mode=spec.mode,
                                         value=value, bound=spec.bound,
                                         violation=max(0.0, value - spec.bound)))
-    utility = float(scheme.probs @ utility_values)
+    utility = float(probs @ utility_values)
     valid = deviation <= tol and all(r.violation <= tol for r in reports)
     return VerifyReport(plausibility_deviation=deviation,
                         constraints=tuple(reports), utility=utility,

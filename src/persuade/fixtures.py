@@ -124,9 +124,7 @@ def _example1(eps0: float) -> Fixture:
         constraints=(ConstraintSpec.linear([0.0, 1.0], bound=c, mode="ex_ante"),))
     post_opt = 2.0 * eps0 / (1.0 + 2.0 * eps0)
     # Ex-post optimum: mass 1/(2c) at p[1] = c, the rest at p[1] = 0.
-    scheme = SignalingScheme.from_points(
-        np.array([[1.0, 0.0], [1.0 - c, c]]),
-        np.array([1.0 - 0.5 / c, 0.5 / c]))
+    scheme = SignalingScheme([[1.0, 0.0], [1.0 - c, c]], [1.0 - 0.5 / c, 0.5 / c])
     return Fixture(FixtureId("example1", (eps0,)), instance,
                    references={"ex_ante_opt": 0.5, "ex_post_opt": post_opt},
                    reference_scheme=scheme)
@@ -145,10 +143,11 @@ def _prop3(k: int, m: int) -> Fixture:
     q_pts = center + rho * (dirs - dirs.mean(axis=0))
     e_pts = np.eye(k)
     # Radius: half the minimum pairwise l1 distance among {q_i} u {e_j}.
+    # Two unit vectors are exactly 2.0 apart; each q_i is measured against
+    # every later point.
     pool = np.vstack([q_pts, e_pts])
-    dists = [np.abs(pool[i] - pool[j]).sum()
-             for i in range(len(pool)) for j in range(i + 1, len(pool))]
-    radius = 0.5 * min(dists)
+    radius = 0.5 * min(2.0, *(np.abs(pool[i + 1:] - pool[i]).sum(axis=1).min()
+                              for i in range(m)))
     if radius <= 0:
         raise ValidationError("prop3 interior points collide")
     pieces = [(e_pts, 0.0)]
@@ -159,9 +158,8 @@ def _prop3(k: int, m: int) -> Fixture:
                                      mode="ex_ante") for q in q_pts)
     instance = ProblemInstance(k=k, prior=Posterior(center), utility=utility,
                                constraints=cons)
-    scheme = SignalingScheme.from_points(
-        np.vstack([q_pts, e_pts]),
-        np.concatenate([np.full(m, 1.0 / (2 * m)), np.full(k, 1.0 / (2 * k))]))
+    scheme = SignalingScheme(
+        pool, np.concatenate([np.full(m, 1.0 / (2 * m)), np.full(k, 1.0 / (2 * k))]))
     return Fixture(FixtureId("prop3", (k, m)), instance,
                    references={"opt": 0.75, "support_size": k + m},
                    reference_scheme=scheme)
@@ -241,11 +239,6 @@ def verify_fixture(fid: FixtureId, tol: float = 1e-9) -> FixtureVerification:
     return FixtureVerification(id=fid, passed=passed, checks=tuple(checks))
 
 
-def _utility_of(instance: ProblemInstance, scheme: SignalingScheme) -> float:
-    pts = scheme.support_matrix()
-    return float(scheme.probs @ eval_utility_batch(instance.utility, pts))
-
-
 def _verify_example1(fixture: Fixture, check, tol: float):
     inst = fixture.instance
     eps0 = fixture.id.params[0]
@@ -272,28 +265,29 @@ def _verify_example1(fixture: Fixture, check, tol: float):
 def _verify_prop3(fixture: Fixture, check, tol: float):
     inst = fixture.instance
     scheme = fixture.reference_scheme
-    rep = verify_scheme(inst, scheme, tol=tol)
+    # The reference and every perturbation of its weights share the support
+    # (its points are pairwise farther apart than MERGE_TOL), so the values
+    # there are computed once.
+    pts = scheme.support
+    constraint_values = [eval_constraint_batch(spec, pts, inst.prior)
+                         for spec in inst.constraints]
+    utility_values = eval_utility_batch(inst.utility, pts)
+
+    def score(w: np.ndarray):
+        return score_scheme(inst, pts, w, constraint_values, utility_values, tol)
+    rep = score(scheme.probs)
     check("reference_valid", rep.valid,
           f"plaus={rep.plausibility_deviation:.2e}")
     check("value", abs(rep.utility - 0.75) <= 1e-12, f"{rep.utility} vs 0.75")
     check("support_size", scheme.size == fixture.references["support_size"],
           f"{scheme.size}")
     # Perturbing any single weight breaks validity or strictly lowers value.
-    # The perturbed schemes keep the support (its points are pairwise
-    # farther apart than MERGE_TOL), so the values there are computed once.
-    pts = scheme.support_matrix()
-    constraint_values = [eval_constraint_batch(spec, pts, inst.prior)
-                         for spec in inst.constraints]
-    utility_values = eval_utility_batch(inst.utility, pts)
-    base_w = np.array(scheme.probs)
     all_degrade = True
     for i in range(scheme.size):
         for delta in (1e-3, -1e-3):
-            w = base_w.copy()
+            w = np.array(scheme.probs)
             w[i] = max(w[i] + delta, 0.0)
-            w = w / w.sum()
-            pert = SignalingScheme(scheme.support, w)
-            prep = score_scheme(inst, pert, constraint_values, utility_values, tol)
+            prep = score(w / w.sum())
             if prep.valid and prep.utility >= rep.utility - 1e-12:
                 all_degrade = False
     check("perturbations_degrade", all_degrade, "")
@@ -305,16 +299,15 @@ def _verify_app_e1(fixture: Fixture, check, tol: float):
     fr = fixture.reference_scheme
     out, trace = solver.ex_ante_to_ex_post(fr, inst.constraints, inst.prior,
                                            trace=True)
-    v_in = _utility_of(inst, fr)
-    v_out = _utility_of(inst, out)
+    v_in = verify_scheme(inst, fr, tol=tol).utility
+    post_rep = verify_scheme(inst.with_modes("ex_post"), out, tol=tol)
+    v_out = post_rep.utility
     check("input_value", abs(v_in - 1.0) <= tol, f"{v_in}")
     check("ratio", abs(v_out / v_in - 2.0 ** -m) <= tol,
           f"{v_out / v_in} vs {2.0 ** -m}")
     check("ends_at_no_revelation",
-          out.size == 1 and np.max(np.abs(out.support[0].weights
-                                          - inst.prior.weights)) <= tol, "")
-    post = inst.with_modes("ex_post")
-    check("ex_post_valid", verify_scheme(post, out, tol=tol).valid, "")
+          out.size == 1 and np.max(np.abs(out.support[0] - inst.prior.weights)) <= tol, "")
+    check("ex_post_valid", post_rep.valid, "")
     check("step_budget",
           all(len(trace.steps_for(j)) <= max(1, trace.entry_support_sizes[j]) - 1
               for j in range(m)), "")
@@ -324,7 +317,7 @@ def _verify_app_e1(fixture: Fixture, check, tol: float):
     replay = fr
     for spec in inst.constraints:
         replay = solver.ex_ante_to_ex_post(replay, [spec], inst.prior)
-        fvals = eval_constraint_batch(spec, replay.support_matrix(), inst.prior)
+        fvals = eval_constraint_batch(spec, replay.support, inst.prior)
         ok &= bool(np.max(np.abs(fvals - 0.5)) <= tol)
     check("tight_after_each_run", ok, "")
 

@@ -191,14 +191,22 @@ def _y_to_x(y_pts: np.ndarray, N: int) -> np.ndarray:
     return np.hstack([first, mids, last])
 
 
-def max_cell_diameter_bound(k: int, N: int) -> float:
-    """Certified l1 diameter bound of staircase cells at denominator N.
+def staircase_level(k: int, diameter: float, max_diameter: float,
+                    align_multiple: int = 1) -> tuple[int, float]:
+    """(n, cell diameter): the level n at which the staircase cells of a
+    k-vertex simplex of l1 diameter ``diameter`` have l1 diameter at most
+    ``max_diameter``, and the certified l1 diameter of those cells.
 
-    A within-cell vertex difference maps to a +-1 pattern with at most
-    floor(k/2) blocks, each contributing l1 mass 2/N; the whole simplex has
-    l1 diameter 2, which caps the N=1 case.
+    A within-cell vertex difference is, in barycentric coordinates, a +-1
+    pattern with at most floor(k/2) blocks, each of l1 mass 2/n, and a
+    barycentric l1 difference of b maps to at most (b/2) * diameter; so the
+    cells have l1 diameter floor(k/2) * diameter / n, and never more than
+    the simplex itself.  ``align_multiple`` rounds n up to a multiple.
     """
-    return min(2.0, 2.0 * (k // 2) / N)
+    n = max(1, math.ceil((k // 2) * diameter / max_diameter))
+    if align_multiple > 1:
+        n = ((n + align_multiple - 1) // align_multiple) * align_multiple
+    return n, min(diameter, (k // 2) * diameter / n)
 
 
 def _l1_diameter(simplices: np.ndarray) -> float:
@@ -211,8 +219,8 @@ def build_grid(k: int, max_diameter: float, *, vertex_cap: int | None = None,
                align_multiple: int = 1) -> SimplexGrid:
     """Lattice grid with every cell's l1 diameter <= max_diameter.
 
-    N = ceil(2/max_diameter) suffices for k <= 3; higher k needs
-    ceil(2*floor(k/2)/max_diameter) because staircase cells can pair vertices
+    N is the staircase_level of the whole simplex (l1 diameter 2):
+    ceil(2*floor(k/2)/max_diameter), since staircase cells can pair vertices
     at l1 distance 2*floor(k/2)/N.  ``align_multiple`` rounds N up so coarse
     divisor grids stay vertex subsets (used by oracle comparisons).
     """
@@ -221,15 +229,12 @@ def build_grid(k: int, max_diameter: float, *, vertex_cap: int | None = None,
     if max_diameter <= 0:
         raise ValidationError("max_diameter must be positive")
     cap = DEFAULT_VERTEX_CAP if vertex_cap is None else int(vertex_cap)
-    N = max(1, math.ceil(2.0 * max(1, k // 2) / max_diameter))
-    if align_multiple > 1:
-        N = ((N + align_multiple - 1) // align_multiple) * align_multiple
+    N, diameter = staircase_level(k, 2.0, max_diameter, align_multiple)
     count = lattice_vertex_count(k, N)
     if count > cap:
         raise ResourceLimitError(
             f"grid would need {count} vertices (k={k}, N={N}), cap is {cap}")
-    grid = SimplexGrid(k=k, denominator=N,
-                       measured_max_diameter=max_cell_diameter_bound(k, N))
+    grid = SimplexGrid(k=k, denominator=N, measured_max_diameter=diameter)
     if grid.measured_max_diameter > max_diameter + 1e-12:
         raise ValidationError(
             f"cell diameter {grid.measured_max_diameter} exceeds requested "
@@ -252,10 +257,11 @@ def refine_simplex(simplex: np.ndarray, max_diameter: float, *,
                    vertex_cap: int = DEFAULT_VERTEX_CAP) -> tuple[np.ndarray, float]:
     """Edgewise subdivision of one simplex into cells of l1 diameter <= bound.
 
-    Returns (vertices, certified cell diameter): at level n, the lattice
-    points of denominator n in lattice order mapped through barycentric
-    coordinates, whose cells (not built) are build_grid_cells_for_level(k, n).
-    Raises ResourceLimitError past vertex_cap vertices.
+    Returns (vertices, certified cell diameter): at the staircase_level n,
+    the lattice points of denominator n in lattice order mapped through
+    barycentric coordinates, whose cells (not built) are
+    build_grid_cells_for_level(k, n).  A simplex within the bound is its
+    own one cell.  Raises ResourceLimitError past vertex_cap vertices.
     """
     if max_diameter <= 0:
         raise ValidationError("max_diameter must be positive")
@@ -264,15 +270,13 @@ def refine_simplex(simplex: np.ndarray, max_diameter: float, *,
     diam = _l1_diameter(S[None])
     if diam <= max_diameter:
         return S.copy(), diam
-    # A barycentric l1 difference of b maps to at most (b/2)*diam in x-space;
-    # staircase cells have barycentric l1 diameter 2*floor(k/2)/n.
-    n = max(1, math.ceil((k // 2) * diam / max_diameter))
+    n, cell_diameter = staircase_level(k, diam, max_diameter)
     count = lattice_vertex_count(k, n)
     if count > vertex_cap:
         raise ResourceLimitError(
             f"refining a piece would need {count} vertices, cap is {vertex_cap}")
     bary = _lattice_vertices(k, n).astype(float) / n
-    return bary @ S, (k // 2) * diam / n
+    return bary @ S, cell_diameter
 
 
 def build_grid_cells_for_level(k: int, n: int) -> np.ndarray:

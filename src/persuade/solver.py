@@ -243,7 +243,7 @@ def solve_surrogate(surrogate: Surrogate) -> SolveReport:
         raise lp.NumericError(f"unexpected LP status {sol.status}")
     columns = np.flatnonzero(sol.x > MASS_EPS)
     probs = sol.x[columns]
-    scheme = SignalingScheme.from_points(s.posteriors(columns), probs / probs.sum())
+    scheme = SignalingScheme(s.posteriors(columns), probs / probs.sum())
     report = verify_scheme(s.instance, scheme)
     deviation = report.plausibility_deviation
     if deviation > SUM_TOL:  # pragma: no cover - LP equality rows enforce this
@@ -373,7 +373,7 @@ def ex_ante_to_ex_post(scheme: SignalingScheme,
             raise UnsupportedKindError(
                 f"constraint kind {spec.kind!r} is not convex; the pooling "
                 "conversion requires convex constraints")
-    P, w = scheme.support_matrix(), np.array(scheme.probs)  # (s, k), (s,)
+    P, w = scheme.support, np.array(scheme.probs)  # (s, k), (s,)
 
     def expectations() -> np.ndarray:
         return np.array([w @ eval_constraint_batch(s, P, prior) for s in specs])
@@ -416,7 +416,7 @@ def ex_ante_to_ex_post(scheme: SignalingScheme,
                 tr.steps.append(ConversionStep(j, dev, expectations(), len(w)))
         else:  # pragma: no cover - 4(s+m)+16 steps; each makes a posterior tight
             raise lp.NumericError("pooling exceeded its step budget")
-    out = SignalingScheme.from_points(P, w)
+    out = SignalingScheme(P, w)
     return (out, tr) if trace else out
 
 
@@ -501,8 +501,7 @@ def oracle_solve(instance: ProblemInstance, grid, *,
                             best_support = S[c]
     if best_w is None:
         return OracleReport("infeasible", float("nan"), None, checked)
-    scheme = SignalingScheme.from_points(vertices[best_support],
-                                         best_w / best_w.sum())
+    scheme = SignalingScheme(vertices[best_support], best_w / best_w.sum())
     return OracleReport("optimal", best_value, scheme, checked)
 
 

@@ -1,6 +1,6 @@
 """Shared random-instance and random-scheme generators for the test suite,
 the one-candidate-at-a-time loops that the batched solver code is compared
-against, a brute-force enumeration of the lattice, the refined cells of a
+against, a row-at-a-time construction of a scheme's support and masses, a brute-force enumeration of the lattice, the refined cells of a
 piece grid (the package keeps only their vertices) and a brute-force
 evaluator of the gridded utility u_eps off the grid (the package itself
 reads u_eps only at grid vertices).
@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from persuade.core import (ConstraintSpec, MaxLinearTerm, Posterior,
-                           ProblemInstance, SignalingScheme, UtilitySpec,
+from persuade.core import (ENTRY_TOL, MERGE_TOL, SUM_TOL, ConstraintSpec,
+                           MaxLinearTerm, Posterior, ProblemInstance,
+                           SignalingScheme, UtilitySpec, ValidationError,
                            eval_constraint_batch, eval_utility_batch,
                            simplices_contain)
 from persuade.geometry import (build_grid_cells_for_level, lattice_vertex_count,
@@ -107,7 +108,7 @@ def random_plausible_scheme(rng: np.random.Generator, prior: Posterior,
     sig_mass = joint.sum(axis=0)
     keep = sig_mass > 1e-12
     posts = (joint[:, keep] / sig_mass[keep]).T
-    return SignalingScheme.from_points(posts, sig_mass[keep])
+    return SignalingScheme(posts, sig_mass[keep])
 
 
 def feasible_conversion_case(rng: np.random.Generator, k: int, m: int,
@@ -124,6 +125,48 @@ def feasible_conversion_case(rng: np.random.Generator, k: int, m: int,
         value = float(scheme.probs @ eval_constraint_batch(spec, pts, prior))
         cons.append(spec.with_bound(value + float(rng.uniform(0.0, 0.15))))
     return scheme, tuple(cons), prior
+
+
+def per_row_posterior(row) -> np.ndarray:
+    """One posterior checked and normalized on its own: finite entries,
+    none below -ENTRY_TOL, a sum within SUM_TOL of 1; then clamped at zero
+    and divided by its sum."""
+    w = np.asarray(row, dtype=float).reshape(-1)
+    if w.size < 1:
+        raise ValidationError("posterior needs at least one entry")
+    if not np.isfinite(w).all():
+        raise ValidationError("posterior entries must be finite")
+    if np.any(w < -ENTRY_TOL):
+        raise ValidationError("posterior entry below -ENTRY_TOL")
+    if abs(float(w.sum()) - 1.0) > SUM_TOL:
+        raise ValidationError("posterior entries do not sum to 1")
+    w = np.clip(w, 0.0, None)
+    return w / w.sum()
+
+
+def per_row_scheme(points, probs) -> tuple[np.ndarray, np.ndarray]:
+    """The (support, probs) arrays of a scheme built one row at a time:
+    each row a per_row_posterior, the masses checked like a posterior's
+    entries (NaN aside) and normalized, then each row in order merged into
+    the first kept row within MERGE_TOL in l-infinity, or kept."""
+    rows = [per_row_posterior(row) for row in np.asarray(points, dtype=float)]
+    probs = np.asarray(probs, dtype=float).reshape(-1)
+    if len(rows) != probs.shape[0] or not rows:
+        raise ValidationError("support and probs lengths differ or are empty")
+    if np.any(probs < -ENTRY_TOL) or abs(float(probs.sum()) - 1.0) > SUM_TOL:
+        raise ValidationError("bad scheme probabilities")
+    probs = np.clip(probs, 0.0, None)
+    kept: list[int] = []
+    merged: list[float] = []
+    for i, pr in enumerate(probs / probs.sum()):
+        near = [j for j, r in enumerate(kept)
+                if np.abs(rows[r] - rows[i]).max() <= MERGE_TOL]
+        if near:
+            merged[near[0]] += pr
+        else:
+            kept.append(i)
+            merged.append(float(pr))
+    return np.array([rows[i] for i in kept]), np.array(merged)
 
 
 # Orthonormal basis of the plane {x : sum x = 0} that holds the k=3 simplex.
@@ -297,7 +340,7 @@ def reference_oracle_solve(instance: ProblemInstance, grid, *,
                         best_value, best_w, best_support = value, np.clip(w, 0.0, None), list(S)
     if best_w is None:
         return OracleReport("infeasible", float("nan"), None, checked)
-    scheme = SignalingScheme.from_points(vertices[best_support], best_w / best_w.sum())
+    scheme = SignalingScheme(vertices[best_support], best_w / best_w.sum())
     return OracleReport("optimal", best_value, scheme, checked)
 
 

@@ -134,7 +134,7 @@ def _prop3_vertex_scheme(rng, fx):
     if sol.status != "optimal":
         return None
     keep = sol.x > 1e-12
-    return SignalingScheme.from_points(pool[keep], sol.x[keep] / sol.x[keep].sum())
+    return SignalingScheme(pool[keep], sol.x[keep] / sol.x[keep].sum())
 
 
 def test_criterion_5_prop3():

@@ -138,7 +138,7 @@ def test_example2_degenerate_no_revelation():
     inst = ex2_instance(3, [1, 1, 1], bound=-1 / 3)
     s = example2_scheme(inst)
     assert s.size == 1
-    np.testing.assert_allclose(s.support[0].weights, [1 / 3] * 3, atol=1e-12)
+    np.testing.assert_allclose(s.support[0], [1 / 3] * 3, atol=1e-12)
 
 
 def test_example2_quarter_floor():

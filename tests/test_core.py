@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_fan_utility
+from helpers import per_row_posterior, per_row_scheme, random_fan_utility
 from persuade import lp
-from persuade.core import (ConstraintSpec, DimensionMismatch, MaxLinearTerm,
+from persuade.core import (ENTRY_TOL, MERGE_TOL, SUM_TOL, ConstraintSpec,
+                           DimensionMismatch, MaxLinearTerm,
                            Posterior, ProblemInstance, SignalingScheme,
                            UnsupportedKindError, UtilitySpec, ValidationError,
                            _rank_max, check_bayes_plausible, eval_constraint,
                            eval_constraint_batch, eval_utility,
                            eval_utility_batch, full_revelation, merge_row,
-                           no_revelation, reduce_last_axis, scheme_expectation,
+                           no_revelation, reduce_last_axis,
                            triangulate_piece, uniform_prior, verify_scheme)
 from persuade.objectives import build_upper_approx
 
@@ -42,7 +43,7 @@ def test_posterior_rejects_bad_mass():
 
 
 def test_scheme_merges_near_duplicates():
-    s = SignalingScheme.from_points(
+    s = SignalingScheme(
         [[0.3, 0.7], [0.3 + 5e-13, 0.7 - 5e-13], [1.0, 0.0]],
         [0.25, 0.25, 0.5])
     assert s.size == 2
@@ -56,7 +57,7 @@ def test_scheme_merges_into_first_kept_point():
     base, step = np.array([0.3, 0.7]), np.array([8e-13, -8e-13])
     points = np.vstack([base, base + step, base + 2 * step, base + 2 * step,
                         [1.0, 0.0]])
-    s = SignalingScheme.from_points(points, [0.1, 0.2, 0.3, 0.15, 0.25])
+    s = SignalingScheme(points, [0.1, 0.2, 0.3, 0.15, 0.25])
     assert np.allclose(s.support_matrix(), points[[0, 2, 4]], rtol=0, atol=1e-15)
     assert np.allclose(s.probs, [0.3, 0.45, 0.25], rtol=0, atol=1e-15)
     assert merge_row(points[[0, 2, 4]], points[1]) == 0
@@ -65,7 +66,97 @@ def test_scheme_merges_into_first_kept_point():
 
 def test_scheme_rejects_bad_probs():
     with pytest.raises(ValidationError):
-        SignalingScheme.from_points([[1, 0], [0, 1]], [0.7, 0.7])
+        SignalingScheme([[1, 0], [0, 1]], [0.7, 0.7])
+
+
+def test_scheme_support_is_the_read_only_array():
+    s = SignalingScheme([[0.25, 0.75], [1.0, 0.0]], [0.5, 0.5])
+    assert s.support_matrix() is s.support
+    assert s.support.shape == (2, 2) and s.k == 2 and s.size == 2
+    assert not s.support.flags.writeable and not s.probs.flags.writeable
+    with pytest.raises(ValidationError):
+        SignalingScheme([0.5, 0.5], [1.0])
+
+
+def test_scheme_merges_rows_exactly_merge_tol_apart():
+    s = SignalingScheme([[1.0, 0.0], [1.0 - MERGE_TOL, MERGE_TOL]], [0.5, 0.5])
+    assert s.size == 1 and s.probs[0] == 1.0
+
+
+def test_scheme_rejects_nan_probs():
+    with pytest.raises(ValidationError):
+        SignalingScheme([[1.0, 0.0], [0.0, 1.0]], [np.nan, 1.0])
+
+
+def _nudge(draw, rng, a: np.ndarray):
+    """Maybe set entries of the rows of ``a`` to -t, t = 0 (-0.0) or just
+    below or above ENTRY_TOL, their mass moved to the next entry, and maybe
+    scale a row so that its sum is off 1 by just under or over SUM_TOL."""
+    s, k = a.shape
+    for _ in range(int(rng.choice([0, 0, 1, 2])) if k > 1 else 0):
+        i, j = int(rng.integers(0, s)), int(rng.integers(0, k))
+        t = draw(st.sampled_from([1.0, 0.3, 0.0, 1.5, 1e9])) * ENTRY_TOL
+        a[i, (j + 1) % k] += a[i, j] + t
+        a[i, j] = -t
+    if rng.random() < 0.3:
+        a[int(rng.integers(0, s))] *= 1.0 + draw(st.sampled_from([0.5, -1, 1, 2, -3])) * SUM_TOL
+
+
+@st.composite
+def _scheme_inputs(draw):
+    """(points, probs) near every edge of the construction rule: entries
+    -0.0 and just above and below -ENTRY_TOL, sums just inside and outside
+    SUM_TOL, chains of rows about MERGE_TOL apart, exact repeats, non-finite
+    entries and mismatched lengths.  Masses are never NaN."""
+    k = draw(st.integers(1, 10))
+    s = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = rng.dirichlet(np.ones(k), size=s)
+    if k >= 2 and rng.random() < 0.5:
+        # A chain: each row from `start` on is `gap` further along e_1 - e_0.
+        gap = draw(st.sampled_from([0.0, 0.4, 0.8, 1.0, 1.2, 2.0])) * MERGE_TOL
+        start = int(rng.integers(0, s))
+        for i in range(start + 1, s):
+            pts[i] = pts[start]
+            pts[i, :2] += (i - start) * gap * np.array([-1.0, 1.0])
+    _nudge(draw, rng, pts)
+    if rng.random() < 0.15:
+        special = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        pts[int(rng.integers(0, s)), int(rng.integers(0, k))] = special
+    probs = rng.dirichlet(np.ones(s))[None]
+    _nudge(draw, rng, probs)
+    if rng.random() < 0.05:
+        probs = probs[:, :-1]
+    return pts, probs[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_scheme_inputs())
+@example((np.array([[1.0, 0.0], [1.0 - MERGE_TOL, MERGE_TOL]]), np.array([0.5, 0.5])))
+def test_scheme_matches_the_per_row_construction(case):
+    """The vectorized rule accepts and rejects what the per-row one does,
+    with the same exception type, and yields the same bits."""
+    pts, probs = case
+    try:
+        ref_support, ref_probs = per_row_scheme(pts, probs)
+    except Exception as exc:
+        with pytest.raises(Exception) as info:
+            SignalingScheme(pts, probs)
+        assert type(info.value) is type(exc)
+    else:
+        s = SignalingScheme(pts, probs)
+        assert s.support.shape == ref_support.shape
+        assert s.support.tobytes() == ref_support.tobytes()
+        assert s.probs.tobytes() == ref_probs.tobytes()
+    for row in pts:
+        try:
+            ref = per_row_posterior(row)
+        except Exception as exc:
+            with pytest.raises(Exception) as info:
+                Posterior(row)
+            assert type(info.value) is type(exc)
+        else:
+            assert Posterior(row).weights.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +174,7 @@ def test_bayes_no_revelation():
 
 
 def test_bayes_detects_shifted_barycenter():
-    s = SignalingScheme.from_points([[0.9, 0.1], [0.3, 0.7]], [0.5, 0.5])
+    s = SignalingScheme([[0.9, 0.1], [0.3, 0.7]], [0.5, 0.5])
     ok, dev = check_bayes_plausible(s, UNIFORM2)
     assert not ok
     assert dev == pytest.approx(0.1, abs=1e-12)
@@ -346,39 +437,6 @@ def test_unsupported_piece_vertex_lists_rejected():
         UtilitySpec.piecewise_constant([(np.eye(3), 0.0), (collinear, 1.0)])
     with pytest.raises(UnsupportedKindError):
         UtilitySpec.piecewise_constant([(np.vstack([np.eye(3), [0.4, 0.35, 0.25]]), 1.0)])
-
-
-# ---------------------------------------------------------------------------
-# scheme_expectation
-# ---------------------------------------------------------------------------
-
-def test_expectation_examples():
-    infnorm = UtilitySpec.max_linear(np.eye(2))
-    fn = lambda p: eval_utility(infnorm, p)
-    assert scheme_expectation(full_revelation(UNIFORM2), fn) == pytest.approx(1.0)
-    assert scheme_expectation(no_revelation(UNIFORM2), fn) == pytest.approx(0.5)
-    s = SignalingScheme.from_points([[1.0, 0.0], [1 / 3, 2 / 3]], [0.25, 0.75])
-    assert scheme_expectation(s, lambda p: p.weights[0]) == pytest.approx(0.5)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.floats(0.01, 0.99))
-def test_expectation_is_linear_in_mixtures(seed, lam):
-    rng = np.random.default_rng(seed)
-    k = 3
-    pts_a = rng.dirichlet(np.ones(k), size=3)
-    pts_b = rng.dirichlet(np.ones(k), size=2)
-    w_a = rng.dirichlet(np.ones(3))
-    w_b = rng.dirichlet(np.ones(2))
-    a = SignalingScheme.from_points(pts_a, w_a)
-    b = SignalingScheme.from_points(pts_b, w_b)
-    mix = SignalingScheme.from_points(
-        np.vstack([pts_a, pts_b]), np.concatenate([lam * w_a, (1 - lam) * w_b]))
-    coeffs = rng.uniform(-1, 1, size=k)
-    fn = lambda p: float(coeffs @ p.weights) ** 2  # any function works
-    lhs = scheme_expectation(mix, fn)
-    rhs = lam * scheme_expectation(a, fn) + (1 - lam) * scheme_expectation(b, fn)
-    assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

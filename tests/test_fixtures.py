@@ -60,6 +60,19 @@ def test_prop3_support_is_k_plus_m():
     assert fx.reference_scheme.size == 3
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 7, 8, 9, 16, 33])
+def test_prop3_radius_matches_the_pairwise_loop(k):
+    # The bump radius is half the least l1 distance over all pairs of the
+    # interior points q_i (the bump centers) and the unit vectors, bit for
+    # bit as one sum per pair gives it.
+    for m in sorted({1, 2, min(3, k), k}):
+        cons = build_fixture(FixtureId("prop3", (k, m))).instance.constraints
+        pool = np.vstack([[c.center for c in cons], np.eye(k)])
+        dists = [np.abs(pool[i] - pool[j]).sum()
+                 for i in range(len(pool)) for j in range(i + 1, len(pool))]
+        assert all(c.radius == 0.5 * min(dists) for c in cons)
+
+
 def test_prop3_m_cannot_exceed_k():
     with pytest.raises(ValidationError):
         build_fixture(FixtureId("prop3", (2, 3)))
@@ -77,7 +90,7 @@ def test_app_e1_final_scheme_is_prior():
     out = ex_ante_to_ex_post(fx.reference_scheme, fx.instance.constraints,
                              fx.instance.prior)
     assert out.size == 1
-    np.testing.assert_allclose(out.support[0].weights,
+    np.testing.assert_allclose(out.support[0],
                                fx.instance.prior.weights, atol=1e-12)
 
 

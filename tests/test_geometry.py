@@ -10,9 +10,10 @@ from persuade.core import ResourceLimitError, ValidationError, cell_volume
 from persuade.geometry import (build_grid, build_grid_cells_for_level,
                                composition_rank, contraction_floor,
                                lattice_blocks, lattice_vertex_count,
-                               max_cell_diameter_bound, project_to_contraction,
+                               project_to_contraction,
                                project_to_contraction_batch, refine_simplex,
-                               simplex_volume, triangulation_grid, _l1_diameter,
+                               simplex_volume, staircase_level, triangulation_grid,
+                               _l1_diameter,
                                _lattice_vertices, _rank_table)
 
 from helpers import (cells_containing, grid_cells, lattice_compositions,
@@ -88,7 +89,7 @@ def test_measured_diameter_within_requested():
         measured = _l1_diameter(g.vertices[grid_cells(g)])
         assert measured <= delta + 1e-12
         assert measured == pytest.approx(
-            max_cell_diameter_bound(k, g.denominator))
+            g.measured_max_diameter)
 
 
 def test_k4_diameter_formula_needs_larger_n():
@@ -258,6 +259,46 @@ def test_refine_simplex_diameter():
     small = S * 0.1 + 0.3
     verts, diameter = refine_simplex(small, 0.4)
     assert np.array_equal(verts, small) and diameter == pytest.approx(0.2)
+
+
+def _grid_level_formula(k, max_diameter, align_multiple):
+    """build_grid's N and cell diameter as first written, on their own."""
+    N = max(1, math.ceil(2.0 * max(1, k // 2) / max_diameter))
+    if align_multiple > 1:
+        N = ((N + align_multiple - 1) // align_multiple) * align_multiple
+    return N, min(2.0, 2.0 * (k // 2) / N)
+
+
+def _refine_level_formula(k, diam, max_diameter):
+    """refine_simplex's level and cell diameter as first written."""
+    n = max(1, math.ceil((k // 2) * diam / max_diameter))
+    return n, (k // 2) * diam / n
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_staircase_level_matches_the_grid_and_refinement_formulas(k):
+    rng = np.random.default_rng(k)
+    deltas = [2.0 ** -20, 0.013, 0.02, 0.1, 1 / 3, 0.4, 0.5, 1.0, 1.999, 2.0,
+              2.5, 4.7, *rng.uniform(0.01, 3.0, size=40)]
+    for delta in deltas:
+        for align in (1, 3, 8, 12):
+            expected = _grid_level_formula(k, delta, align)
+            assert staircase_level(k, 2.0, delta, align) == expected
+            g = build_grid(k, delta, vertex_cap=10 ** 40, align_multiple=align)
+            assert (g.denominator, g.measured_max_diameter) == expected
+    # Refined pieces: random simplices, with refine_simplex's vertex count
+    # fixing its level.
+    for _ in range(30):
+        S = rng.dirichlet(np.ones(k), size=k)
+        diam = _l1_diameter(S[None])
+        delta = diam * rng.uniform(0.05 if k <= 4 else 0.3, 1.5)
+        verts, cell = refine_simplex(S, delta)
+        if diam <= delta:
+            assert np.array_equal(verts, S) and cell == diam
+            continue
+        n, expected = _refine_level_formula(k, diam, delta)
+        assert staircase_level(k, diam, delta) == (n, expected)
+        assert len(verts) == lattice_vertex_count(k, n) and cell == expected
 
 
 def test_refine_simplex_guards():

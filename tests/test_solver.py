@@ -12,7 +12,7 @@ from persuade.core import (ConstraintSpec, InfeasibleError, MaxLinearTerm,
                            UnsupportedKindError, UtilitySpec, ValidationError,
                            check_bayes_plausible, eval_constraint_batch,
                            eval_utility, eval_utility_batch, full_revelation,
-                           scheme_expectation, uniform_prior, verify_scheme)
+                           uniform_prior, verify_scheme)
 from persuade.geometry import build_grid
 from persuade.solver import (BOUNDARY_TOL, _bisect_boundary, bi_criteria_solve,
                              build_surrogate, ex_ante_to_ex_post, oracle_solve,
@@ -279,7 +279,7 @@ def test_pooling_to_no_revelation():
     spec = ConstraintSpec.linear([0, 1], bound=0.5)
     out = ex_ante_to_ex_post(full_revelation(UNIFORM2), [spec], UNIFORM2)
     assert out.size == 1
-    np.testing.assert_allclose(out.support[0].weights, [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(out.support[0], [0.5, 0.5], atol=1e-12)
 
 
 def test_pooling_hypercube_m2():
@@ -297,7 +297,7 @@ def test_pooling_hypercube_m2():
 
 def test_pooling_already_feasible_is_identity():
     spec = ConstraintSpec.linear([0, 1], bound=0.9)
-    scheme = SignalingScheme.from_points([[0.7, 0.3], [0.3, 0.7]], [0.5, 0.5])
+    scheme = SignalingScheme([[0.7, 0.3], [0.3, 0.7]], [0.5, 0.5])
     out = ex_ante_to_ex_post(scheme, [spec], UNIFORM2)
     np.testing.assert_allclose(out.support_matrix(), scheme.support_matrix())
     np.testing.assert_allclose(out.probs, scheme.probs)
@@ -318,8 +318,8 @@ def test_pooling_rejects_nonconvex_kind():
 def test_pooling_merges_into_an_existing_point():
     # One step pools e1 with e0 at (1/2, 1/2), which is already a support point.
     spec = ConstraintSpec.linear([0, 1], bound=0.5)
-    scheme = SignalingScheme.from_points([[1, 0], [0, 1], [0.5, 0.5]],
-                                         [0.25, 0.25, 0.5])
+    scheme = SignalingScheme([[1, 0], [0, 1], [0.5, 0.5]],
+                             [0.25, 0.25, 0.5])
     out, trace = ex_ante_to_ex_post(scheme, [spec], UNIFORM2, trace=True)
     assert out.size == 1
     assert np.array_equal(out.support_matrix(), [[0.5, 0.5]])
@@ -363,8 +363,8 @@ def test_pooling_on_a_tight_ex_ante_bound_takes_at_most_s_minus_1_steps():
 def test_pooling_stalls_without_a_strictly_feasible_point():
     # One posterior on the boundary of q[1] <= 1/2, one 1e-10 beyond it.
     spec = ConstraintSpec.linear([0, 1], bound=0.5)
-    scheme = SignalingScheme.from_points([[0.5, 0.5], [0.5 - 1e-10, 0.5 + 1e-10]],
-                                         [0.5, 0.5])
+    scheme = SignalingScheme([[0.5, 0.5], [0.5 - 1e-10, 0.5 + 1e-10]],
+                             [0.5, 0.5])
     with pytest.raises(lp.NumericError, match="pooling stalled"):
         ex_ante_to_ex_post(scheme, [spec], UNIFORM2)
 
