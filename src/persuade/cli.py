@@ -20,9 +20,9 @@ Scheme files:
 Floats are serialized with repr (shortest exact form), so load(save(x))
 round-trips bit-exactly.  Exit codes: 0 success; 1 input error (including a
 non-finite or non-positive eps or Slater margin, a tol that is not finite and
->= 0, or an unwritable output file), resource limit, or LP or numeric
-failure; 2 infeasible or invalid.  The environment variable
-PERSUADE_GRID_CAP overrides the grid vertex cap.
+>= 0, or an unwritable output file), resource limit (including a grid too
+large for memory), or LP or numeric failure; 2 infeasible or invalid.  The
+environment variable PERSUADE_GRID_CAP overrides the grid vertex cap.
 """
 
 from __future__ import annotations
@@ -379,7 +379,7 @@ def cmd_fixture(args) -> int:
     if fixture.reference_scheme is not None:
         payload["reference_scheme"] = scheme_to_dict(fixture.reference_scheme)
     if args.verify:
-        verification = _fixtures.verify_fixture(fid)
+        verification = _fixtures.verify_fixture(fixture)
         payload["verification"] = verification.as_dict()
         save_json(payload, args.out)
         return EXIT_OK if verification.passed else EXIT_INFEASIBLE
@@ -438,6 +438,11 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except (PersuasionError, LpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: out of memory ({str(exc) or 'MemoryError'}); the grid at this "
+              "eps does not fit: raise --eps or lower PERSUADE_GRID_CAP",
+              file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -1,8 +1,12 @@
 """Lipschitz smoothing of constraint functions.
 
-Linear, norm-distance and neg-min-weighted constraints are already O(1)
-Lipschitz and pass through unchanged.  Entropy and grouped-KL constraints
-blow up near the simplex boundary, so they are replaced by
+Every l1 Lipschitz constant compares two simplex points, whose difference
+d sums to zero, so |a . d| <= (max a - min a) ||d||_1 / 2 for any vector a.
+By this sum-zero rule a linear constraint (and core.MaxLinearTerm) takes
+half its coefficient spread, -min_w b_w q[w] takes max(b)/2, and
+||q - prior||_p takes ||(1/2, -1/2)||_p = 2^(1/p - 1); these kinds pass
+through unchanged.  Entropy and grouped-KL constraints blow up near the
+simplex boundary, so they are replaced by
 
     g(q) = f(proj(q)) - eps/2,
 
@@ -11,7 +15,10 @@ contraction parameter c chosen by halving search: the largest value in
 {eps, eps/2, eps/4, ...} whose certified drift bound stays within eps/2.
 The drift bound uses the exact l1 displacement of the projection (at most
 2 c^2) and the modulus of continuity of x ln x, so the sandwich
-0 <= f - g <= eps holds at every point, not just asymptotically.
+0 <= f - g <= eps holds at every point, not just asymptotically.  The
+projection maps a sum-zero d to d_A - mean(d_A) 1_A on its active set A,
+again sum-zero and of l1 norm <= ||d_A||_1 + |sum of d off A| <= ||d||_1,
+so g takes half the spread of grad f over S_c.
 
 Entropy reduces to grouped KL with singleton cells and unit references; a
 negative scale b reduces literally via "if g fits f then -eps-g fits -f",
@@ -40,16 +47,6 @@ def _xlogx_modulus(t: float) -> float:
         return 0.0
     t = min(t, 1.0)
     return t * (1.0 - math.log(t))
-
-
-def _projection_l1_factor(k: int) -> float:
-    """Certified l1->l1 Lipschitz factor of the contraction projection.
-
-    The projection is piecewise linear with Jacobians I_A - (1/|A|) 1 1^T on
-    the active coordinates, whose max column l1 norm is 2(|A|-1)/|A|
-    <= 2(k-1)/k; sqrt(k) covers it as well via Euclidean 1-Lipschitzness.
-    """
-    return min(math.sqrt(k), 2.0 * (k - 1) / k)
 
 
 def _drift_bound(eps_c: float, n_cells: int, scale_abs: float,
@@ -116,13 +113,13 @@ def smooth_constraint(spec: ConstraintSpec, eps: float,
     if spec.kind == "linear":
         with np.errstate(over="ignore"):  # inf, rejected by SmoothedConstraint
             spread = float(spec.coeffs.max() - spec.coeffs.min())
-        return SmoothedConstraint(spec, eps, lipschitz_constant=spread,
+        return SmoothedConstraint(spec, eps, lipschitz_constant=spread / 2.0,
                                   contraction=None, offset=0.0)
     if spec.kind == "norm_distance":
-        return SmoothedConstraint(spec, eps, lipschitz_constant=1.0,
+        return SmoothedConstraint(spec, eps, lipschitz_constant=2 ** (1 / spec.order - 1),
                                   contraction=None, offset=0.0)
     if spec.kind == "neg_min_weighted":
-        return SmoothedConstraint(spec, eps, lipschitz_constant=float(spec.weights.max()),
+        return SmoothedConstraint(spec, eps, lipschitz_constant=float(spec.weights.max()) / 2,
                                   contraction=None, offset=0.0)
     if spec.kind == "entropy":
         if k is None:
@@ -162,11 +159,8 @@ def _smooth_kl(spec: ConstraintSpec, eps: float, *, scale_abs: float,
             f"contraction parameter {eps_c:g} underflows at eps={eps:g}")
     lo = geometry.contraction_floor(k, eps_c)
     # df/dq_w = b (ln(S_j / b_j) + 1) with S_j confined to [|cell_j| lo, 1]
-    # on the contracted simplex; the sup over that range is exact.
-    lo_cells = cell_sizes * lo
-    per_cell = np.maximum(np.abs(np.log(lo_cells / refs) + 1.0),
-                          np.abs(np.log(1.0 / refs) + 1.0))
-    grad_bound = scale_abs * float(per_cell.max())
-    lipschitz = _projection_l1_factor(k) * grad_bound
-    return SmoothedConstraint(spec, eps, lipschitz_constant=lipschitz,
+    # on the contracted simplex; half the spread of that range over all
+    # cells is the sum-zero constant, and the +1 cancels in the spread.
+    spread = float(np.log(1.0 / refs).max() - np.log(cell_sizes * lo / refs).min())
+    return SmoothedConstraint(spec, eps, lipschitz_constant=scale_abs * spread / 2.0,
                               contraction=eps_c, offset=eps / 2.0)

@@ -475,10 +475,10 @@ class MaxLinearTerm:
         return self.coeffs.shape[1]
 
     def lipschitz_l1(self) -> float:
-        """Coefficient spread, an l1 Lipschitz bound for the rank-th max."""
+        """Half the largest coefficient spread: the sum-zero l1 bound on the rank-th max."""
         with np.errstate(over="ignore"):  # inf, rejected by UtilitySpec.lipschitz_l1
             spread = self.coeffs.max(axis=1) - self.coeffs.min(axis=1)
-        return self.weight * float(spread.max())
+        return self.weight * float(spread.max()) / 2.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -220,8 +220,10 @@ def _app_e3(m: int) -> Fixture:
 # Verification
 # ---------------------------------------------------------------------------
 
-def verify_fixture(fid: FixtureId, tol: float = 1e-9) -> FixtureVerification:
-    fixture = build_fixture(fid)
+def verify_fixture(fixture: Fixture | FixtureId, tol: float = 1e-9) -> FixtureVerification:
+    """Check a built fixture, or build the one an id names and check it."""
+    fixture = build_fixture(fixture) if isinstance(fixture, FixtureId) else fixture
+    fid = fixture.id
     checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str = ""):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persuade import cli, objectives
+from persuade import cli, fixtures, geometry, objectives
 from persuade.core import eval_constraint_batch, uniform_prior
 from persuade.fixtures import FixtureId, build_fixture
 from persuade.solver import BOUNDARY_TOL
@@ -207,6 +207,37 @@ def test_fixture_example1_verify(capsys):
     assert cli.main(["fixture", "example1:0.16666666666666666", "--verify"]) == 0
 
 
+def test_fixture_verify_builds_the_fixture_once(monkeypatch, capsys):
+    calls = []
+    build = fixtures.build_fixture
+
+    def counting(fid):
+        calls.append(fid)
+        return build(fid)
+
+    monkeypatch.setattr(fixtures, "build_fixture", counting)
+    assert cli.main(["fixture", "prop3:3,2", "--verify"]) == 0
+    assert json.loads(capsys.readouterr().out)["verification"]["passed"] is True
+    assert len(calls) == 1
+
+
+def test_grid_out_of_memory_exit_1_with_one_line(example1_paths, monkeypatch, capsys):
+    # What numpy raises when a grid's rank table cannot be allocated, as
+    # under PERSUADE_GRID_CAP=99999999999999999999999 at eps 1e-9; at eps
+    # 1e-5 the grid (N = 400000) is past one block, so it builds the table.
+    def no_memory(k, N):
+        raise MemoryError(f"Unable to allocate 179. GiB for an array with "
+                          f"shape ({k + 1}, {N + 1}) and data type int64")
+
+    monkeypatch.setattr(geometry, "_rank_table", no_memory)
+    _, inst_path, _ = example1_paths
+    code = cli.main(["solve", inst_path, "--eps", "1e-5"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: out of memory (Unable to allocate 179. GiB")
+    assert "grid" in err and err.count("\n") == 1
+
+
 def test_verify_prop3_reference_and_perturbed(tmp_path):
     fx = build_fixture(FixtureId("prop3", (2, 2)))
     inst_path = tmp_path / "prop3.json"
@@ -335,8 +366,8 @@ def test_grid_csv_single_mode_uses_solved_grid(tmp_path, monkeypatch):
     assert code == 0
     report = json.loads(out.read_text())["report"]
     rows = csv_path.read_text().strip().splitlines()[1:]
-    assert report["grid_denominator"] == 320
-    assert len(rows) == report["grid_vertex_count"] == 321
+    assert report["grid_denominator"] == 160
+    assert len(rows) == report["grid_vertex_count"] == 161
     assert len(calls) == 1
 
 

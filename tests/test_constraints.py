@@ -34,18 +34,20 @@ def test_linear_passthrough():
     spec = ConstraintSpec.linear([1.0, 0.0], bound=0.4)
     sm = smooth_constraint(spec, eps=0.3)
     assert sm.contraction is None
-    assert sm.lipschitz_constant == pytest.approx(1.0)  # coefficient spread
+    assert sm.lipschitz_constant == pytest.approx(0.5)  # half the coefficient spread
     q = np.array([[0.2, 0.8]])
     np.testing.assert_allclose(sm.eval_batch(q, UNIFORM2),
                                eval_constraint_batch(spec, q, UNIFORM2))
 
 
 def test_norm_and_negmin_passthrough_constants():
-    sm = smooth_constraint(ConstraintSpec.norm_distance(1, bound=0.2), 0.1)
-    assert sm.lipschitz_constant == 1.0
+    # The largest p-norm of a sum-zero vector of unit l1 norm.
+    for order, constant in [(1, 1.0), (2, math.sqrt(0.5)), (float("inf"), 0.5)]:
+        sm = smooth_constraint(ConstraintSpec.norm_distance(order, bound=0.2), 0.1)
+        assert sm.lipschitz_constant == constant
     sm = smooth_constraint(
         ConstraintSpec.neg_min_weighted([0.5, 2.0], bound=0.0), 0.1)
-    assert sm.lipschitz_constant == 2.0
+    assert sm.lipschitz_constant == 1.0
 
 
 def test_kl_center_offset():

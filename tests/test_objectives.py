@@ -22,13 +22,13 @@ def test_constant_utility_values_everywhere():
 
 
 def test_infnorm_k2_cell_value_bounds():
-    # eps=0.5, M=1: delta = min(0.5, 0.5/2) = 0.25, so N = 8.  The cell next
-    # to (1,0) has true sup 1 (oracle: dense sampling); the certified value
-    # stays within [sup, sup + eps].
+    # eps=0.5, M=1, L_u=1/2: delta = min(0.5, 0.5/1) = 0.5, so N = 4.  The
+    # cell next to (1,0) has true sup 1 (oracle: dense sampling); the
+    # certified value stays within [sup, sup + eps].
     u = UtilitySpec.max_linear(np.eye(2))
     gu = build_upper_approx(u, eps=0.5, lipschitz_bound=1.0)
-    assert gu.grid.denominator == 8
-    t = np.linspace(0.875, 1.0, 2001)
+    assert gu.grid.denominator == 4
+    t = np.linspace(0.75, 1.0, 2001)
     sup_oracle = np.maximum(t, 1 - t).max()
     cell = grid_cells(gu.grid)[cells_containing(gu.grid, [0.9375, 0.0625])[:, 0]]
     assert len(cell)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import (feasible_conversion_case, interior_prior, lattice_compositions,
-                     random_constraint, random_instance, random_plausible_scheme,
-                     reference_bisect_boundary, reference_oracle_solve)
+                     random_constraint, random_instance, random_max_linear,
+                     random_plausible_scheme, reference_bisect_boundary,
+                     reference_oracle_solve)
 from persuade import geometry, lp
 from persuade.core import (ConstraintSpec, InfeasibleError, MaxLinearTerm,
                            ProblemInstance, SignalingScheme,
@@ -243,18 +244,34 @@ def test_blockwise_surrogate_is_the_one_block_surrogate(monkeypatch, k, eps, ex_
 
 def test_build_peak_stays_near_the_lp_itself():
     # The build holds the LP's own k + m + 1 rows of floats plus one lattice
-    # block and its columns at a time, never the (V, k) lattice: on 868k
-    # columns in 7 blocks the peak is 1.45 times the LP.
+    # block and its columns at a time, never the (V, k) lattice: on 907k
+    # columns in 7 blocks the peak is 1.44 times the LP.
     inst = kl_instance(3)
     tracemalloc.start()
     try:
-        surrogate = build_surrogate(inst, 0.03)
+        surrogate = build_surrogate(inst, 0.016)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     n = surrogate.program.n_vars
     assert peak < 1.6 * 8 * (3 + 1 + 1) * n
     assert n > 4 * geometry.LATTICE_BLOCK
+
+
+def test_k5_max_linear_solves_under_the_default_cap():
+    # Coefficient spreads below 1 give L_u, M <= 1/2 on the simplex, so the
+    # grid is N = 80 (1,929,501 vertices).  With the full spread as the
+    # constant this instance needed N = 137, 15.8M vertices, past the cap.
+    rng = np.random.default_rng(0)
+    prior = interior_prior(rng, 5)
+    coeffs = rng.uniform(0, 1, size=5)
+    inst = ProblemInstance(5, prior, random_max_linear(rng, 5), (
+        ConstraintSpec.linear(coeffs, bound=float(coeffs @ prior.weights) + 0.05),))
+    rep = bi_criteria_solve(inst, 0.1)
+    assert rep.grid_vertex_count <= geometry.DEFAULT_VERTEX_CAP
+    assert rep.grid_denominator == 80
+    check = verify_scheme(inst, rep.scheme, tol=0.1)
+    assert check.valid and all(c.violation <= 0.1 for c in check.constraints)
 
 
 @pytest.mark.parametrize("block", [None, 97])
