@@ -4,7 +4,12 @@ The package computes additively near-optimal signaling schemes under ex ante
 and ex post constraints via grid LPs, converts ex-ante-feasible schemes into
 ex-post-feasible ones with a bounded utility loss, and ships the gap and
 tightness constructions as executable fixtures.
+
+The package logs through the ``persuade`` logger, which has a NullHandler:
+a lazy grid solve writes one DEBUG record of its column generation.
 """
+
+import logging
 
 from .core import (ConstraintSpec, DimensionMismatch, InfeasibleError,
                    MaxLinearTerm, PersuasionError, Posterior, ProblemInstance,
@@ -24,6 +29,8 @@ from .solver import (SolveReport, bi_criteria_solve, ex_ante_to_ex_post,
                      oracle_solve, single_criteria_solve)
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "AuctionSpec", "BidderType", "ConstraintSpec", "DimensionMismatch",

@@ -328,11 +328,12 @@ def cmd_solve(args) -> int:
 
 
 def _write_grid_csv(surrogate, path: str):
-    """(posterior, objective value) table of the LP columns, for plotting."""
+    """(posterior, objective value) table of the grid columns, for plotting."""
     def write(fh):
         fh.write(",".join(f"p{i}" for i in range(surrogate.instance.k)) + ",value\n")
-        for row, val in zip(surrogate.posteriors(), surrogate.program.c):
-            fh.write(",".join(repr(float(x)) for x in row) + f",{float(val)!r}\n")
+        for points, values in surrogate.grid_columns():
+            for row, val in zip(points, values):
+                fh.write(",".join(repr(float(x)) for x in row) + f",{float(val)!r}\n")
     _write(path, "grid CSV", write)
 
 

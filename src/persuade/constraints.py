@@ -18,7 +18,11 @@ The drift bound uses the exact l1 displacement of the projection (at most
 0 <= f - g <= eps holds at every point, not just asymptotically.  The
 projection maps a sum-zero d to d_A - mean(d_A) 1_A on its active set A,
 again sum-zero and of l1 norm <= ||d_A||_1 + |sum of d off A| <= ||d||_1,
-so g takes half the spread of grad f over S_c.
+so g takes half the spread of grad f over S_c.  For the KL family that
+spread is taken between two distinct cells (a one-cell f is constant), from
+the range of each cell's mass (_kl_gradient_spread); on a region of the
+simplex that lies inside S_c, where g = f - eps/2, the range is the
+region's own (SmoothedConstraint.box_lipschitz).
 
 Entropy reduces to grouped KL with singleton cells and unit references; a
 negative scale b reduces literally via "if g fits f then -eps-g fits -f",
@@ -34,7 +38,8 @@ import numpy as np
 
 from . import geometry
 from .core import (ConstraintSpec, PersuasionError, UnsupportedKindError,
-                   ValidationError, check_finite, eval_constraint_batch)
+                   ValidationError, check_finite, eval_constraint_batch,
+                   reduce_last_axis)
 
 
 class SmoothingPrecisionError(PersuasionError):
@@ -96,6 +101,29 @@ class SmoothedConstraint:
                                          prior)
         return vals - self.offset
 
+    def box_lipschitz(self, x_lo: np.ndarray, x_hi: np.ndarray) -> np.ndarray:
+        """(B,) l1 Lipschitz constants of g on the regions {q in the simplex :
+        x_lo[b] <= q <= x_hi[b]} (rows of shape (B, k)).
+
+        A KL-family region that lies inside the contracted simplex, every
+        entry of x_lo at or above its floor, takes the sum-zero rule on the
+        region's own cell-mass range; every other region takes the global
+        constant.
+        """
+        L = np.full(x_lo.shape[0], self.lipschitz_constant)
+        if self.contraction is None:
+            return L
+        k = x_lo.shape[1]
+        cells, refs, scale_abs = _kl_cells(self.source, k)
+        inside = x_lo.min(axis=1) >= geometry.contraction_floor(k, self.contraction)
+        member = np.zeros((k, len(cells)))
+        for j, cell in enumerate(cells):
+            member[list(cell), j] = 1.0
+        spread = _kl_gradient_spread(np.minimum(x_hi[inside] @ member, 1.0),
+                                     x_lo[inside] @ member, refs)
+        L[inside] = scale_abs * spread / 2.0
+        return L
+
     def eval(self, q, prior) -> float:
         w = np.asarray(getattr(q, "weights", q), dtype=float)
         return float(self.eval_batch(w[None, :], prior)[0])
@@ -121,29 +149,49 @@ def smooth_constraint(spec: ConstraintSpec, eps: float,
     if spec.kind == "neg_min_weighted":
         return SmoothedConstraint(spec, eps, lipschitz_constant=float(spec.weights.max()) / 2,
                                   contraction=None, offset=0.0)
-    if spec.kind == "entropy":
-        if k is None:
-            raise ValidationError("entropy smoothing needs the state count k")
-        return _smooth_kl(spec, eps, scale_abs=1.0, cell_sizes=np.ones(k),
-                          refs=np.ones(k))
-    if spec.kind == "grouped_kl":
-        scale_abs = abs(float(spec.scale))
-        if scale_abs == 0.0:
-            return SmoothedConstraint(spec, eps, lipschitz_constant=0.0,
-                                      contraction=None, offset=0.0)
-        return _smooth_kl(spec, eps, scale_abs=scale_abs,
-                          cell_sizes=np.array([len(c) for c in spec.partition],
-                                              dtype=float),
-                          refs=np.asarray(spec.refs, dtype=float))
+    if spec.kind == "entropy" and k is None:
+        raise ValidationError("entropy smoothing needs the state count k")
+    if spec.kind == "grouped_kl" and float(spec.scale) == 0.0:
+        return SmoothedConstraint(spec, eps, lipschitz_constant=0.0,
+                                  contraction=None, offset=0.0)
+    if spec.kind in ("entropy", "grouped_kl"):
+        return _smooth_kl(spec, eps, k)
     raise UnsupportedKindError(
         f"constraint kind {spec.kind!r} has no smoothing (not in the "
         "Lipschitz/entropy/KL family)")
 
 
-def _smooth_kl(spec: ConstraintSpec, eps: float, *, scale_abs: float,
-               cell_sizes: np.ndarray, refs: np.ndarray) -> SmoothedConstraint:
-    """KL-family smoothing; entropy is the case of singleton cells, unit refs."""
-    k, n_cells = int(cell_sizes.sum()), len(cell_sizes)
+def _kl_cells(spec: ConstraintSpec, k: int | None):
+    """(cells, cell references, |scale|) of a KL-family spec; entropy is the
+    case of singleton cells and unit references."""
+    if spec.kind == "entropy":
+        return tuple((i,) for i in range(k)), np.ones(k), 1.0
+    return spec.partition, spec.refs, abs(float(spec.scale))
+
+
+def _kl_gradient_spread(s_max: np.ndarray, s_min: np.ndarray,
+                        refs: np.ndarray) -> np.ndarray:
+    """max over distinct cells a != c of ln(s_max[a] / r_a) - ln(s_min[c] / r_c),
+    row by row, and 0 for one cell.
+
+    df/dq_w = b (ln(S_j / r_j) + 1) for w in cell j, so states of one cell
+    share a partial derivative, the +1 cancels, and where each S_j lies in
+    [s_min[j], s_max[j]] this bounds the spread of grad f over |b|.
+    """
+    n = refs.shape[0]
+    hi, lo = np.log(s_max / refs), np.log(s_min / refs)
+    pairs = hi[:, :, None] - lo[:, None, :]
+    pairs[:, np.eye(n, dtype=bool)] = -np.inf  # a == c
+    return np.maximum(reduce_last_axis(np.maximum, pairs.reshape(-1, n * n)), 0.0)
+
+
+def _smooth_kl(spec: ConstraintSpec, eps: float, k: int | None) -> SmoothedConstraint:
+    """KL-family smoothing: the largest contraction within the drift budget
+    and the sum-zero constant over the contracted simplex, where each cell's
+    mass lies in [|cell| lo, 1]."""
+    cells, refs, scale_abs = _kl_cells(spec, k)
+    sizes = np.array([len(c) for c in cells], dtype=float)
+    k, n_cells = int(sizes.sum()), len(cells)
     max_abs_log_ref = float(np.abs(np.log(refs)).max())
     eps_c = eps
     for _ in range(200):
@@ -158,9 +206,6 @@ def _smooth_kl(spec: ConstraintSpec, eps: float, *, scale_abs: float,
         raise SmoothingPrecisionError(
             f"contraction parameter {eps_c:g} underflows at eps={eps:g}")
     lo = geometry.contraction_floor(k, eps_c)
-    # df/dq_w = b (ln(S_j / b_j) + 1) with S_j confined to [|cell_j| lo, 1]
-    # on the contracted simplex; half the spread of that range over all
-    # cells is the sum-zero constant, and the +1 cancels in the spread.
-    spread = float(np.log(1.0 / refs).max() - np.log(cell_sizes * lo / refs).min())
-    return SmoothedConstraint(spec, eps, lipschitz_constant=scale_abs * spread / 2.0,
+    spread = _kl_gradient_spread(np.ones((1, n_cells)), sizes[None, :] * lo, refs)
+    return SmoothedConstraint(spec, eps, lipschitz_constant=scale_abs * float(spread[0]) / 2.0,
                               contraction=eps_c, offset=eps / 2.0)

@@ -13,6 +13,12 @@ demand.  Triangulation grids (refined pieces) carry explicit vertices,
 one block, and no cell: refine_simplex returns a piece simplex's refined
 vertices and the certified diameter of their staircase cells.
 
+For lazy pricing of a lattice, the ordered region is covered by dyadic
+boxes aligned to their side: split_boxes halves them, box_bounds gives
+each box a center vertex with the coordinate range and l1 radius of its
+compositions, and stride_sublattice and staircase_cell_at give the
+vertices a first master LP starts from.
+
 Also provides the Euclidean projection onto the contracted simplex
 S_eps = center + (simplex - center) / (1 + eps^2) used by constraint
 smoothing: exact, with the sort-based method run only on the rows that
@@ -189,6 +195,86 @@ def _y_to_x(y_pts: np.ndarray, N: int) -> np.ndarray:
     mids = np.diff(y_pts, axis=1)
     last = N - y_pts[:, -1:]
     return np.hstack([first, mids, last])
+
+
+def stride_sublattice(k: int, N: int, stride: int) -> np.ndarray:
+    """The compositions of N whose first k-1 partial sums are multiples of
+    ``stride``, in lexicographic order."""
+    x = _lattice_vertices(k, N // stride) * stride
+    x[:, -1] += N % stride
+    return x
+
+
+def split_boxes(lo: np.ndarray, side: int, N: int) -> np.ndarray:
+    """Lower corners of the boxes of side side // 2 that tile the boxes
+    lo + [0, side)^(k-1) in partial-sum coordinates and meet the ordered
+    region 0 <= y_1 <= ... <= y_{k-1} <= N.
+
+    Every box is aligned to its side (a power of two), so it meets the
+    region exactly when its lower corner lies in it.  Axes are halved last
+    to first, and an upper half is kept only while it stays at or below the
+    axis after it (N for the last), so each row built on the way completes
+    to a kept box and no array outgrows the result.
+    """
+    half = side // 2
+    kids = np.asarray(lo, dtype=np.int64)
+    for i in range(kids.shape[1] - 1, -1, -1):
+        up = kids.copy()
+        up[:, i] += half
+        cap = up[:, i + 1] if i + 1 < up.shape[1] else N
+        kids = np.concatenate([kids, up[up[:, i] <= cap]])
+    return kids
+
+
+def box_bounds(lo: np.ndarray, side: int, N: int):
+    """(center, x_lo, x_hi, radius) of the aligned partial-sum boxes
+    lo + [0, side)^(k-1), each meeting the ordered region, cut at y <= N.
+
+    center is a lattice point of the box, as a composition: halfway along
+    each axis of the cut box, which keeps it ordered.  Every composition x
+    of the box, and every real point between two of them, has
+    x_lo <= x <= x_hi and ||x - center||_1 <= radius.  With d = y - center
+    (d_0 = d_k = 0), ||x - center||_1 = sum_i |d_i - d_{i-1}| is convex in
+    d, so its largest value over the box is at a corner; a two-state pass
+    along the axes finds it.
+    """
+    hi = np.minimum(lo + (side - 1), N)
+    center = lo + (hi - lo) // 2
+    x_lo, x_hi = _y_to_x(lo, N), _y_to_x(hi, N)
+    x_lo[:, 1:-1], x_hi[:, 1:-1] = np.maximum(lo[:, 1:] - hi[:, :-1], 0), \
+        hi[:, 1:] - lo[:, :-1]
+    x_lo[:, -1], x_hi[:, -1] = N - hi[:, -1], N - lo[:, -1]
+    # reach_*: the largest sum of |d_i' - d_{i'-1}| over i' <= i with d_i
+    # at the low or the high end of axis i.
+    low = high = reach_low = reach_high = 0
+    for i in range(lo.shape[1]):
+        a, b = lo[:, i] - center[:, i], hi[:, i] - center[:, i]
+        reach_low, reach_high = (
+            np.maximum(reach_low + np.abs(a - low), reach_high + np.abs(a - high)),
+            np.maximum(reach_low + np.abs(b - low), reach_high + np.abs(b - high)))
+        low, high = a, b
+    radius = np.maximum(reach_low - low, reach_high + high)
+    return _y_to_x(center, N), x_lo, x_hi, radius
+
+
+def staircase_cell_at(q: np.ndarray, N: int) -> np.ndarray:
+    """Compositions of N whose x/N span a staircase cell that holds the
+    point q, the vertices q puts no weight on left out.
+
+    With y = N * partial sums of q, base = floor(y) and f = y - base, the
+    cell's vertices raise base by one along the axes of largest f first;
+    on ties the later axis goes first, so every vertex stays ordered, and
+    axes with f = 0 are never raised.
+    """
+    y = np.minimum(N * np.cumsum(q)[:-1], N)
+    base = np.floor(y)
+    frac = y - base
+    d = y.shape[0]
+    order = np.lexsort((-np.arange(d), -frac))[: np.count_nonzero(frac > 0)]
+    chain = np.tile(base, (order.shape[0] + 1, 1))
+    for t, axis in enumerate(order):
+        chain[t + 1:, axis] += 1
+    return _y_to_x(chain.astype(np.int64), N)
 
 
 def staircase_level(k: int, diameter: float, max_diameter: float,

@@ -386,7 +386,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         return LpSolution(status="unbounded", x=None, value=float("inf"), basis=(),
                           stats=stats())
 
-    x = np.zeros(n)
+    x = state._buf  # pricing is over: x takes its buffer, no new n floats
+    x.fill(0.0)
     x_B = state.B_inv @ state.b
     for row, j in enumerate(state.basis):
         if j < n:

@@ -56,9 +56,13 @@ class GriddedUtility:
             yield self.grid.vertices, self.piece_values
             return
         for points in self.grid.blocks():
-            values = eval_utility_batch(self.utility, points)
-            values += self.pad
-            yield points, frozen(values)
+            yield points, self.lattice_values(points)
+
+    def lattice_values(self, points: np.ndarray) -> np.ndarray:
+        """Vertex values at lattice points (rows): the utility plus pad."""
+        values = eval_utility_batch(self.utility, points)
+        values += self.pad
+        return frozen(values)
 
     @property
     def vertex_values(self) -> np.ndarray:

@@ -6,8 +6,10 @@ import pytest
 from persuade import geometry
 from persuade.constraints import (SmoothingPrecisionError, _xlogx_modulus,
                                   smooth_constraint)
-from persuade.core import (ConstraintSpec, Posterior, UnsupportedKindError,
+from persuade.core import (ConstraintSpec, Posterior, ProblemInstance,
+                           UnsupportedKindError, UtilitySpec,
                            eval_constraint_batch, uniform_prior)
+from persuade.solver import build_surrogate
 
 UNIFORM2 = uniform_prior(2)
 
@@ -160,3 +162,22 @@ def test_zero_scale_kl_is_trivially_lipschitz():
     sm = smooth_constraint(spec, 0.1)
     assert sm.lipschitz_constant == 0.0
     assert sm.contraction is None
+
+
+def test_kl_spread_is_taken_between_distinct_cells():
+    # One cell makes f constant: L = 0, where the spread over all cells
+    # read 3.69 at eps 0.05.  Two cells: ln(1/r_a) - ln(|cell_c| lo / r_c)
+    # over a != c only, 4.138 against 4.238 with a = c admitted.
+    one = smooth_constraint(ConstraintSpec.grouped_kl([(0, 1, 2)], 1.0, [1.0], 0.1), 0.05)
+    assert one.lipschitz_constant == 0.0
+    refs = np.array([0.55, 0.45])
+    two = smooth_constraint(ConstraintSpec.grouped_kl([(0, 1), (2,)], 1.0, refs, 0.1), 0.05)
+    lo = geometry.contraction_floor(3, two.contraction)
+    spread = max(math.log(1 / refs[0]) - math.log(lo / refs[1]),
+                 math.log(1 / refs[1]) - math.log(2 * lo / refs[0]))
+    assert two.lipschitz_constant == pytest.approx(spread / 2, rel=1e-12)
+    assert round(two.lipschitz_constant, 3) == 4.138
+    # A one-cell KL constraint no longer sets the grid of a k = 3 solve.
+    inst = ProblemInstance(3, uniform_prior(3), UtilitySpec.max_linear(np.eye(3)),
+                           (ConstraintSpec.grouped_kl([(0, 1, 2)], 1.0, [1.0], 0.1),))
+    assert build_surrogate(inst, 0.1).grid_denominator == 40

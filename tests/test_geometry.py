@@ -173,6 +173,50 @@ def test_grid_arrays_are_read_only_and_caller_arrays_stay_writeable():
 
 
 # ---------------------------------------------------------------------------
+# Partial-sum boxes and the first master's vertices (lazy grid pricing)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_boxes_tile_the_lattice_and_bound_their_compositions(k):
+    # Halving from the root box reaches every lattice point once, as a box
+    # of side 1; at every level each box's compositions (brute force) lie
+    # in [x_lo, x_hi], within radius of its center, and hold the center.
+    for N in (5, 13, 40 // k):
+        lattice = lattice_compositions(k, N)
+        y = np.cumsum(lattice, axis=1)[:, :-1]
+        lo, side = np.zeros((1, k - 1), dtype=np.int64), 1 << N.bit_length()
+        while True:
+            center, x_lo, x_hi, radius = geometry.box_bounds(lo, side, N)
+            for b in range(lo.shape[0]):
+                X = lattice[((y >= lo[b]) & (y < lo[b] + side)).all(axis=1)]
+                assert X.shape[0] and (X >= x_lo[b]).all() and (X <= x_hi[b]).all()
+                assert np.abs(X - center[b]).sum(axis=1).max() <= radius[b]
+                assert (X == center[b]).all(axis=1).any()
+            if side == 1:
+                break
+            lo, side = geometry.split_boxes(lo, side, N), side // 2
+        assert sorted(map(tuple, lo)) == sorted(map(tuple, y))
+
+
+def test_stride_sublattice_and_staircase_cell_at():
+    x = geometry.stride_sublattice(3, 70, 32)
+    assert x.tolist() == [[0, 0, 70], [0, 32, 38], [0, 64, 6], [32, 0, 38],
+                          [32, 32, 6], [64, 0, 6]]
+    rng = np.random.default_rng(4)
+    for k in (2, 3, 4, 6):
+        for q in [*rng.dirichlet(np.ones(k), size=20), np.eye(k)[0], np.full(k, 1 / k)]:
+            N = int(rng.integers(3, 50))
+            cell = geometry.staircase_cell_at(q, N)
+            assert (cell >= 0).all() and (cell.sum(axis=1) == N).all()
+            assert np.abs(cell - N * q).max() < 2
+            # q is a convex combination of the cell's vertices.
+            w = np.linalg.lstsq(np.vstack([cell.T / N, np.ones(len(cell))]),
+                                np.append(q, 1.0), rcond=None)[0]
+            assert w.min() >= -1e-9
+            assert np.allclose(w @ (cell / N), q, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # cell coverage
 # ---------------------------------------------------------------------------
 

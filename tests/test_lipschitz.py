@@ -43,6 +43,14 @@ def kind_instance(kind, k, rng, i):
         else:
             u = comonotone_mixture(rng, k) if i % 2 else random_welfare_style(rng, k)
         return (lambda Q: eval_utility_batch(u, Q)), u.lipschitz_l1(), 0.0
+    sm, prior = smoothed_instance(kind, k, rng)
+    floor = 0.0 if sm.contraction is None else \
+        geometry.contraction_floor(k, sm.contraction)
+    return (lambda Q: sm.eval_batch(Q, prior)), sm.lipschitz_constant, floor
+
+
+def smoothed_instance(kind, k, rng):
+    """(smoothed constraint of the kind, its prior)."""
     prior = interior_prior(rng, k)
     if kind == "linear":
         spec = ConstraintSpec.linear(rng.uniform(-1, 1, size=k), bound=0.0)
@@ -59,10 +67,7 @@ def kind_instance(kind, k, rng, i):
         refs = np.array([prior.weights[list(c)].sum() for c in partition])
         scale = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
         spec = ConstraintSpec.grouped_kl(partition, scale, refs, bound=0.0)
-    sm = smooth_constraint(spec, float(rng.choice([0.5, 0.2])), k=k)
-    floor = 0.0 if sm.contraction is None else \
-        geometry.contraction_floor(k, sm.contraction)
-    return (lambda Q: sm.eval_batch(Q, prior)), sm.lipschitz_constant, floor
+    return smooth_constraint(spec, float(rng.choice([0.5, 0.2])), k=k), prior
 
 
 def close_pairs(rng, k, floor):
@@ -107,4 +112,51 @@ def test_sum_zero_constant_is_valid_and_sharp(kind):
             ratio = np.abs(g(X) - g(Y)) / np.abs(X - Y).sum(axis=1)
             assert ratio.max() <= L + 1e-12, (k, i, ratio.max(), L)
             best = max(best, ratio.max() / L)
+    assert best >= 0.99, best
+
+
+def box_pairs(rng, c, h):
+    """Close pairs (X, Y) inside the boxes [c - h, c + h] (rows) about
+    points c of the simplex, anywhere along a line through c: half move mass
+    between two states, out to the corner where the gradient spread of a
+    KL constraint peaks, the rest along a random sum-zero direction."""
+    n, k = c.shape
+    d = np.zeros((n, k))
+    half = n // 2
+    i = rng.integers(0, k, size=half)
+    j = (i + rng.integers(1, k, size=half)) % k
+    d[np.arange(half), i], d[np.arange(half), j] = 1.0, -1.0
+    u = rng.uniform(-0.5, 0.5, size=(n - half, k))
+    d[half:] = u - u.mean(axis=1)[:, None]
+    t = rng.uniform(-1, 1, size=(n, 1))
+    gap = rng.uniform(0.05, 0.3, size=(n, 1))
+    return c + t * h * d, c + np.where(t > 0, t - gap, t + gap) * h * d
+
+
+@pytest.mark.parametrize("kind", ["entropy", "grouped_kl"])
+def test_box_lipschitz_is_valid_on_sampled_boxes(kind):
+    # For random boxes and random pairs inside them, |g(x) - g(y)| <=
+    # L_box ||x - y||_1, k = 2..5.  Most boxes lie inside the contracted
+    # simplex, where their own cell-mass range sets a constant below the
+    # global one; the rest straddle its floor and take the global one.
+    rng = np.random.default_rng(KINDS.index(kind))
+    boxes = local = best = 0
+    for k in range(2, 6):
+        for _ in range(INSTANCES):
+            sm, prior = smoothed_instance(kind, k, rng)
+            floor = geometry.contraction_floor(k, sm.contraction)
+            c = floor + (1 - k * floor) * rng.dirichlet(np.full(k, 0.5), size=PAIRS)
+            h = 10 ** rng.uniform(-2.5, -1, size=(PAIRS, 1))
+            L_box = sm.box_lipschitz(np.maximum(c - h, 0.0), np.minimum(c + h, 1.0))
+            assert np.all(L_box <= sm.lipschitz_constant)
+            boxes, local = boxes + PAIRS, local + np.count_nonzero(
+                L_box < sm.lipschitz_constant)
+            X, Y = box_pairs(rng, c, h)
+            ok = (X.min(axis=1) >= 0) & (Y.min(axis=1) >= 0)
+            X, Y = X[ok], Y[ok]
+            ratio = np.abs(sm.eval_batch(X, prior) - sm.eval_batch(Y, prior)) \
+                / np.abs(X - Y).sum(axis=1)
+            assert np.all(ratio <= L_box[ok] + 1e-9), (k, (ratio - L_box[ok]).max())
+            best = max(best, (ratio / L_box[ok]).max())
+    assert local >= boxes / 2
     assert best >= 0.99, best

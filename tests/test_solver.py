@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from persuade.core import (ConstraintSpec, InfeasibleError, MaxLinearTerm,
 from persuade.geometry import build_grid
 from persuade.solver import (BOUNDARY_TOL, _bisect_boundary, bi_criteria_solve,
                              build_surrogate, ex_ante_to_ex_post, oracle_solve,
-                             single_criteria_solve)
+                             single_criteria_solve, solve_surrogate)
 
 UNIFORM2 = uniform_prior(2)
 
@@ -225,6 +226,7 @@ def test_blockwise_surrogate_is_the_one_block_surrogate(monkeypatch, k, eps, ex_
     whole = build_surrogate(inst, eps)
     monkeypatch.setattr(geometry, "LATTICE_BLOCK", 97)
     blocked = build_surrogate(inst, eps)
+    assert blocked.solution is None  # on grids this coarse the probe picks the full pass
     N = blocked.grid_denominator
     V = geometry.lattice_vertex_count(k, N)
     assert V > 5 * 97 and V % 97
@@ -242,11 +244,22 @@ def test_blockwise_surrogate_is_the_one_block_surrogate(monkeypatch, k, eps, ex_
     assert blocked.posteriors(columns).tobytes() == lattice[kept][columns].tobytes()
 
 
+def linear_kl_instance(k: int, bound: float) -> ProblemInstance:
+    """Uniform prior, a linear utility and one KL constraint: every column
+    prices at zero, so no lattice box is pruned and the build is blockwise."""
+    prior = uniform_prior(k)
+    kl = ConstraintSpec.grouped_kl([(i,) for i in range(k)], 1.0, prior.weights,
+                                   bound=bound)
+    return ProblemInstance(k, prior, UtilitySpec.max_linear(np.arange(k)[None, :] / k),
+                           (kl,))
+
+
 def test_build_peak_stays_near_the_lp_itself():
     # The build holds the LP's own k + m + 1 rows of floats plus one lattice
     # block and its columns at a time, never the (V, k) lattice: on 907k
-    # columns in 7 blocks the peak is 1.44 times the LP.
-    inst = kl_instance(3)
+    # columns in 7 blocks the peak, the lazy probe's included, is 1.47
+    # times the LP.
+    inst = linear_kl_instance(3, 0.2)
     tracemalloc.start()
     try:
         surrogate = build_surrogate(inst, 0.016)
@@ -272,6 +285,106 @@ def test_k5_max_linear_solves_under_the_default_cap():
     assert rep.grid_denominator == 80
     check = verify_scheme(inst, rep.scheme, tol=0.1)
     assert check.valid and all(c.violation <= 0.1 for c in check.constraints)
+
+
+# ---------------------------------------------------------------------------
+# Lazy grid LP (column generation over lattice boxes)
+# ---------------------------------------------------------------------------
+
+def full_and_lazy(monkeypatch, inst, eps, **kwargs):
+    """The surrogate built on one block, and the one built on 97-row blocks."""
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "LATTICE_BLOCK", geometry.DEFAULT_VERTEX_CAP)
+        whole = build_surrogate(inst, eps, **kwargs)
+        m.setattr(geometry, "LATTICE_BLOCK", 97)
+        return whole, build_surrogate(inst, eps, **kwargs)
+
+
+def check_lazy_solve(inst, whole, lazy):
+    """The lazy surrogate solves to the full grid's LP value, its scheme
+    verifies within the k+m support bound, and the duals it returns price
+    every lattice column at most FEAS_TOL, recomputed here in full."""
+    full, rep = solve_surrogate(whole), solve_surrogate(lazy)
+    assert abs(rep.lp_value - full.lp_value) <= 1e-9
+    assert rep.grid_vertex_count == full.grid_vertex_count == lazy.column_count
+    check = verify_scheme(inst, rep.scheme, tol=lazy.eps)
+    assert check.valid
+    assert rep.support_size <= lazy.program.n_rows
+    if lazy.solution is not None:
+        y = lazy.solution.duals
+        P = whole.program
+        k = P.A_eq.shape[0]
+        reduced = P.c - y[:k] @ P.A_eq - y[k:] @ P.A_le
+        assert reduced.max() <= lp.FEAS_TOL
+        assert lazy.program.n_vars < P.n_vars
+
+
+def test_lazy_grid_lp_on_the_criterion_6_suite(monkeypatch):
+    # The criterion-6 instances, on grids of many 97-row blocks: some take
+    # the lazy path and some the full pass, and each gives the full grid's
+    # LP value.  eps is 0.02 at k = 2 and 0.05 at k = 3.
+    rng = np.random.default_rng(61)
+    lazy_count = 0
+    for idx in range(50):
+        k = 2 + (idx % 2)
+        inst, _ = random_instance(rng, k=k, m=int(rng.integers(1, 4)),
+                                  slack_range=(0.12, 0.3))
+        whole, lazy = full_and_lazy(monkeypatch, inst, {2: 0.02, 3: 0.05}[k],
+                                    align_multiple={2: 8, 3: 3}[k])
+        check_lazy_solve(inst, whole, lazy)
+        lazy_count += lazy.solution is not None
+    assert lazy_count >= 5
+
+
+@pytest.mark.parametrize("k, eps, m", [(2, 0.05, 1), (2, 0.05, 2), (3, 0.05, 1),
+                                        (3, 0.02, 1), (3, 0.02, 2)])
+def test_lazy_grid_lp_on_kl_instances(monkeypatch, k, eps, m):
+    # One KL constraint over single states, and a second over a merged
+    # pair and the other states.  At eps 0.02 the grid is the benchmark's
+    # (N = 1031, V = 533,028).
+    prior = uniform_prior(k)
+    pair = ConstraintSpec.grouped_kl([(0, 1)] + [(i,) for i in range(2, k)], 1.0,
+                                     np.append(2.0 / k, prior.weights[2:]), bound=0.1)
+    inst = kl_instance(k, *[pair][: m - 1])
+    whole, lazy = full_and_lazy(monkeypatch, inst, eps)
+    assert lazy.solution is not None
+    check_lazy_solve(inst, whole, lazy)
+
+
+def test_full_pass_when_no_column_prices_below_zero(monkeypatch):
+    # A linear utility under a slack KL constraint: the probe picks the
+    # full pass, and the LP arrays are those of one block, bit for bit.
+    inst = linear_kl_instance(3, 5.0)
+    whole, blocked = full_and_lazy(monkeypatch, inst, 0.1)
+    assert blocked.solution is None
+    assert blocked.column_count == blocked.program.n_vars
+    for ours, ref in zip(program_arrays(blocked.program), program_arrays(whole.program)):
+        assert np.array_equal(ours, ref)
+    check_lazy_solve(inst, whole, blocked)
+
+
+def test_lazy_solve_logs_one_debug_record(monkeypatch, caplog):
+    # The package's logger carries a NullHandler, so nothing reaches the
+    # root logger's last-resort handler unless the caller configures one.
+    assert any(isinstance(h, logging.NullHandler)
+               for h in logging.getLogger("persuade").handlers)
+    inst = kl_instance(3)
+    with caplog.at_level(logging.DEBUG, logger="persuade"):
+        rep = bi_criteria_solve(inst, 0.02)
+    records = [r for r in caplog.records if r.name == "persuade.solver"]
+    assert len(records) == 1
+    message = records[0].getMessage()
+    assert records[0].levelno == logging.DEBUG
+    assert "N=1031 V=533028 " in message and "full_pass=False" in message
+    fields = dict(f.split("=") for f in message.split() if "=" in f)
+    assert int(fields["rounds"]) >= 1
+    assert 0 < int(fields["evaluated"]) < 0.1 * rep.grid_vertex_count
+    assert int(fields["master"]) >= rep.support_size
+    caplog.clear()
+    monkeypatch.setattr(geometry, "LATTICE_BLOCK", 97)
+    with caplog.at_level(logging.DEBUG, logger="persuade"):
+        bi_criteria_solve(linear_kl_instance(3, 0.2), 0.1)
+    assert [r.getMessage().endswith("full_pass=True") for r in caplog.records] == [True]
 
 
 @pytest.mark.parametrize("block", [None, 97])
