@@ -20,9 +20,9 @@ projection maps a sum-zero d to d_A - mean(d_A) 1_A on its active set A,
 again sum-zero and of l1 norm <= ||d_A||_1 + |sum of d off A| <= ||d||_1,
 so g takes half the spread of grad f over S_c.  For the KL family that
 spread is taken between two distinct cells (a one-cell f is constant), from
-the range of each cell's mass (_kl_gradient_spread); on a region of the
-simplex that lies inside S_c, where g = f - eps/2, the range is the
-region's own (SmoothedConstraint.box_lipschitz).
+the range of each cell's mass (_kl_gradient_spread).  On a box of the
+simplex that lies inside S_c, where g = f - eps/2, the lazy grid LP reads
+the gradient of g itself over the box (SmoothedConstraint.box_gradient).
 
 Entropy reduces to grouped KL with singleton cells and unit references; a
 negative scale b reduces literally via "if g fits f then -eps-g fits -f",
@@ -101,28 +101,52 @@ class SmoothedConstraint:
                                          prior)
         return vals - self.offset
 
-    def box_lipschitz(self, x_lo: np.ndarray, x_hi: np.ndarray) -> np.ndarray:
-        """(B,) l1 Lipschitz constants of g on the regions {q in the simplex :
-        x_lo[b] <= q <= x_hi[b]} (rows of shape (B, k)).
+    def box_gradient(self, weight: float, center: np.ndarray, q_lo: np.ndarray,
+                     q_hi: np.ndarray, prior) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi), each (B, k): per box, a coordinate range that holds a
+        g with h(x) - h(center) <= g . (x - center), h = weight * this g,
+        for every point x of the box {q in the simplex : q_lo <= q <= q_hi}.
 
-        A KL-family region that lies inside the contracted simplex, every
-        entry of x_lo at or above its floor, takes the sum-zero rule on the
-        region's own cell-mass range; every other region takes the global
-        constant.
+        Linear h is its own coefficients.  Concave h (weight <= 0 on an l1
+        distance or a neg_min_weighted constraint, weight * scale <= 0 on a
+        KL-family box inside the contracted simplex, where the smoothing is
+        f - eps/2) takes its supergradient at the center; a convex KL box
+        inside that simplex the range of its gradient over the box's cell
+        masses.  Every other box takes the global constant L as [-L, L] in
+        each coordinate, which the sum-zero rule turns back into L.
         """
-        L = np.full(x_lo.shape[0], self.lipschitz_constant)
-        if self.contraction is None:
-            return L
-        k = x_lo.shape[1]
-        cells, refs, scale_abs = _kl_cells(self.source, k)
-        inside = x_lo.min(axis=1) >= geometry.contraction_floor(k, self.contraction)
-        member = np.zeros((k, len(cells)))
-        for j, cell in enumerate(cells):
-            member[list(cell), j] = 1.0
-        spread = _kl_gradient_spread(np.minimum(x_hi[inside] @ member, 1.0),
-                                     x_lo[inside] @ member, refs)
-        L[inside] = scale_abs * spread / 2.0
-        return L
+        B, k = center.shape
+        spec = self.source
+        if spec.kind == "linear":
+            g = np.broadcast_to(weight * spec.coeffs, (B, k))
+            return g, g
+        L = abs(weight) * self.lipschitz_constant
+        lo, hi = np.full((B, k), -L), np.full((B, k), L)
+        if weight <= 0 and spec.kind == "norm_distance" and spec.order == 1:
+            lo = hi = weight * np.sign(center - getattr(prior, "weights", prior))
+        elif weight <= 0 and spec.kind == "neg_min_weighted":
+            at = np.argmin(center * spec.weights, axis=1)
+            g = np.zeros((B, k))
+            g[np.arange(B), at] = -weight * spec.weights[at]
+            lo = hi = g
+        elif self.contraction is not None:
+            # Entropy is the case of singleton cells and unit references.
+            entropy = spec.kind == "entropy"
+            signed = weight * (1.0 if entropy else float(spec.scale))
+            member = np.eye(k) if entropy else spec.indicator.T  # (k, cells)
+            refs = np.ones(k) if entropy else spec.refs
+            inside = np.flatnonzero(
+                q_lo.min(axis=1) >= geometry.contraction_floor(k, self.contraction))
+            # d f / d q_w = scale (ln(S_j / r_j) + 1) for w in cell j; the +1
+            # is the same in every coordinate, which the sum-zero rule drops.
+            if signed <= 0:
+                g = signed * np.log((center[inside] @ member) / refs) @ member.T
+                lo[inside] = hi[inside] = g
+            else:
+                lo[inside] = signed * np.log((q_lo[inside] @ member) / refs) @ member.T
+                hi[inside] = signed * np.log(
+                    np.minimum(q_hi[inside] @ member, 1.0) / refs) @ member.T
+        return lo, hi
 
     def eval(self, q, prior) -> float:
         w = np.asarray(getattr(q, "weights", q), dtype=float)

@@ -27,6 +27,9 @@ SUM_TOL = 1e-9
 ENTRY_TOL = 1e-12
 MERGE_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
+# "Surely above" margin of _rank_candidates, relative to the largest
+# coefficient: far above the rounding of a length-k dot product.
+RANK_TOL = 1e-12
 
 EX_ANTE = "ex_ante"
 EX_POST = "ex_post"
@@ -481,6 +484,30 @@ class MaxLinearTerm:
         return self.weight * float(spread.max()) / 2.0
 
 
+def _rank_candidates(lower: np.ndarray, upper: np.ndarray, rank: int,
+                     tol) -> np.ndarray:
+    """(..., n_f) mask of the functionals that can be rank-th largest on a
+    box, from (..., n_f) bounds on each functional over the box; ``tol``
+    broadcasts against the leading axes.
+
+    Functional b is surely above a when lower[b] > upper[a] + tol; a can
+    hold the rank when fewer than ``rank`` functionals are surely above it
+    and at most n_f - rank surely below.  Rounding can leave a lower bound
+    above its own upper bound; a box where that leaves no candidate counts
+    every functional as one.
+    """
+    n_f = lower.shape[-1]
+    held = np.empty(lower.shape, dtype=bool)
+    for a in range(n_f):
+        # Counted over the short functional axis one column at a time:
+        # numpy reduces a short last axis slowly (see reduce_last_axis).
+        above = sum(lower[..., b] > upper[..., a] + tol for b in range(n_f))
+        below = sum(upper[..., b] < lower[..., a] - tol for b in range(n_f))
+        held[..., a] = (above < rank) & (below <= n_f - rank)
+    held[~held.any(axis=-1)] = True
+    return held
+
+
 @dataclass(frozen=True, eq=False)
 class UtilitySpec:
     """Sender utility on posteriors.
@@ -586,6 +613,53 @@ class UtilitySpec:
                 f"no Lipschitz constant for utility kind {self.kind!r}")
         return float(check_finite("utility Lipschitz constant",
                                   sum(t.lipschitz_l1() for t in self.terms)))
+
+    def box_gradient(self, center: np.ndarray, q_lo: np.ndarray, q_hi: np.ndarray,
+                     radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi), each (B, k), max_linear only: per box, a coordinate
+        range that holds a g with u(x) - u(center) <= g . (x - center) at
+        every point x of the box {q in the simplex : q_lo <= q <= q_hi,
+        ||q - center||_1 <= radius}; the sum of one such range per term.
+
+        A min (rank n_functionals) is concave, so its term takes its
+        supergradient at the center: the coefficients of a functional
+        smallest there.  Any other rank finds the functionals that can hold
+        that rank somewhere in the box (_rank_candidates), each bounded over
+        the box by the coordinate ranges (shifted by its smallest
+        coefficient, since q sums to 1) and by its value at the center plus
+        half its spread times the radius; along any segment in the box the
+        term's slope is one of theirs.  A term with one candidate takes its
+        coefficients, any other the range of all its functionals (for two
+        functionals, the candidates' range).  Terms of one shape and rank
+        are taken together.
+        """
+        B, k = center.shape
+        lo, hi = np.zeros((B, k)), np.zeros((B, k))
+        groups = {}
+        for t in self.terms:
+            groups.setdefault((t.coeffs.shape[0], t.rank), []).append(t)
+        for (n_f, rank), terms in groups.items():
+            C = np.stack([t.coeffs for t in terms])  # (T, n_f, k)
+            w = np.array([t.weight for t in terms])[:, None]
+            T = len(terms)
+            vals = (center @ C.reshape(-1, k).T).reshape(B, T, n_f)
+            if rank == n_f:
+                g = (C[np.arange(T), np.argmin(vals, axis=2)] * w).sum(axis=1)
+                lo += g
+                hi += g
+                continue
+            base = C.min(axis=2)  # (T, n_f)
+            reach = radius[:, None, None] * ((C.max(axis=2) - base) / 2.0)
+            shifted = (C - base[:, :, None]).reshape(-1, k).T
+            upper = np.minimum(base + (q_hi @ shifted).reshape(B, T, n_f), vals + reach)
+            lower = np.maximum(base + (q_lo @ shifted).reshape(B, T, n_f), vals - reach)
+            held = _rank_candidates(lower, upper, rank,
+                                    RANK_TOL * np.maximum(abs(C).max(axis=(1, 2)), 1.0))
+            only = (held & (held.sum(axis=2) == 1)[:, :, None]).reshape(B, -1)
+            c_lo, c_hi = C.min(axis=1), C.max(axis=1)  # (T, k)
+            lo += w[:, 0] @ c_lo + only @ (w[:, :, None] * (C - c_lo[:, None])).reshape(-1, k)
+            hi += w[:, 0] @ c_hi + only @ (w[:, :, None] * (C - c_hi[:, None])).reshape(-1, k)
+        return lo, hi
 
 
 def _rank_max(values: np.ndarray, rank: int) -> np.ndarray:

@@ -76,13 +76,12 @@ def composition_rank(x: np.ndarray, N: int, table: np.ndarray) -> np.ndarray:
     rank = np.zeros(x.shape[0], dtype=np.int64)
     remaining = np.full(x.shape[0], N, dtype=np.int64)
     for pos in range(k - 1):
-        parts_left = k - pos - 1
-        # tail[a] = sum_{b >= a} table[parts_left, b], with tail[N+1] = 0, so the
-        # number of compositions preceding x at this position is
-        # tail[remaining - x_pos + 1] - tail[remaining + 1].
-        tail = np.concatenate([np.cumsum(table[parts_left][::-1])[::-1], [0]])
-        lo = np.minimum(remaining - x[:, pos] + 1, N + 1)
-        rank += tail[lo] - tail[remaining + 1]
+        # The compositions preceding x at this position put a < x_pos here
+        # and the other remaining - a in the k - pos - 1 parts left: with
+        # table[j + 1] = cumsum(table[j]), that is a difference of two
+        # entries of row k - pos.
+        count = table[k - pos]
+        rank += count[remaining] - count[remaining - x[:, pos]]
         remaining = remaining - x[:, pos]
     return rank
 

@@ -23,16 +23,21 @@ A lattice of more than one block with no ex-post constraint is solved
 lazily, by column generation (_lazy_program): a master LP over a few
 thousand lattice columns is priced against the whole lattice by a dyadic
 descent over boxes in partial-sum coordinates, each box bounded by its
-center's reduced cost plus a certified box-local Lipschitz constant times
-its l1 radius.  The loop ends when no box can hold a column with reduced
-cost above lp.FEAS_TOL, which certifies the master optimum for all V
-columns, as the simplex's full pricing pass does; the LP value equals the
-full grid's within that tolerance, while the optimal basis, and so the
-scheme, may differ.  About 4 % of the one-KL benchmark grid is evaluated.
-Where pruning cannot pay, the data says so: when the boxes that survive
-round 1 at side PROBE_SIDE still cover PROBE_SHARE of V, or the first
-master is infeasible, the grid is built blockwise as above.  Either way the
-report counts all grid columns, and Surrogate.grid_columns streams them.
+center's reduced cost plus the most the reduced cost can rise from there:
+the (super)gradient ranges of its parts over the box (_box_gradient) taken
+against the box's l1 radius or against its extent along each partial-sum
+axis, whichever bounds lower (_box_reach).  The loop ends when no box can
+hold a column with reduced cost above lp.FEAS_TOL, which certifies the
+master optimum for all V columns, as the simplex's full pricing pass does;
+the LP value equals the full grid's within that tolerance, while the
+optimal basis, and so the scheme, may differ.  Under 1 % of the KL
+benchmark grid is evaluated, and 0.25-2 % of the k = 4 auction grids,
+the first master alone certifying most revenue auctions.  Where pruning
+cannot pay, the data says so: when the boxes
+that survive round 1 at side PROBE_SIDE still cover PROBE_SHARE of V, or
+the first master is infeasible, the grid is built blockwise as above.
+Either way the report counts all grid columns, and Surrogate.grid_columns
+streams them.
 
 bi_criteria_solve: the two stages at eps.  The result is additively
 eps-optimal and violates each ex-ante constraint by at most eps; Bayes
@@ -94,9 +99,10 @@ BOUNDARY_TOL = 1e-9
 BISECT_LEVELS = 5     # bisection levels per constraint evaluation
 ORACLE_MAX_VERTICES = 25
 ORACLE_BATCH = 4096    # candidate systems per batched oracle solve
-MASTER_STRIDE = 32     # partial-sum stride of the first master's sub-lattice
+MASTER_STRIDE = 8      # least partial-sum stride of the first master's sub-lattice
 PROBE_SIDE = 8         # box side at which round 1 measures its surviving boxes
 PROBE_SHARE = 0.5      # share of V they may cover before the full pass is built
+BOX_CHUNK = 1 << 12    # boxes priced at once, which bounds the pricing's temporaries
 
 log = logging.getLogger(__name__)
 
@@ -278,32 +284,33 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
     Column generation (Gilmore and Gomory 1961): each round solves the
     master and prices the lattice against its duals y by a dyadic descent
     over boxes in partial-sum coordinates.  A box's columns have reduced
-    cost r = c - y.A at most r(center) + L_box * radius (Piyavskii 1972),
-    with L_box = L_u + half the spread of the barycenter duals (and 0) +
-    sum |y_le| times each smoothed constraint's box_lipschitz; a box is
-    pruned when that is <= FEAS_TOL, and boxes of side 1 that survive are
-    the improving columns.  The loop ends when a round adds no column, so,
-    as with the full pass of lp.solve_lp, the optimum holds over all V.
-    Evaluated columns are kept once, in a pool reused across rounds and
-    found by lattice rank through a (V,) int32 index; no array of V floats
-    is allocated.
+    cost r = c - y.A at most r(center) + _box_reach (Piyavskii 1972); a
+    box is pruned when that is <= FEAS_TOL, and boxes of side 1
+    that survive are the improving columns.  The loop ends when a round
+    adds no column, so, as with the full pass of lp.solve_lp, the optimum
+    holds over all V.  The first master is the sub-lattice of the smallest
+    power-of-two stride, at least MASTER_STRIDE, that fits in the simplex's
+    first working set (lp.WORKING_SET_INITIAL columns), plus the k corners
+    and the staircase cell around the prior.  Evaluated columns are kept
+    once, in a pool reused across rounds and found by lattice rank through
+    a (V,) int32 index; no array of V floats is allocated.
     """
     grid = gridded.grid
     k, N, V = grid.k, grid.denominator, grid.vertex_count
     table = geometry._rank_table(k, N)
     smoothed = [s for s, _ in bounds]
-    L_u = gridded.utility.lipschitz_l1()
     slot = np.full(V, -1, dtype=np.int32)  # pool position of each rank, or -1
-    # The pool, in evaluation order: ranks, columns (c and the rows of A_eq
-    # and A_le) and which of them the master holds.
+    # The pool, in evaluation order: ranks, columns (c and the rows of A_le;
+    # a column's A_eq entries are its composition over N, and 1) and which
+    # of them the master holds.
     ranks = np.empty(0, dtype=np.int64)
-    c, A = np.empty(0), np.empty((k + len(smoothed), 0))
+    c, A_le = np.empty(0), np.empty((len(smoothed), 0))
     master = np.empty(0, dtype=bool)
     rhs = None
 
     def columns(x: np.ndarray) -> np.ndarray:
         """Pool positions of the compositions x, evaluating the new ones."""
-        nonlocal ranks, c, A, master, rhs
+        nonlocal ranks, c, A_le, master, rhs
         r = geometry.composition_rank(x, N, table)
         pos = slot[r]
         new = np.flatnonzero(pos < 0)
@@ -317,41 +324,51 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
             slot[r[new]] = np.arange(ranks.size, ranks.size + new.size)
             ranks = np.concatenate([ranks, r[new]])
             c = np.concatenate([c, add.c])
-            A = np.hstack([A, np.vstack([add.A_eq, add.A_le])])
+            A_le = np.hstack([A_le, add.A_le])
             master = np.concatenate([master, np.zeros(new.size, dtype=bool)])
             pos = slot[r]
         return pos
 
+    stride = MASTER_STRIDE
+    while geometry.lattice_vertex_count(k, N // stride) > lp.WORKING_SET_INITIAL:
+        stride *= 2
     first_master = np.vstack([
-        geometry.stride_sublattice(k, N, MASTER_STRIDE), N * np.eye(k, dtype=np.int64),
+        geometry.stride_sublattice(k, N, stride), N * np.eye(k, dtype=np.int64),
         geometry.staircase_cell_at(prior.weights, N)])
     pos = columns(first_master)
     master[pos] = True
     root = 1 << N.bit_length()  # the smallest power of two above N
-    rounds, full_pass = 0, False
+    rounds, boxes, full_pass = 0, 0, False
     while True:
         rounds += 1
         at = np.flatnonzero(master)
         at = at[np.argsort(ranks[at])]  # vertex order
-        program = lp.LinearProgram(c=c[at], A_eq=A[:k, at], b_eq=rhs[0],
-                                   A_le=A[k:, at], b_le=rhs[1])
+        held = geometry._unrank_compositions(ranks[at], k, N, table)
+        program = lp.LinearProgram(
+            c=c[at], A_eq=np.vstack([held[:, : k - 1].T / N, np.ones(at.size)]),
+            b_eq=rhs[0], A_le=A_le[:, at], b_le=rhs[1])
         sol = lp.solve_lp(program)
         if sol.status != "optimal":
             full_pass = True
             break
         y = sol.duals
-        bary = np.append(y[: k - 1], 0.0)
-        base = L_u + (bary.max() - bary.min()) / 2.0
         lo, side = np.zeros((1, k - 1), dtype=np.int64), root
         while True:
-            center, x_lo, x_hi, radius = geometry.box_bounds(lo, side, N)
-            pos = columns(center)
-            bound = c[pos] - y @ A[:, pos]
-            if side > 1:
-                q_lo, q_hi = x_lo / N, x_hi / N
-                L = base + sum(abs(y[k + i]) * s.box_lipschitz(q_lo, q_hi)
-                               for i, s in enumerate(smoothed))
-                bound += L * radius / N
+            boxes += lo.shape[0]
+            pos, bound = np.empty(lo.shape[0], dtype=np.int64), np.empty(lo.shape[0])
+            for start in range(0, lo.shape[0], BOX_CHUNK):
+                part = slice(start, start + BOX_CHUNK)
+                center, x_lo, x_hi, radius = geometry.box_bounds(lo[part], side, N)
+                pos[part] = columns(center)
+                bound[part] = (c[pos[part]] - center[:, : k - 1] / N @ y[: k - 1]
+                               - y[k - 1] - y[k:] @ A_le[:, pos[part]])
+                if side > 1:
+                    at_center = np.cumsum(center[:, : k - 1], axis=1)
+                    bound[part] += _box_reach(
+                        *_box_gradient(gridded.utility, smoothed, y, prior, center / N,
+                                       x_lo / N, x_hi / N, radius / N),
+                        radius / N, (lo[part] - at_center) / N,
+                        (np.minimum(lo[part] + side - 1, N) - at_center) / N)
             keep = bound > lp.FEAS_TOL
             lo = lo[keep]
             if rounds == 1 and side == min(root, PROBE_SIDE):
@@ -363,14 +380,59 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
         if full_pass or not new.size:
             break
         master[new] = True
-    log.debug("lazy grid LP: N=%d V=%d rounds=%d evaluated=%d (%.2f%% of V) "
-              "master=%d full_pass=%s", N, V, rounds, ranks.size,
-              100.0 * ranks.size / V, np.count_nonzero(master), full_pass)
+    log.debug("lazy grid LP: N=%d V=%d rounds=%d boxes=%d evaluated=%d "
+              "(%.2f%% of V) master=%d full_pass=%s", N, V, rounds, boxes,
+              ranks.size, 100.0 * ranks.size / V, np.count_nonzero(master),
+              full_pass)
     if full_pass:
         return None
     for a in (program.c, program.A_eq, program.b_eq, program.A_le, program.b_le):
         a.flags.writeable = False
     return program, sol
+
+
+def _box_gradient(utility, smoothed, y: np.ndarray, prior: Posterior,
+                  center: np.ndarray, q_lo: np.ndarray, q_hi: np.ndarray,
+                  radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), each (B, k): per box {q in the simplex : q_lo <= q <= q_hi,
+    ||q - center||_1 <= radius}, a coordinate range holding a g with
+    r(x) - r(center) <= g . (x - center) at every point x of the box, for
+    the reduced cost r = c - y.A of the grid LP.
+
+    Each part of r gives such a range: the utility terms
+    (UtilitySpec.box_gradient), -lambda_i times each smoothed constraint
+    (SmoothedConstraint.box_gradient) and the barycenter duals, -y_i on
+    coordinate i < k-1; their sum holds the sum of the g.
+    """
+    k = center.shape[1]
+    lo, hi = utility.box_gradient(center, q_lo, q_hi, radius)
+    lo[:, : k - 1] -= y[: k - 1]
+    hi[:, : k - 1] -= y[: k - 1]
+    for i, s in enumerate(smoothed):
+        g_lo, g_hi = s.box_gradient(-y[k + i], center, q_lo, q_hi, prior)
+        lo += g_lo
+        hi += g_hi
+    return lo, hi
+
+
+def _box_reach(g_lo: np.ndarray, g_hi: np.ndarray, radius: np.ndarray,
+               e_lo: np.ndarray, e_hi: np.ndarray) -> np.ndarray:
+    """(B,) bounds on g . (x - center) over each box, for every g in
+    [g_lo, g_hi] (B, k) and every x of the box: within l1 radius of the
+    center, with partial sums of x - center in [e_lo, e_hi] (B, k-1), where
+    e_lo <= 0 <= e_hi.
+
+    The smaller of two bounds.  Since x - center sums to zero, the sum-zero
+    rule gives (max g_hi - min g_lo) / 2 * radius.  Along the box's own
+    axes, with e the partial sums of x - center,
+    g . (x - center) = sum_i (g_i - g_{i+1}) e_i, and term i is at most
+    max((g_hi_i - g_lo_{i+1}) e_hi_i, (g_lo_i - g_hi_{i+1}) e_lo_i); this
+    one is the lower where g changes monotonically from axis to axis.
+    """
+    spread = (g_hi.max(axis=1) - g_lo.min(axis=1)) / 2.0 * radius
+    axes = np.maximum((g_hi[:, :-1] - g_lo[:, 1:]) * e_hi,
+                      (g_lo[:, :-1] - g_hi[:, 1:]) * e_lo).sum(axis=1)
+    return np.minimum(spread, axes)
 
 
 def solve_surrogate(surrogate: Surrogate) -> SolveReport:

@@ -9,6 +9,7 @@ from helpers import (feasible_conversion_case, interior_prior, lattice_compositi
                      random_plausible_scheme, reference_bisect_boundary,
                      reference_oracle_solve)
 from persuade import geometry, lp
+from persuade.auction import AuctionSpec, BidderType, to_max_linear
 from persuade.core import (ConstraintSpec, InfeasibleError, MaxLinearTerm,
                            ProblemInstance, SignalingScheme,
                            UnsupportedKindError, UtilitySpec, ValidationError,
@@ -220,13 +221,16 @@ def program_arrays(program):
 def test_blockwise_surrogate_is_the_one_block_surrogate(monkeypatch, k, eps, ex_post):
     # The columns of many small blocks are those of one block, in the same
     # order; each column's posterior, recovered from A_eq and N, is its
-    # lattice vertex bit for bit, with or without the ex-post filter.
-    extra = (ConstraintSpec.linear(np.eye(k)[0], bound=0.6, mode="ex_post"),)
-    inst = kl_instance(k, *extra[:ex_post])
+    # lattice vertex bit for bit, whether the ex-post bound cuts vertices
+    # off or, slack, keeps them all.  An ex-post constraint keeps the build
+    # blockwise; without one these grids are solved lazily.
+    extra = (ConstraintSpec.linear(np.eye(k)[0], bound=0.6, mode="ex_post") if ex_post
+             else ConstraintSpec.linear(np.ones(k), bound=2.0, mode="ex_post"))
+    inst = kl_instance(k, extra)
     whole = build_surrogate(inst, eps)
     monkeypatch.setattr(geometry, "LATTICE_BLOCK", 97)
     blocked = build_surrogate(inst, eps)
-    assert blocked.solution is None  # on grids this coarse the probe picks the full pass
+    assert blocked.solution is None
     N = blocked.grid_denominator
     V = geometry.lattice_vertex_count(k, N)
     assert V > 5 * 97 and V % 97
@@ -244,22 +248,16 @@ def test_blockwise_surrogate_is_the_one_block_surrogate(monkeypatch, k, eps, ex_
     assert blocked.posteriors(columns).tobytes() == lattice[kept][columns].tobytes()
 
 
-def linear_kl_instance(k: int, bound: float) -> ProblemInstance:
-    """Uniform prior, a linear utility and one KL constraint: every column
-    prices at zero, so no lattice box is pruned and the build is blockwise."""
-    prior = uniform_prior(k)
-    kl = ConstraintSpec.grouped_kl([(i,) for i in range(k)], 1.0, prior.weights,
-                                   bound=bound)
-    return ProblemInstance(k, prior, UtilitySpec.max_linear(np.arange(k)[None, :] / k),
-                           (kl,))
-
-
 def test_build_peak_stays_near_the_lp_itself():
     # The build holds the LP's own k + m + 1 rows of floats plus one lattice
-    # block and its columns at a time, never the (V, k) lattice: on 907k
-    # columns in 7 blocks the peak, the lazy probe's included, is 1.47
+    # block and its columns at a time, never the (V, k) lattice.  A slack
+    # ex-post constraint keeps every vertex and sends the build down the
+    # blockwise path: on 907k columns in 7 blocks the peak stays below 1.6
     # times the LP.
-    inst = linear_kl_instance(3, 0.2)
+    prior = uniform_prior(3)
+    inst = ProblemInstance(3, prior, UtilitySpec.max_linear(np.arange(3)[None, :] / 3), (
+        ConstraintSpec.grouped_kl([(0,), (1,), (2,)], 1.0, prior.weights, bound=0.2),
+        ConstraintSpec.linear(np.ones(3), bound=2.0, mode="ex_post")))
     tracemalloc.start()
     try:
         surrogate = build_surrogate(inst, 0.016)
@@ -267,6 +265,7 @@ def test_build_peak_stays_near_the_lp_itself():
     finally:
         tracemalloc.stop()
     n = surrogate.program.n_vars
+    assert n == surrogate.column_count
     assert peak < 1.6 * 8 * (3 + 1 + 1) * n
     assert n > 4 * geometry.LATTICE_BLOCK
 
@@ -351,10 +350,54 @@ def test_lazy_grid_lp_on_kl_instances(monkeypatch, k, eps, m):
     check_lazy_solve(inst, whole, lazy)
 
 
-def test_full_pass_when_no_column_prices_below_zero(monkeypatch):
-    # A linear utility under a slack KL constraint: the probe picks the
-    # full pass, and the LP arrays are those of one block, bit for bit.
-    inst = linear_kl_instance(3, 5.0)
+def auction_instance(rng, objective: str) -> ProblemInstance:
+    """Two bidders of three types (k = 4) under one l1 distance constraint,
+    values scaled so the utility's Lipschitz constant is 1, as in the
+    benchmark's auctions; revenue is the min of two bids (rank 2 of 2)."""
+    bidders = [[(float(w), float(rng.uniform(0, 1)), float(rng.uniform(0, 2)))
+                for w in rng.dirichlet(np.ones(3))] for _ in range(2)]
+    raw = AuctionSpec(tuple(tuple(BidderType(*t) for t in b) for b in bidders))
+    scale = 1.0 / to_max_linear(raw, objective).lipschitz_l1()
+    spec = AuctionSpec(tuple(tuple(BidderType(w, lo * scale, hi * scale)
+                                   for w, lo, hi in b) for b in bidders), objective)
+    utility = (UtilitySpec.auction_welfare(spec) if objective == "welfare"
+               else UtilitySpec.auction_revenue(spec))
+    return ProblemInstance(4, interior_prior(rng, 4), utility, (
+        ConstraintSpec.norm_distance(1, bound=float(rng.uniform(0.12, 0.3))),))
+
+
+def test_lazy_grid_lp_on_k4_auctions(monkeypatch):
+    # Welfare (a sum of maxes) and revenue (a sum of mins) auctions on the
+    # benchmark's grid (eps 0.1, N = 160 or 161, V ~ 0.7M) and 97-row blocks:
+    # each LP value is the one-block build's, the scheme verifies, the
+    # duals price every column, and most solves go lazy.
+    rng = np.random.default_rng(4)
+    lazy_count = 0
+    for i in range(8):
+        inst = auction_instance(rng, ("welfare", "revenue")[i % 2])
+        whole, lazy = full_and_lazy(monkeypatch, inst, 0.1)
+        check_lazy_solve(inst, whole, lazy)
+        lazy_count += lazy.solution is not None
+    assert lazy_count >= 6
+
+
+def rank2_norm_instance(order: float) -> ProblemInstance:
+    """A rank-2-of-4 max-linear utility under one l_order distance
+    constraint, k = 3.  At eps 0.1 (N = 40), the boxes that survive round 1
+    at side PROBE_SIDE cover more than half the lattice: a middle rank
+    keeps every functional a candidate near its kinks, and an order-2 or
+    infinity norm keeps its global constant."""
+    rng = np.random.default_rng(0)
+    prior = interior_prior(rng, 3)
+    return ProblemInstance(3, prior, UtilitySpec.max_linear(
+        rng.uniform(0, 1, size=(4, 3)), rank=2),
+        (ConstraintSpec.norm_distance(order, bound=0.2),))
+
+
+def test_full_pass_when_the_probe_finds_pruning_cannot_pay(monkeypatch):
+    # The probe picks the full pass, and the LP arrays are those of one
+    # block, bit for bit.
+    inst = rank2_norm_instance(2)
     whole, blocked = full_and_lazy(monkeypatch, inst, 0.1)
     assert blocked.solution is None
     assert blocked.column_count == blocked.program.n_vars
@@ -378,12 +421,13 @@ def test_lazy_solve_logs_one_debug_record(monkeypatch, caplog):
     assert "N=1031 V=533028 " in message and "full_pass=False" in message
     fields = dict(f.split("=") for f in message.split() if "=" in f)
     assert int(fields["rounds"]) >= 1
+    assert int(fields["boxes"]) >= int(fields["rounds"])
     assert 0 < int(fields["evaluated"]) < 0.1 * rep.grid_vertex_count
     assert int(fields["master"]) >= rep.support_size
     caplog.clear()
     monkeypatch.setattr(geometry, "LATTICE_BLOCK", 97)
     with caplog.at_level(logging.DEBUG, logger="persuade"):
-        bi_criteria_solve(linear_kl_instance(3, 0.2), 0.1)
+        bi_criteria_solve(rank2_norm_instance(float("inf")), 0.1)
     assert [r.getMessage().endswith("full_pass=True") for r in caplog.records] == [True]
 
 
