@@ -291,7 +291,7 @@ def _write(path: str, what: str, write):
 def save_json(obj: dict, path: str | None):
     text = dump_json(obj)
     if path is None or path == "-":
-        print(text)
+        print(text, flush=True)  # a closed stdout raises here, inside main
     else:
         _write(path, "output", lambda fh: fh.write(text + "\n"))
 
@@ -443,6 +443,13 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory ({str(exc) or 'MemoryError'}); the grid at this "
               "eps does not fit: raise --eps or lower PERSUADE_GRID_CAP",
+              file=sys.stderr)
+        return EXIT_INPUT
+    except BrokenPipeError:
+        # Python flushes stdout once more at exit; on devnull that flush
+        # stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed before the output was written",
               file=sys.stderr)
         return EXIT_INPUT
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -495,17 +496,45 @@ def _rank_candidates(lower: np.ndarray, upper: np.ndarray, rank: int,
     and at most n_f - rank surely below.  Rounding can leave a lower bound
     above its own upper bound; a box where that leaves no candidate counts
     every functional as one.
+
+    Fewer than ``rank`` lower bounds exceed upper[a] + tol exactly when the
+    rank-th largest does not, and at most n_f - rank upper bounds fall
+    below lower[a] - tol exactly when the rank-th largest does not; so two
+    order statistics and one comparison per functional and side give the
+    pairwise count's mask, ties included.
     """
     n_f = lower.shape[-1]
+    lower_rank, upper_rank = _rank_max(lower, rank), _rank_max(upper, rank)
     held = np.empty(lower.shape, dtype=bool)
     for a in range(n_f):
-        # Counted over the short functional axis one column at a time:
-        # numpy reduces a short last axis slowly (see reduce_last_axis).
-        above = sum(lower[..., b] > upper[..., a] + tol for b in range(n_f))
-        below = sum(upper[..., b] < lower[..., a] - tol for b in range(n_f))
-        held[..., a] = (above < rank) & (below <= n_f - rank)
-    held[~held.any(axis=-1)] = True
+        # One functional at a time: numpy combines a short last axis slowly
+        # (see reduce_last_axis).
+        held[..., a] = (lower_rank <= upper[..., a] + tol) & \
+            (upper_rank >= lower[..., a] - tol)
+    held[~reduce_last_axis(np.logical_or, held)] = True
     return held
+
+
+class _TermGroup:
+    """The max-linear terms of one shape and rank, stacked once for
+    UtilitySpec.box_gradient, with the parts of its bounds that depend on
+    the coefficients and weights alone."""
+
+    def __init__(self, terms):
+        C = np.stack([t.coeffs for t in terms])  # (T, n_f, k)
+        T, self.n_f, k = C.shape
+        self.rank = terms[0].rank
+        self.coeffs, self.flat = C, C.reshape(-1, k).T
+        self.weights = w = np.array([t.weight for t in terms])[:, None]
+        self.rows = np.arange(T)
+        self.base = base = C.min(axis=2)  # (T, n_f)
+        self.half_spread = (C.max(axis=2) - base) / 2.0
+        self.shifted = (C - base[:, :, None]).reshape(-1, k).T
+        self.tol = RANK_TOL * np.maximum(abs(C).max(axis=(1, 2)), 1.0)
+        c_lo, c_hi = C.min(axis=1), C.max(axis=1)  # (T, k)
+        self.lo, self.hi = w[:, 0] @ c_lo, w[:, 0] @ c_hi
+        self.lo_step = (w[:, :, None] * (C - c_lo[:, None])).reshape(-1, k)
+        self.hi_step = (w[:, :, None] * (C - c_hi[:, None])).reshape(-1, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -614,6 +643,16 @@ class UtilitySpec:
         return float(check_finite("utility Lipschitz constant",
                                   sum(t.lipschitz_l1() for t in self.terms)))
 
+    @cached_property
+    def term_groups(self) -> tuple[_TermGroup, ...]:
+        """The max-linear terms stacked by shape and rank for box_gradient.
+        Built at the first call: only the lazy grid LP bounds boxes, and a
+        utility that never reaches it keeps no copy of its coefficients."""
+        groups = {}
+        for t in self.terms:
+            groups.setdefault((t.coeffs.shape[0], t.rank), []).append(t)
+        return tuple(_TermGroup(g) for g in groups.values())
+
     def box_gradient(self, center: np.ndarray, q_lo: np.ndarray, q_hi: np.ndarray,
                      radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi), each (B, k), max_linear only: per box, a coordinate
@@ -631,34 +670,26 @@ class UtilitySpec:
         term's slope is one of theirs.  A term with one candidate takes its
         coefficients, any other the range of all its functionals (for two
         functionals, the candidates' range).  Terms of one shape and rank
-        are taken together.
+        are taken together, stacked once per utility (term_groups).
         """
         B, k = center.shape
         lo, hi = np.zeros((B, k)), np.zeros((B, k))
-        groups = {}
-        for t in self.terms:
-            groups.setdefault((t.coeffs.shape[0], t.rank), []).append(t)
-        for (n_f, rank), terms in groups.items():
-            C = np.stack([t.coeffs for t in terms])  # (T, n_f, k)
-            w = np.array([t.weight for t in terms])[:, None]
-            T = len(terms)
-            vals = (center @ C.reshape(-1, k).T).reshape(B, T, n_f)
-            if rank == n_f:
-                g = (C[np.arange(T), np.argmin(vals, axis=2)] * w).sum(axis=1)
-                lo += g
-                hi += g
+        for g in self.term_groups:
+            vals = (center @ g.flat).reshape(B, g.rows.size, g.n_f)
+            if g.rank == g.n_f:
+                grad = (g.coeffs[g.rows, np.argmin(vals, axis=2)] * g.weights).sum(axis=1)
+                lo += grad
+                hi += grad
                 continue
-            base = C.min(axis=2)  # (T, n_f)
-            reach = radius[:, None, None] * ((C.max(axis=2) - base) / 2.0)
-            shifted = (C - base[:, :, None]).reshape(-1, k).T
-            upper = np.minimum(base + (q_hi @ shifted).reshape(B, T, n_f), vals + reach)
-            lower = np.maximum(base + (q_lo @ shifted).reshape(B, T, n_f), vals - reach)
-            held = _rank_candidates(lower, upper, rank,
-                                    RANK_TOL * np.maximum(abs(C).max(axis=(1, 2)), 1.0))
-            only = (held & (held.sum(axis=2) == 1)[:, :, None]).reshape(B, -1)
-            c_lo, c_hi = C.min(axis=1), C.max(axis=1)  # (T, k)
-            lo += w[:, 0] @ c_lo + only @ (w[:, :, None] * (C - c_lo[:, None])).reshape(-1, k)
-            hi += w[:, 0] @ c_hi + only @ (w[:, :, None] * (C - c_hi[:, None])).reshape(-1, k)
+            shape = vals.shape
+            reach = radius[:, None, None] * g.half_spread
+            upper = np.minimum(g.base + (q_hi @ g.shifted).reshape(shape), vals + reach)
+            lower = np.maximum(g.base + (q_lo @ g.shifted).reshape(shape), vals - reach)
+            held = _rank_candidates(lower, upper, g.rank, g.tol)
+            one = reduce_last_axis(np.add, held.astype(np.intp)) == 1
+            only = (held & one[:, :, None]).reshape(B, -1)
+            lo += g.lo + only @ g.lo_step
+            hi += g.hi + only @ g.hi_step
         return lo, hi
 
 

@@ -52,6 +52,13 @@ class NumericError(LpError):
     """
 
 
+def require_finite(*arrays):
+    """LpError unless every entry of every array is finite."""
+    for arr in arrays:
+        if arr.size and not np.all(np.isfinite(arr)):
+            raise LpError("non-finite entry in LP data")
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """max c.x  s.t.  A_eq x = b_eq, A_le x <= b_le, x >= 0."""
@@ -79,9 +86,7 @@ class LinearProgram:
             raise LpError("constraint matrices do not match objective length")
         if A_eq.shape[0] != b_eq.shape[0] or A_le.shape[0] != b_le.shape[0]:
             raise LpError("right-hand sides do not match row counts")
-        for arr in (c, A_eq, b_eq, A_le, b_le):
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise LpError("non-finite entry in LP data")
+        require_finite(c, A_eq, b_eq, A_le, b_le)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A_eq", A_eq)
         object.__setattr__(self, "b_eq", b_eq)
@@ -446,12 +451,18 @@ def build_persuasion_lp(columns, capacity: int, smoothed_bounds,
             c[cols] = values
         A_eq[: k - 1, cols] = points[:, : k - 1].T
         A_eq[k - 1, cols] = 1.0
-        projections = {}  # shared by constraints with one contraction
-        for row, (smoothed, _) in zip(A_le, smoothed_bounds):
-            row[cols] = smoothed.eval_batch(points, p, projections)
+        constraint_rows([s for s, _ in smoothed_bounds], points, p, A_le[:, cols])
         n = cols.stop
     program = LinearProgram(c=c[:n], A_eq=A_eq[:, :n], b_eq=b_eq,
                             A_le=A_le[:, :n], b_le=b_le)
     for a in (program.c, program.A_eq, program.b_eq, program.A_le, program.b_le):
         a.flags.writeable = False
     return program
+
+
+def constraint_rows(smoothed, points: np.ndarray, prior: np.ndarray, out: np.ndarray):
+    """Write each smoothed constraint at the rows of ``points`` into its row
+    of ``out``; constraints that share a contraction share one projection."""
+    projections = {}
+    for row, s in zip(out, smoothed):
+        row[...] = s.eval_batch(points, prior, projections)

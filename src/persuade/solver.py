@@ -26,8 +26,11 @@ descent over boxes in partial-sum coordinates, each box bounded by its
 center's reduced cost plus the most the reduced cost can rise from there:
 the (super)gradient ranges of its parts over the box (_box_gradient) taken
 against the box's l1 radius or against its extent along each partial-sum
-axis, whichever bounds lower (_box_reach).  The loop ends when no box can
-hold a column with reduced cost above lp.FEAS_TOL, which certifies the
+axis, whichever bounds lower (_box_reach).  A level that prunes no box
+has its boxes split twice, so the level below it is never priced: a column
+with reduced cost above lp.FEAS_TOL lies in boxes whose bounds are all at
+least that cost, so it is reached either way.  The loop ends when no box
+can hold a column with reduced cost above lp.FEAS_TOL, which certifies the
 master optimum for all V columns, as the simplex's full pricing pass does;
 the LP value equals the full grid's within that tolerance, while the
 optimal basis, and so the scheme, may differ.  Under 1 % of the KL
@@ -286,19 +289,28 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
     over boxes in partial-sum coordinates.  A box's columns have reduced
     cost r = c - y.A at most r(center) + _box_reach (Piyavskii 1972); a
     box is pruned when that is <= FEAS_TOL, and boxes of side 1
-    that survive are the improving columns.  The loop ends when a round
-    adds no column, so, as with the full pass of lp.solve_lp, the optimum
-    holds over all V.  The first master is the sub-lattice of the smallest
-    power-of-two stride, at least MASTER_STRIDE, that fits in the simplex's
-    first working set (lp.WORKING_SET_INITIAL columns), plus the k corners
-    and the staircase cell around the prior.  Evaluated columns are kept
+    that survive are the improving columns.  A level that prunes no box
+    has its boxes split twice, skipping the level below, except where that
+    is round 1's probe level or side 1, whose bound is r itself.  This
+    drops no improving column: each box holding a column with r > FEAS_TOL
+    is bounded by at least r, so it survives whichever levels are priced,
+    and each round adds the same side-1 survivors.  The loop ends when a
+    round adds no column, so, as with the full pass of lp.solve_lp, the
+    optimum holds over all V.  The first master is the sub-lattice of the
+    smallest power-of-two stride, at least MASTER_STRIDE, that fits in the
+    simplex's first working set (lp.WORKING_SET_INITIAL columns), plus the
+    k corners and the staircase cell around the prior.  Evaluated columns are kept
     once, in a pool reused across rounds and found by lattice rank through
-    a (V,) int32 index; no array of V floats is allocated.
+    a (V,) int32 index; no array of V floats is allocated.  A new column
+    is evaluated as lp.build_persuasion_lp evaluates one, and a non-finite
+    entry is the same LpError.
     """
     grid = gridded.grid
     k, N, V = grid.k, grid.denominator, grid.vertex_count
     table = geometry._rank_table(k, N)
     smoothed = [s for s, _ in bounds]
+    p = prior.weights
+    b_eq, b_le = np.append(p[: k - 1], 1.0), np.array([b for _, b in bounds], dtype=float)
     slot = np.full(V, -1, dtype=np.int32)  # pool position of each rank, or -1
     # The pool, in evaluation order: ranks, columns (c and the rows of A_le;
     # a column's A_eq entries are its composition over N, and 1) and which
@@ -306,11 +318,11 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
     ranks = np.empty(0, dtype=np.int64)
     c, A_le = np.empty(0), np.empty((len(smoothed), 0))
     master = np.empty(0, dtype=bool)
-    rhs = None
 
     def columns(x: np.ndarray) -> np.ndarray:
-        """Pool positions of the compositions x, evaluating the new ones."""
-        nonlocal ranks, c, A_le, master, rhs
+        """Pool positions of the compositions x, evaluating the new ones as
+        lp.build_persuasion_lp would on a block of them."""
+        nonlocal ranks, c, A_le, master
         r = geometry.composition_rank(x, N, table)
         pos = slot[r]
         new = np.flatnonzero(pos < 0)
@@ -318,13 +330,14 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
             new = new[np.argsort(r[new], kind="stable")]
             new = new[np.append(True, np.diff(r[new]) != 0)]  # each rank once
             points = x[new] / N
-            add = lp.build_persuasion_lp(
-                [(points, gridded.lattice_values(points))], new.size, bounds, prior)
-            rhs = add.b_eq, add.b_le
+            values = gridded.lattice_values(points)
+            rows = np.empty((len(smoothed), new.size))
+            lp.constraint_rows(smoothed, points, p, rows)
+            lp.require_finite(values, rows)
             slot[r[new]] = np.arange(ranks.size, ranks.size + new.size)
             ranks = np.concatenate([ranks, r[new]])
-            c = np.concatenate([c, add.c])
-            A_le = np.hstack([A_le, add.A_le])
+            c = np.concatenate([c, values])
+            A_le = np.hstack([A_le, rows])
             master = np.concatenate([master, np.zeros(new.size, dtype=bool)])
             pos = slot[r]
         return pos
@@ -338,7 +351,7 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
     pos = columns(first_master)
     master[pos] = True
     root = 1 << N.bit_length()  # the smallest power of two above N
-    rounds, boxes, full_pass = 0, 0, False
+    rounds, levels, boxes, full_pass = 0, 0, 0, False
     while True:
         rounds += 1
         at = np.flatnonzero(master)
@@ -346,14 +359,16 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
         held = geometry._unrank_compositions(ranks[at], k, N, table)
         program = lp.LinearProgram(
             c=c[at], A_eq=np.vstack([held[:, : k - 1].T / N, np.ones(at.size)]),
-            b_eq=rhs[0], A_le=A_le[:, at], b_le=rhs[1])
+            b_eq=b_eq, A_le=A_le[:, at], b_le=b_le)
         sol = lp.solve_lp(program)
         if sol.status != "optimal":
             full_pass = True
             break
         y = sol.duals
+        probe = min(root, PROBE_SIDE) if rounds == 1 else 0
         lo, side = np.zeros((1, k - 1), dtype=np.int64), root
         while True:
+            levels += 1
             boxes += lo.shape[0]
             pos, bound = np.empty(lo.shape[0], dtype=np.int64), np.empty(lo.shape[0])
             for start in range(0, lo.shape[0], BOX_CHUNK):
@@ -370,18 +385,21 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
                         radius / N, (lo[part] - at_center) / N,
                         (np.minimum(lo[part] + side - 1, N) - at_center) / N)
             keep = bound > lp.FEAS_TOL
+            pruned = not keep.all()
             lo = lo[keep]
-            if rounds == 1 and side == min(root, PROBE_SIDE):
+            if side == probe:
                 full_pass = lo.shape[0] * side ** (k - 1) >= PROBE_SHARE * V
             if side == 1 or full_pass or not lo.shape[0]:
                 break
             lo, side = geometry.split_boxes(lo, side, N), side // 2
+            if not pruned and side not in (1, probe):
+                lo, side = geometry.split_boxes(lo, side, N), side // 2
         new = pos[keep][~master[pos[keep]]]  # side-1 survivors not yet in it
         if full_pass or not new.size:
             break
         master[new] = True
-    log.debug("lazy grid LP: N=%d V=%d rounds=%d boxes=%d evaluated=%d "
-              "(%.2f%% of V) master=%d full_pass=%s", N, V, rounds, boxes,
+    log.debug("lazy grid LP: N=%d V=%d rounds=%d levels=%d boxes=%d evaluated=%d "
+              "(%.2f%% of V) master=%d full_pass=%s", N, V, rounds, levels, boxes,
               ranks.size, 100.0 * ranks.size / V, np.count_nonzero(master),
               full_pass)
     if full_pass:

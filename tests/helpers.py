@@ -1,6 +1,6 @@
 """Shared random-instance and random-scheme generators for the test suite,
 the one-candidate-at-a-time loops that the batched solver code is compared
-against, a row-at-a-time construction of a scheme's support and masses, a brute-force enumeration of the lattice, the refined cells of a
+against, the pairwise count of rank candidates, a row-at-a-time construction of a scheme's support and masses, a brute-force enumeration of the lattice, the refined cells of a
 piece grid (the package keeps only their vertices) and a brute-force
 evaluator of the gridded utility u_eps off the grid (the package itself
 reads u_eps only at grid vertices).
@@ -366,3 +366,17 @@ def reference_bisect_boundary(spec: ConstraintSpec, prior: Posterior,
         if lam_good - lam_bad < 1e-16:
             break
     return lam_good, lam_good * q_S + (1.0 - lam_good) * q_T
+
+
+def reference_rank_candidates(lower: np.ndarray, upper: np.ndarray, rank: int,
+                              tol) -> np.ndarray:
+    """core._rank_candidates by one pair of functionals at a time, kept as
+    the reference for its counting over all of them at once."""
+    n_f = lower.shape[-1]
+    held = np.empty(lower.shape, dtype=bool)
+    for a in range(n_f):
+        above = sum(lower[..., b] > upper[..., a] + tol for b in range(n_f))
+        below = sum(upper[..., b] < lower[..., a] - tol for b in range(n_f))
+        held[..., a] = (above < rank) & (below <= n_f - rank)
+    held[~held.any(axis=-1)] = True
+    return held

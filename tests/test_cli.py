@@ -154,6 +154,23 @@ def test_module_entry_point_runs_a_fixture():
     assert json.loads(done.stdout)["verification"]["passed"] is True
 
 
+def test_closed_stdout_exits_1_with_one_line():
+    # A reader that stops early, as in `persuade fixture prop3:172,1 | head
+    # -c 100`, closes the pipe while the 1.5 MB document is being written.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with subprocess.Popen([sys.executable, "-m", "persuade", "fixture", "prop3:172,1"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=300)
+    assert code == 1
+    assert err.startswith("error: standard output closed")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_convert_invalid_scheme_exit_2(example1_paths, tmp_path):
     fx, inst_path, _ = example1_paths
     bad = {"support": [[1.0, 0.0], [0.0, 1.0]], "probs": [0.2, 0.8]}

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from helpers import (interior_prior, lattice_compositions, random_max_linear,
-                     random_welfare_style)
+                     random_welfare_style, reference_rank_candidates)
 from persuade import geometry
 from persuade.constraints import smooth_constraint
 from persuade.core import (ConstraintSpec, MaxLinearTerm, UtilitySpec,
@@ -276,3 +276,22 @@ def test_box_slope_is_valid_and_sharp_on_sampled_boxes():
     # bound; when that leaves no functional a candidate, all of them are.
     lower, upper = np.array([[1.0 + 1e-9, 0.0]]), np.array([[1.0, 0.5]])
     assert _rank_candidates(lower, upper, 1, 1e-12).all()
+
+
+@pytest.mark.parametrize("n_f", range(1, 7))
+def test_rank_candidates_match_the_pairwise_count(n_f):
+    # Bounds on a coarse grid of values, so that many pairs tie exactly at
+    # the tolerance of their term, and lower bounds that may exceed their
+    # own upper bound by a rounding error; every rank, mask for mask.
+    rng = np.random.default_rng(n_f)
+    B, T = 500, 3
+    tol = np.array([0.0, 0.25, 0.5])
+    lower = rng.integers(0, 8, size=(B, T, n_f)) / 4.0
+    upper = lower + rng.integers(0, 3, size=lower.shape) / 4.0
+    lower[rng.uniform(size=lower.shape) < 0.1] += 1e-12
+    assert (lower > upper).any()
+    assert (lower[:, :, :, None] == upper[:, :, None, :] + tol[:, None, None]).any()
+    for rank in range(1, n_f + 1):
+        ours = _rank_candidates(lower, upper, rank, tol)
+        assert ours.dtype == bool
+        assert np.array_equal(ours, reference_rank_candidates(lower, upper, rank, tol))

@@ -406,6 +406,24 @@ def test_full_pass_when_the_probe_finds_pruning_cannot_pay(monkeypatch):
     check_lazy_solve(inst, whole, blocked)
 
 
+def test_non_finite_pool_column_is_an_lp_error(monkeypatch):
+    # A NaN in a column the descent evaluates, after the first master, is
+    # an LpError as in a full build, not a box the NaN bound prunes.
+    from persuade import objectives
+    values, calls = objectives.GriddedUtility.lattice_values, []
+
+    def poisoned(self, points):
+        calls.append(points.shape[0])
+        out = values(self, points)
+        return np.where(np.arange(out.size) == 0, np.nan, out) if len(calls) == 2 else out
+
+    monkeypatch.setattr(objectives.GriddedUtility, "lattice_values", poisoned)
+    monkeypatch.setattr(geometry, "LATTICE_BLOCK", 97)
+    with pytest.raises(lp.LpError, match="non-finite"):
+        build_surrogate(kl_instance(3), 0.05)
+    assert len(calls) == 2
+
+
 def test_lazy_solve_logs_one_debug_record(monkeypatch, caplog):
     # The package's logger carries a NullHandler, so nothing reaches the
     # root logger's last-resort handler unless the caller configures one.
@@ -422,6 +440,9 @@ def test_lazy_solve_logs_one_debug_record(monkeypatch, caplog):
     fields = dict(f.split("=") for f in message.split() if "=" in f)
     assert int(fields["rounds"]) >= 1
     assert int(fields["boxes"]) >= int(fields["rounds"])
+    # The root box has side 2048, so a descent that priced every level
+    # would price 12 per round; levels that prune nothing skip the next.
+    assert int(fields["rounds"]) <= int(fields["levels"]) < 12 * int(fields["rounds"])
     assert 0 < int(fields["evaluated"]) < 0.1 * rep.grid_vertex_count
     assert int(fields["master"]) >= rep.support_size
     caplog.clear()
