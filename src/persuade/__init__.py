@@ -15,14 +15,13 @@ from .core import (ConstraintSpec, DimensionMismatch, InfeasibleError,
                    MaxLinearTerm, PersuasionError, Posterior, ProblemInstance,
                    ResourceLimitError, SignalingScheme, UnsupportedKindError,
                    UtilitySpec, ValidationError, VerifyReport,
-                   check_bayes_plausible, eval_constraint, eval_utility,
-                   full_revelation, no_revelation, uniform_prior,
-                   verify_scheme)
-from .auction import (AuctionSpec, BidderType, auction_utility,
-                      example2_scheme, to_max_linear, verify_jensen_factor)
+                   check_bayes_plausible, full_revelation, no_revelation,
+                   uniform_prior, verify_scheme)
+from .auction import (AuctionSpec, BidderType, example2_scheme, to_max_linear,
+                      verify_jensen_factor)
 from .constraints import SmoothedConstraint, smooth_constraint
 from .fixtures import FixtureId, build_fixture, parse_fixture_id, verify_fixture
-from .geometry import SimplexGrid, build_grid, project_to_contraction
+from .geometry import SimplexGrid, build_grid
 from .lp import LinearProgram, LpSolution, build_persuasion_lp, solve_lp
 from .objectives import GriddedUtility, build_upper_approx
 from .solver import (SolveReport, bi_criteria_solve, ex_ante_to_ex_post,
@@ -38,12 +37,10 @@ __all__ = [
     "LpSolution", "MaxLinearTerm", "PersuasionError", "Posterior",
     "ProblemInstance", "ResourceLimitError", "SignalingScheme", "SimplexGrid",
     "SmoothedConstraint", "SolveReport", "UnsupportedKindError", "UtilitySpec",
-    "ValidationError", "VerifyReport", "auction_utility", "bi_criteria_solve",
-    "build_fixture", "build_grid", "build_persuasion_lp", "build_upper_approx",
-    "check_bayes_plausible", "eval_constraint", "eval_utility",
-    "ex_ante_to_ex_post", "example2_scheme", "full_revelation",
-    "no_revelation", "oracle_solve", "parse_fixture_id",
-    "project_to_contraction", "single_criteria_solve",
-    "smooth_constraint", "solve_lp", "to_max_linear", "uniform_prior",
-    "verify_fixture", "verify_jensen_factor", "verify_scheme",
+    "ValidationError", "VerifyReport", "bi_criteria_solve", "build_fixture",
+    "build_grid", "build_persuasion_lp", "build_upper_approx",
+    "check_bayes_plausible", "ex_ante_to_ex_post", "example2_scheme",
+    "full_revelation", "no_revelation", "oracle_solve", "parse_fixture_id",
+    "single_criteria_solve", "smooth_constraint", "solve_lp", "to_max_linear",
+    "uniform_prior", "verify_fixture", "verify_jensen_factor", "verify_scheme",
 ]

@@ -161,12 +161,6 @@ def auction_utility_mc_batch(spec: AuctionSpec, Q: np.ndarray,
     return est, stderr
 
 
-def auction_utility(spec: AuctionSpec, q, objective: str | None = None) -> float:
-    """Expected welfare or revenue at one posterior over {0,1}^n."""
-    w = np.asarray(getattr(q, "weights", q), dtype=float)
-    return float(auction_utility_batch(spec, w[None, :], objective=objective)[0])
-
-
 def to_max_linear(spec: AuctionSpec, objective: str | None = None) -> UtilitySpec:
     """Expand the profile expectation into a weighted sum of rank-max terms.
 

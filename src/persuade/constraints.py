@@ -148,10 +148,6 @@ class SmoothedConstraint:
                     np.minimum(q_hi[inside] @ member, 1.0) / refs) @ member.T
         return lo, hi
 
-    def eval(self, q, prior) -> float:
-        w = np.asarray(getattr(q, "weights", q), dtype=float)
-        return float(self.eval_batch(w[None, :], prior)[0])
-
 
 def smooth_constraint(spec: ConstraintSpec, eps: float,
                       k: int | None = None) -> SmoothedConstraint:

@@ -444,12 +444,6 @@ def eval_constraint_batch(spec: ConstraintSpec, Q: np.ndarray,
     raise UnsupportedKindError(spec.kind)  # pragma: no cover
 
 
-def eval_constraint(spec: ConstraintSpec, q: Posterior,
-                    prior: Posterior) -> float:
-    """f(q) for a single posterior; see ConstraintSpec for the formulas."""
-    return float(eval_constraint_batch(spec, q.weights[None, :], prior)[0])
-
-
 # ---------------------------------------------------------------------------
 # Utility specifications
 # ---------------------------------------------------------------------------
@@ -823,11 +817,6 @@ def eval_utility_batch(spec: UtilitySpec, Q: np.ndarray) -> np.ndarray:
         return _auction.auction_utility_batch(spec.auction, Q,
                                               objective=spec.kind.removeprefix("auction_"))
     raise UnsupportedKindError(spec.kind)  # pragma: no cover
-
-
-def eval_utility(spec: UtilitySpec, q: Posterior) -> float:
-    """Utility at one posterior (upper envelope on piece boundaries)."""
-    return float(eval_utility_batch(spec, q.weights[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,13 @@ The lattice grid at denominator N has vertices {x/N : x nonnegative integers
 summing to N} and cells given by the Kuhn/Freudenthal triangulation in
 partial-sum coordinates y_i = x_1 + ... + x_i: the simplex maps to the
 ordered region 0 <= y_1 <= ... <= y_{k-1} <= N, whose unit cubes split into
-staircase simplices, N^(k-1) cells in total, all enumerated by one
-whole-array pass (_staircase_cells).  A lattice grid stores no array: its
-vertices come in lexicographic blocks of at most LATTICE_BLOCK rows
-(lattice_blocks), so a consumer that reads them block by block never holds
-all V of them, and build_grid_cells_for_level enumerates its cells on
-demand.  Triangulation grids (refined pieces) carry explicit vertices,
-one block, and no cell: refine_simplex returns a piece simplex's refined
-vertices and the certified diameter of their staircase cells.
+staircase simplices, N^(k-1) cells in total; no cell is ever built.  A
+lattice grid stores no array: its vertices come in lexicographic blocks of
+at most LATTICE_BLOCK rows (lattice_blocks), so a consumer that reads them
+block by block never holds all V of them.  Triangulation grids (refined
+pieces) carry explicit vertices, one block, and no cell: refine_simplex
+returns a piece simplex's refined vertices and the certified diameter of
+their staircase cells.
 
 For lazy pricing of a lattice, the ordered region is covered by dyadic
 boxes aligned to their side: split_boxes halves them, box_bounds gives
@@ -27,14 +26,12 @@ have an entry below the floor of S_eps.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Posterior, ResourceLimitError, ValidationError, frozen,
-                   reduce_last_axis)
+from .core import ResourceLimitError, ValidationError, frozen, reduce_last_axis
 
 DEFAULT_VERTEX_CAP = 5_000_000
 # Rows per lattice block: above the largest grid of the many-small-solves
@@ -127,18 +124,12 @@ def lattice_blocks(k: int, N: int):
         yield frozen(block)
 
 
-def join_blocks(blocks) -> np.ndarray:
-    """The blocks stacked into one read-only array; a lone block as it is."""
-    blocks = list(blocks)
-    return blocks[0] if len(blocks) == 1 else frozen(np.concatenate(blocks))
-
-
 @dataclass(frozen=True, eq=False)
 class SimplexGrid:
     """A triangulated subset of the simplex (usually all of it).
 
     A lattice grid has ``denominator`` N and holds no array: blocks()
-    generates its vertices and build_grid_cells_for_level(k, N) its cells.
+    generates its vertices; its cells are the staircase cells of N.
     A triangulation grid (piece refinements) has a ``denominator`` of None
     and carries its vertices, read-only, as one block, and no cell.
     ``measured_max_diameter`` bounds every cell's l1 diameter.
@@ -164,27 +155,8 @@ class SimplexGrid:
     @property
     def vertices(self) -> np.ndarray:
         """(V, k) read-only; a lattice's are generated anew at each access."""
-        return join_blocks(self.blocks())
-
-
-def _staircase_cells(corners: np.ndarray, N: int) -> np.ndarray:
-    """Partial-sum vertex chains, shape (C, k, k-1), of the staircase cells
-    with base corners ``corners`` (rows of k-1 partial sums).
-
-    Each permutation of the k-1 axes raises a corner by one along one axis
-    at a time; a chain is kept when every point stays in
-    0 <= y_1 <= ... <= y_{k-1} <= N.  All corners and permutations go
-    through one array expression; the chains come out ordered by corner,
-    then by permutation in itertools order.
-    """
-    d = corners.shape[1]
-    perms = np.array(list(itertools.permutations(range(d))), dtype=np.int64)
-    # steps[p, j] = sum of the first j unit vectors in permutation p.
-    steps = (np.argsort(perms, axis=1)[:, None, :]
-             < np.arange(d + 1)[None, :, None]).astype(np.int64)
-    chains = corners[:, None, None, :] + steps  # (Z, P, k, d)
-    ok = (np.diff(chains, axis=3) >= 0).all(axis=(2, 3)) & (chains[..., -1] <= N).all(axis=2)
-    return chains[ok]
+        blocks = list(self.blocks())
+        return blocks[0] if len(blocks) == 1 else frozen(np.concatenate(blocks))
 
 
 def _y_to_x(y_pts: np.ndarray, N: int) -> np.ndarray:
@@ -344,8 +316,8 @@ def refine_simplex(simplex: np.ndarray, max_diameter: float, *,
 
     Returns (vertices, certified cell diameter): at the staircase_level n,
     the lattice points of denominator n in lattice order mapped through
-    barycentric coordinates, whose cells (not built) are
-    build_grid_cells_for_level(k, n).  A simplex within the bound is its
+    barycentric coordinates, whose cells (not built) are the staircase
+    cells of the lattice at n.  A simplex within the bound is its
     own one cell.  Raises ResourceLimitError past vertex_cap vertices.
     """
     if max_diameter <= 0:
@@ -362,20 +334,6 @@ def refine_simplex(simplex: np.ndarray, max_diameter: float, *,
             f"refining a piece would need {count} vertices, cap is {vertex_cap}")
     bary = _lattice_vertices(k, n).astype(float) / n
     return bary @ S, cell_diameter
-
-
-def build_grid_cells_for_level(k: int, n: int) -> np.ndarray:
-    """Staircase cells of the standard lattice at denominator n."""
-    # Base corners: nondecreasing partial sums in [0, n-1], i.e. the partial
-    # sums of the compositions of n-1, in lexicographic order.
-    corners = np.cumsum(_lattice_vertices(k, n - 1)[:, :-1], axis=1)
-    pts = _y_to_x(_staircase_cells(corners, n).reshape(-1, k - 1), n)
-    return composition_rank(pts, n, _rank_table(k, n)).reshape(-1, k)
-
-
-def simplex_volume(k: int) -> float:
-    """Volume of the full probability simplex embedded in R^k."""
-    return math.sqrt(k) / math.factorial(k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +376,3 @@ def project_to_contraction_batch(Q: np.ndarray, eps: float) -> np.ndarray:
     if below.size:
         out[below] = lo + project_to_scaled_simplex(Q[below] - lo, 1.0 - k * lo)
     return out
-
-
-def project_to_contraction(q, eps: float):
-    """Project one posterior onto S_eps; idempotent on S_eps itself."""
-    w = np.asarray(getattr(q, "weights", q), dtype=float)
-    out = project_to_contraction_batch(w[None, :], eps)[0]
-    return Posterior(out) if isinstance(q, Posterior) else out

@@ -16,8 +16,7 @@ merged into it.
 
 The LP reads only the vertex values, block by block (GriddedUtility.blocks,
 over the grid's own blocks), so a lattice's values never exist as one
-array unless a caller asks for vertex_values; nothing here evaluates u_eps
-at an off-grid point.
+array; nothing here evaluates u_eps at an off-grid point.
 """
 
 from __future__ import annotations
@@ -63,11 +62,6 @@ class GriddedUtility:
         values = eval_utility_batch(self.utility, points)
         values += self.pad
         return frozen(values)
-
-    @property
-    def vertex_values(self) -> np.ndarray:
-        """(V,) read-only, evaluated anew at each access."""
-        return geometry.join_blocks(values for _, values in self.blocks())
 
 
 def build_upper_approx(utility: UtilitySpec, eps: float, lipschitz_bound: float,

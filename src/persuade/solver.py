@@ -35,10 +35,9 @@ master optimum for all V columns, as the simplex's full pricing pass does;
 the LP value equals the full grid's within that tolerance, while the
 optimal basis, and so the scheme, may differ.  Under 1 % of the KL
 benchmark grid is evaluated, and 0.25-2 % of the k = 4 auction grids,
-the first master alone certifying most revenue auctions.  Where pruning
-cannot pay, the data says so: when the boxes
-that survive round 1 at side PROBE_SIDE still cover PROBE_SHARE of V, or
-the first master is infeasible, the grid is built blockwise as above.
+the first master alone certifying most revenue auctions.  Only when the
+first master is infeasible is the grid built blockwise as above: without
+Farkas pricing, an infeasible master proves nothing about the grid.
 Either way the report counts all grid columns, and Surrogate.grid_columns
 streams them.
 
@@ -103,8 +102,6 @@ BISECT_LEVELS = 5     # bisection levels per constraint evaluation
 ORACLE_MAX_VERTICES = 25
 ORACLE_BATCH = 4096    # candidate systems per batched oracle solve
 MASTER_STRIDE = 8      # least partial-sum stride of the first master's sub-lattice
-PROBE_SIDE = 8         # box side at which round 1 measures its surviving boxes
-PROBE_SHARE = 0.5      # share of V they may cover before the full pass is built
 BOX_CHUNK = 1 << 12    # boxes priced at once, which bounds the pricing's temporaries
 
 log = logging.getLogger(__name__)
@@ -281,25 +278,27 @@ def _ex_post_columns(instance: ProblemInstance, blocks):
 def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
                   ) -> tuple[lp.LinearProgram, lp.LpSolution] | None:
     """The grid LP restricted to a master set of lattice columns, and its
-    solution, certified optimal over every column; or None when round 1's
-    probe finds that pruning cannot pay (or the first master is infeasible).
+    solution, certified optimal over every column; or None when the first
+    master is infeasible, which without Farkas pricing proves nothing about
+    the grid.
 
     Column generation (Gilmore and Gomory 1961): each round solves the
     master and prices the lattice against its duals y by a dyadic descent
     over boxes in partial-sum coordinates.  A box's columns have reduced
     cost r = c - y.A at most r(center) + _box_reach (Piyavskii 1972); a
-    box is pruned when that is <= FEAS_TOL, and boxes of side 1
-    that survive are the improving columns.  A level that prunes no box
-    has its boxes split twice, skipping the level below, except where that
-    is round 1's probe level or side 1, whose bound is r itself.  This
-    drops no improving column: each box holding a column with r > FEAS_TOL
-    is bounded by at least r, so it survives whichever levels are priced,
-    and each round adds the same side-1 survivors.  The loop ends when a
-    round adds no column, so, as with the full pass of lp.solve_lp, the
-    optimum holds over all V.  The first master is the sub-lattice of the
-    smallest power-of-two stride, at least MASTER_STRIDE, that fits in the
-    simplex's first working set (lp.WORKING_SET_INITIAL columns), plus the
-    k corners and the staircase cell around the prior.  Evaluated columns are kept
+    box is pruned when that is <= FEAS_TOL, and boxes of side 1 that
+    survive are the improving columns.  A level that prunes no box has its
+    boxes split twice, skipping the level below, unless that is side 1,
+    whose bound is r itself.  This drops no improving column: each box
+    holding a column with r > FEAS_TOL is bounded by at least r, so it
+    survives whichever levels are priced, and each round adds the same
+    side-1 survivors.  A master only grows, so only the first can be
+    infeasible.  The loop ends when a round adds no column, so, as with the
+    full pass of lp.solve_lp, the optimum holds over all V.  The first
+    master is the sub-lattice of the smallest power-of-two stride, at least
+    MASTER_STRIDE, that fits in the simplex's first working set
+    (lp.WORKING_SET_INITIAL columns), plus the k corners and the staircase
+    cell around the prior.  Evaluated columns are kept
     once, in a pool reused across rounds and found by lattice rank through
     a (V,) int32 index; no array of V floats is allocated.  A new column
     is evaluated as lp.build_persuasion_lp evaluates one, and a non-finite
@@ -351,7 +350,7 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
     pos = columns(first_master)
     master[pos] = True
     root = 1 << N.bit_length()  # the smallest power of two above N
-    rounds, levels, boxes, full_pass = 0, 0, 0, False
+    rounds, levels, boxes = 0, 0, 0
     while True:
         rounds += 1
         at = np.flatnonzero(master)
@@ -361,11 +360,10 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
             c=c[at], A_eq=np.vstack([held[:, : k - 1].T / N, np.ones(at.size)]),
             b_eq=b_eq, A_le=A_le[:, at], b_le=b_le)
         sol = lp.solve_lp(program)
-        if sol.status != "optimal":
-            full_pass = True
+        full_pass = sol.status != "optimal"
+        if full_pass:
             break
         y = sol.duals
-        probe = min(root, PROBE_SIDE) if rounds == 1 else 0
         lo, side = np.zeros((1, k - 1), dtype=np.int64), root
         while True:
             levels += 1
@@ -387,15 +385,13 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
             keep = bound > lp.FEAS_TOL
             pruned = not keep.all()
             lo = lo[keep]
-            if side == probe:
-                full_pass = lo.shape[0] * side ** (k - 1) >= PROBE_SHARE * V
-            if side == 1 or full_pass or not lo.shape[0]:
+            if side == 1 or not lo.shape[0]:
                 break
             lo, side = geometry.split_boxes(lo, side, N), side // 2
-            if not pruned and side not in (1, probe):
+            if not pruned and side != 1:
                 lo, side = geometry.split_boxes(lo, side, N), side // 2
         new = pos[keep][~master[pos[keep]]]  # side-1 survivors not yet in it
-        if full_pass or not new.size:
+        if not new.size:
             break
         master[new] = True
     log.debug("lazy grid LP: N=%d V=%d rounds=%d levels=%d boxes=%d evaluated=%d "
@@ -663,8 +659,8 @@ def oracle_solve(instance: ProblemInstance, grid, *,
     """Reference solve by enumerating candidate basic solutions.
 
     The grid is a SimplexGrid or a plain (V, k) vertex array with at most
-    ORACLE_MAX_VERTICES points (and k <= 3).  For every subset A of ex-ante
-    constraints held tight and every support of size up to k + |A| whose
+    ORACLE_MAX_VERTICES points.  For every subset A of ex-ante constraints
+    held tight and every support of size up to k + |A| whose
     bounding box holds the prior, the linear system (Bayes plausibility +
     normalization + tight rows) is solved directly; feasible solutions are
     compared on the true Sender utility, and the first best value found in
@@ -679,8 +675,6 @@ def oracle_solve(instance: ProblemInstance, grid, *,
     V, k = vertices.shape
     if k != instance.k:
         raise DimensionMismatch("grid dimension != instance k")
-    if k > 3:
-        raise ResourceLimitError("oracle supports k <= 3")
     if V > ORACLE_MAX_VERTICES:
         raise ResourceLimitError(
             f"oracle grid has {V} vertices, cap is {ORACLE_MAX_VERTICES}")

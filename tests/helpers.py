@@ -1,9 +1,12 @@
 """Shared random-instance and random-scheme generators for the test suite,
 the one-candidate-at-a-time loops that the batched solver code is compared
-against, the pairwise count of rank candidates, a row-at-a-time construction of a scheme's support and masses, a brute-force enumeration of the lattice, the refined cells of a
-piece grid (the package keeps only their vertices) and a brute-force
-evaluator of the gridded utility u_eps off the grid (the package itself
-reads u_eps only at grid vertices).
+against, the pairwise count of rank candidates, a row-at-a-time
+construction of a scheme's support and masses, one-point forms of the
+package's batch evaluators, a brute-force enumeration of the lattice and
+of its staircase cells, the refined cells of a piece grid (the package
+keeps only their vertices) and a brute-force evaluator of the gridded
+utility u_eps off the grid (the package itself reads u_eps only at grid
+vertices).
 
 Everything is seeded through numpy Generators so runs are reproducible.
 Constraint bounds are set relative to the no-revelation scheme, which makes
@@ -18,16 +21,55 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from persuade.auction import auction_utility_batch
 from persuade.core import (ENTRY_TOL, MERGE_TOL, SUM_TOL, ConstraintSpec,
                            MaxLinearTerm, Posterior, ProblemInstance,
                            SignalingScheme, UtilitySpec, ValidationError,
                            eval_constraint_batch, eval_utility_batch,
                            simplices_contain)
-from persuade.geometry import (build_grid_cells_for_level, lattice_vertex_count,
+from persuade.geometry import (lattice_vertex_count, project_to_contraction_batch,
                                refine_simplex)
 from persuade.objectives import GriddedUtility, build_upper_approx
 from persuade.solver import (BOUNDARY_TOL, POOL_TOL, OracleReport,
                              _solve_unique_exact)
+
+
+def eval_constraint(spec: ConstraintSpec, q: Posterior, prior: Posterior) -> float:
+    """f(q) at one posterior."""
+    return float(eval_constraint_batch(spec, q.weights[None, :], prior)[0])
+
+
+def eval_utility(spec: UtilitySpec, q: Posterior) -> float:
+    """The utility at one posterior (upper envelope on piece boundaries)."""
+    return float(eval_utility_batch(spec, q.weights[None, :])[0])
+
+
+def auction_utility(spec, q, objective: str | None = None) -> float:
+    """Expected welfare or revenue at one posterior (array or Posterior)."""
+    return float(auction_utility_batch(spec, np.atleast_2d(getattr(q, "weights", q)),
+                                       objective=objective)[0])
+
+
+def smoothed_eval(smoothed, q: Posterior, prior: Posterior) -> float:
+    """A smoothed constraint at one posterior."""
+    return float(smoothed.eval_batch(q.weights[None, :], prior)[0])
+
+
+def project_to_contraction(q: np.ndarray, eps: float) -> np.ndarray:
+    """One point projected onto the contracted simplex S_eps."""
+    return project_to_contraction_batch(np.asarray(q, dtype=float)[None, :], eps)[0]
+
+
+def simplex_volume(k: int) -> float:
+    """Volume of the probability simplex embedded in R^k."""
+    return math.sqrt(k) / math.factorial(k - 1)
+
+
+def vertex_values(gridded: GriddedUtility) -> np.ndarray:
+    """(V,) vertex values of a gridded utility: its blocks joined, a lone
+    block as it is."""
+    values = [v for _, v in gridded.blocks()]
+    return values[0] if len(values) == 1 else np.concatenate(values)
 
 
 def interior_prior(rng: np.random.Generator, k: int) -> Posterior:
@@ -215,6 +257,29 @@ def lattice_compositions(k: int, N: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
+def staircase_cells(k: int, n: int) -> np.ndarray:
+    """The (n^(k-1), k) staircase cells of the lattice at denominator n, as
+    indices of lattice_compositions(k, n), ordered by base corner and then
+    by axis permutation in itertools order: each chain walks a corner's
+    partial sums up one axis at a time and is kept while they stay in
+    0 <= y_1 <= ... <= y_{k-1} <= n."""
+    index = {tuple(x): i for i, x in enumerate(lattice_compositions(k, n).tolist())}
+    cells = []
+    for z in itertools.combinations_with_replacement(range(n), k - 1):
+        for perm in itertools.permutations(range(k - 1)):
+            chain = [list(z)]
+            for axis in perm:
+                cur = chain[-1].copy()
+                cur[axis] += 1
+                if any(b < a for a, b in zip(cur, cur[1:])) or cur[-1] > n:
+                    break
+                chain.append(cur)
+            else:
+                cells.append([index[tuple(np.diff([0, *y, n]).tolist())]
+                              for y in chain])
+    return np.array(cells, dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class RefinedPieces:
     """A piece grid's u_eps with the refined cells the package never
@@ -254,7 +319,7 @@ def refined_pieces(utility: UtilitySpec, eps: float,
             n = next(n for n in itertools.count(1)
                      if lattice_vertex_count(k, n) == len(sub))
             keys = (np.round(sub, 12) + 0.0).tolist()
-            for cell in build_grid_cells_for_level(k, n):
+            for cell in staircase_cells(k, n):
                 cells.append([index[tuple(keys[i])] for i in cell])
                 values.append(value)
     return RefinedPieces(gridded, np.array(cells, dtype=np.int64),
@@ -266,7 +331,7 @@ def grid_cells(grid) -> np.ndarray:
     of its denominator) or of RefinedPieces (its rebuilt cells)."""
     if isinstance(grid, RefinedPieces):
         return grid.cells
-    return build_grid_cells_for_level(grid.k, grid.denominator)
+    return staircase_cells(grid.k, grid.denominator)
 
 
 def cells_containing(grid, Q) -> np.ndarray:
@@ -279,12 +344,12 @@ def upper_envelope(gridded, Q) -> np.ndarray:
     """u_eps at each row of Q: the largest value of a cell whose closure
     holds it (-inf where none does).  ``gridded`` is RefinedPieces, whose
     cells carry their piece values, or a lattice GriddedUtility, whose
-    cells carry the max of their ``vertex_values``."""
+    cells carry the max of their vertex values."""
     if isinstance(gridded, RefinedPieces):
         grid, values = gridded, gridded.cell_values
     else:
         grid = gridded.grid
-        values = gridded.vertex_values[grid_cells(grid)].max(axis=1)
+        values = vertex_values(gridded)[grid_cells(grid)].max(axis=1)
     inside = cells_containing(grid, Q)
     return np.where(inside, values[:, None], -np.inf).max(axis=0)
 

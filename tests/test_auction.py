@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from persuade.auction import (AuctionSpec, BidderType, auction_utility,
-                              auction_utility_batch, auction_utility_mc_batch,
-                              certify_factor_two, example2_scheme,
-                              to_max_linear, verify_jensen_factor)
+from helpers import auction_utility
+from persuade.auction import (AuctionSpec, BidderType, auction_utility_batch,
+                              auction_utility_mc_batch, certify_factor_two,
+                              example2_scheme, to_max_linear,
+                              verify_jensen_factor)
 from persuade.core import (ConstraintSpec, InfeasibleError, Posterior,
                            ProblemInstance, ResourceLimitError, UtilitySpec,
                            ValidationError, eval_utility_batch, uniform_prior,

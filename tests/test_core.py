@@ -5,15 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import per_row_posterior, per_row_scheme, random_fan_utility
+from helpers import (eval_constraint, eval_utility, per_row_posterior,
+                     per_row_scheme, random_fan_utility)
 from persuade import lp
 from persuade.core import (ENTRY_TOL, MERGE_TOL, SUM_TOL, ConstraintSpec,
                            DimensionMismatch, MaxLinearTerm,
                            Posterior, ProblemInstance, SignalingScheme,
                            UnsupportedKindError, UtilitySpec, ValidationError,
-                           _rank_max, check_bayes_plausible, eval_constraint,
-                           eval_constraint_batch, eval_utility,
-                           eval_utility_batch, full_revelation, merge_row,
+                           _rank_max, check_bayes_plausible,
+                           eval_constraint_batch, eval_utility_batch,
+                           full_revelation, merge_row,
                            no_revelation, reduce_last_axis,
                            triangulate_piece, uniform_prior, verify_scheme)
 from persuade.objectives import build_upper_approx

@@ -7,17 +7,15 @@ import pytest
 
 from persuade import geometry
 from persuade.core import ResourceLimitError, ValidationError, cell_volume
-from persuade.geometry import (build_grid, build_grid_cells_for_level,
-                               composition_rank, contraction_floor,
+from persuade.geometry import (build_grid, composition_rank, contraction_floor,
                                lattice_blocks, lattice_vertex_count,
-                               project_to_contraction,
                                project_to_contraction_batch, refine_simplex,
-                               simplex_volume, staircase_level, triangulation_grid,
-                               _l1_diameter,
-                               _lattice_vertices, _rank_table)
+                               staircase_level, triangulation_grid,
+                               _l1_diameter, _lattice_vertices, _rank_table)
 
 from helpers import (cells_containing, grid_cells, lattice_compositions,
-                     random_fan_utility, refined_pieces)
+                     project_to_contraction, random_fan_utility, refined_pieces,
+                     simplex_volume, staircase_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -263,30 +261,15 @@ def test_locate_at_vertices_and_edges():
             assert located == _cells_containing_brute(grid, q)
 
 
-def _staircase_cells_per_chain(k, n):
-    """Staircase cells by walking each base corner's chains one at a time."""
-    index = {tuple(x): i for i, x in enumerate(lattice_compositions(k, n).tolist())}
-    cells = []
-    for z in itertools.combinations_with_replacement(range(n), k - 1):
-        for perm in itertools.permutations(range(k - 1)):
-            chain = [list(z)]
-            for axis in perm:
-                cur = chain[-1].copy()
-                cur[axis] += 1
-                if any(b < a for a, b in zip(cur, cur[1:])) or cur[-1] > n:
-                    break
-                chain.append(cur)
-            else:
-                cells.append([index[tuple(np.diff([0, *y, n]).tolist())]
-                              for y in chain])
-    return np.array(cells, dtype=np.int64)
-
-
 @pytest.mark.parametrize("k,n", [(2, 9), (3, 7), (4, 5), (5, 3)])
-def test_staircase_cells_match_per_chain_reference(k, n):
-    cells = build_grid_cells_for_level(k, n)
-    np.testing.assert_array_equal(cells, _staircase_cells_per_chain(k, n))
+def test_staircase_cells_are_n_to_the_k_minus_1_unit_cells(k, n):
+    # n^(k-1) cells, each of determinant +-1 in partial-sum coordinates,
+    # so each has the volume of one staircase simplex of the unit cube.
+    cells = staircase_cells(k, n)
     assert cells.shape == (n ** (k - 1), k)
+    y = np.cumsum(lattice_compositions(k, n)[:, :-1], axis=1)[cells]
+    dets = np.linalg.det((y[:, 1:] - y[:, :1]).astype(float))
+    np.testing.assert_allclose(np.abs(dets), 1.0, atol=1e-9)
 
 
 def test_refine_simplex_diameter():
@@ -295,7 +278,7 @@ def test_refine_simplex_diameter():
     S = np.eye(3)
     verts, diameter = refine_simplex(S, 0.4)
     assert len(verts) == lattice_vertex_count(3, 5) and diameter == 0.4
-    for cell in build_grid_cells_for_level(3, 5):
+    for cell in staircase_cells(3, 5):
         pts = verts[cell]
         for i in range(3):
             assert np.abs(pts - pts[i]).sum(axis=1).max() <= diameter + 1e-12

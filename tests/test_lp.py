@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import vertex_values
 from persuade import geometry, lp, objectives
 from persuade.constraints import smooth_constraint
 from persuade.core import ConstraintSpec, UtilitySpec, uniform_prior
@@ -467,7 +468,7 @@ def test_persuasion_lp_over_blocks_is_the_one_block_lp():
     bounds = [(sm, 0.25) for sm in smoothed]
     gridded = objectives.build_upper_approx(UtilitySpec.max_linear(np.eye(3)), eps=0.1,
                                             lipschitz_bound=1.0)
-    points, values = gridded.grid.vertices, gridded.vertex_values
+    points, values = gridded.grid.vertices, vertex_values(gridded)
     V = len(values)
     whole = build_persuasion_lp([(points, values)], V, bounds, prior)
     assert np.shares_memory(whole.c, values)  # a lone full block is not copied

@@ -6,7 +6,7 @@ from persuade.core import (MaxLinearTerm, ResourceLimitError,
 from persuade.objectives import build_upper_approx
 
 from helpers import (cells_containing, grid_cells, random_fan_utility,
-                     refined_pieces, upper_envelope)
+                     refined_pieces, upper_envelope, vertex_values)
 
 
 def sample_simplex(rng, k, n):
@@ -16,7 +16,7 @@ def sample_simplex(rng, k, n):
 def test_constant_utility_values_everywhere():
     u = UtilitySpec.max_linear(np.full((1, 3), 0.7))
     gu = build_upper_approx(u, eps=0.2, lipschitz_bound=1.0)
-    np.testing.assert_allclose(gu.vertex_values, 0.7, atol=1e-12)
+    np.testing.assert_allclose(vertex_values(gu), 0.7, atol=1e-12)
     assert upper_envelope(gu, [0.2, 0.3, 0.5])[0] == pytest.approx(0.7)
     assert gu.gap_bound == 0.0
 
@@ -32,7 +32,7 @@ def test_infnorm_k2_cell_value_bounds():
     sup_oracle = np.maximum(t, 1 - t).max()
     cell = grid_cells(gu.grid)[cells_containing(gu.grid, [0.9375, 0.0625])[:, 0]]
     assert len(cell)
-    val = gu.vertex_values[cell[0]].max()
+    val = vertex_values(gu)[cell[0]].max()
     assert sup_oracle <= val <= sup_oracle + 0.5
     assert val == pytest.approx(1.0 + gu.pad)
 
@@ -101,7 +101,7 @@ def test_eval_at_grid_vertex_is_max_over_incident_cells():
     v = grid.vertices[grid.vertex_count // 2]
     incident = grid_cells(grid)[cells_containing(grid, v)[:, 0]]
     assert len(incident) >= 2
-    expected = max(gu.vertex_values[c].max() for c in incident)
+    expected = vertex_values(gu)[incident].max()
     assert upper_envelope(gu, v)[0] == pytest.approx(expected, abs=0)
 
 
@@ -181,7 +181,7 @@ def test_piecewise_grid_merges_signed_zero_vertices():
     pieces = refined_pieces(u, eps=4.0, lipschitz_bound=1.0)
     assert pieces.vertex_count == 4
     np.testing.assert_array_equal(pieces.cells, [[0, 1, 2], [1, 3, 2]])
-    np.testing.assert_array_equal(pieces.gridded.vertex_values, [1.0, 2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(vertex_values(pieces.gridded), [1.0, 2.0, 2.0, 2.0])
 
 
 def test_gridded_arrays_are_read_only():
@@ -190,7 +190,7 @@ def test_gridded_arrays_are_read_only():
     pieces = build_upper_approx(UtilitySpec.piecewise_constant([
         (np.array([[1.0, 0.0], [0.5, 0.5]]), 0.0),
         (np.array([[0.5, 0.5], [0.0, 1.0]]), 1.0)]), eps=0.25, lipschitz_bound=1.0)
-    arrays = [lattice.vertex_values, pieces.vertex_values]
+    arrays = [vertex_values(lattice), vertex_values(pieces)]
     arrays += [a for gu in (lattice, pieces) for block in gu.blocks() for a in block]
     for a in arrays:
         with pytest.raises(ValueError):
@@ -219,5 +219,5 @@ def test_piece_vertex_value_is_the_max_over_incident_cells(utility, eps, M):
     np.maximum.at(expected, pieces.cells.reshape(-1),
                   np.repeat(pieces.cell_values, utility.k))
     expected += 0.0
-    assert pieces.gridded.vertex_values.tobytes() == expected.tobytes()
+    assert vertex_values(pieces.gridded).tobytes() == expected.tobytes()
     assert np.isfinite(expected).all()

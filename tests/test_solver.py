@@ -11,10 +11,10 @@ from helpers import (feasible_conversion_case, interior_prior, lattice_compositi
 from persuade import geometry, lp
 from persuade.auction import AuctionSpec, BidderType, to_max_linear
 from persuade.core import (ConstraintSpec, InfeasibleError, MaxLinearTerm,
-                           ProblemInstance, SignalingScheme,
+                           Posterior, ProblemInstance, SignalingScheme,
                            UnsupportedKindError, UtilitySpec, ValidationError,
                            check_bayes_plausible, eval_constraint_batch,
-                           eval_utility, eval_utility_batch, full_revelation,
+                           eval_utility_batch, full_revelation,
                            uniform_prior, verify_scheme)
 from persuade.geometry import build_grid
 from persuade.solver import (BOUNDARY_TOL, _bisect_boundary, bi_criteria_solve,
@@ -319,9 +319,8 @@ def check_lazy_solve(inst, whole, lazy):
 
 
 def test_lazy_grid_lp_on_the_criterion_6_suite(monkeypatch):
-    # The criterion-6 instances, on grids of many 97-row blocks: some take
-    # the lazy path and some the full pass, and each gives the full grid's
-    # LP value.  eps is 0.02 at k = 2 and 0.05 at k = 3.
+    # The criterion-6 instances, on grids of many 97-row blocks: each gives
+    # the full grid's LP value.  eps is 0.02 at k = 2 and 0.05 at k = 3.
     rng = np.random.default_rng(61)
     lazy_count = 0
     for idx in range(50):
@@ -383,10 +382,9 @@ def test_lazy_grid_lp_on_k4_auctions(monkeypatch):
 
 def rank2_norm_instance(order: float) -> ProblemInstance:
     """A rank-2-of-4 max-linear utility under one l_order distance
-    constraint, k = 3.  At eps 0.1 (N = 40), the boxes that survive round 1
-    at side PROBE_SIDE cover more than half the lattice: a middle rank
-    keeps every functional a candidate near its kinks, and an order-2 or
-    infinity norm keeps its global constant."""
+    constraint, k = 3.  At eps 0.1 (N = 40) many boxes survive the coarse
+    levels: a middle rank keeps every functional a candidate near its
+    kinks, and an order-2 or infinity norm keeps its global constant."""
     rng = np.random.default_rng(0)
     prior = interior_prior(rng, 3)
     return ProblemInstance(3, prior, UtilitySpec.max_linear(
@@ -394,16 +392,15 @@ def rank2_norm_instance(order: float) -> ProblemInstance:
         (ConstraintSpec.norm_distance(order, bound=0.2),))
 
 
-def test_full_pass_when_the_probe_finds_pruning_cannot_pay(monkeypatch):
-    # The probe picks the full pass, and the LP arrays are those of one
-    # block, bit for bit.
-    inst = rank2_norm_instance(2)
-    whole, blocked = full_and_lazy(monkeypatch, inst, 0.1)
-    assert blocked.solution is None
-    assert blocked.column_count == blocked.program.n_vars
-    for ours, ref in zip(program_arrays(blocked.program), program_arrays(whole.program)):
-        assert np.array_equal(ours, ref)
-    check_lazy_solve(inst, whole, blocked)
+@pytest.mark.parametrize("order", [2.0, float("inf")])
+def test_lazy_path_on_rank2_norm_instances(monkeypatch, order):
+    # Pricing evaluates about 38 % of this small lattice, and the lazy path
+    # still certifies the one-block LP value: its duals price every
+    # one-block column.
+    inst = rank2_norm_instance(order)
+    whole, lazy = full_and_lazy(monkeypatch, inst, 0.1)
+    assert lazy.solution is not None
+    check_lazy_solve(inst, whole, lazy)
 
 
 def test_non_finite_pool_column_is_an_lp_error(monkeypatch):
@@ -445,11 +442,25 @@ def test_lazy_solve_logs_one_debug_record(monkeypatch, caplog):
     assert int(fields["rounds"]) <= int(fields["levels"]) < 12 * int(fields["rounds"])
     assert 0 < int(fields["evaluated"]) < 0.1 * rep.grid_vertex_count
     assert int(fields["master"]) >= rep.support_size
+    # The one fallback: an infeasible first master (a KL bound below 0)
+    # builds the whole grid, which the LP then finds infeasible, with the
+    # one-block build's message.
     caplog.clear()
-    monkeypatch.setattr(geometry, "LATTICE_BLOCK", 97)
+    inst = kl_instance(3)
+    inst = ProblemInstance(3, inst.prior, inst.utility,
+                           (inst.constraints[0].with_bound(-0.1),))
     with caplog.at_level(logging.DEBUG, logger="persuade"):
-        bi_criteria_solve(rank2_norm_instance(float("inf")), 0.1)
+        whole, blocked = full_and_lazy(monkeypatch, inst, 0.05)
     assert [r.getMessage().endswith("full_pass=True") for r in caplog.records] == [True]
+    assert blocked.solution is None and blocked.column_count == blocked.program.n_vars
+    for ours, ref in zip(program_arrays(blocked.program), program_arrays(whole.program)):
+        assert np.array_equal(ours, ref)
+    messages = []
+    for surrogate in (whole, blocked):
+        with pytest.raises(InfeasibleError, match="grid LP infeasible at eps=0.05") as err:
+            solve_surrogate(surrogate)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("block", [None, 97])
@@ -737,6 +748,55 @@ def test_oracle_infeasible():
         constraints=(ConstraintSpec.linear([1, 1], bound=0.5, mode="ex_post"),))
     rep = oracle_solve(inst, np.eye(2))
     assert rep.status == "infeasible"
+
+
+def _l1(bound):
+    return ConstraintSpec.norm_distance(1, bound=bound)
+
+
+def _linf(bound, mode="ex_ante"):
+    return ConstraintSpec.norm_distance(float("inf"), bound=bound, mode=mode)
+
+
+# k, the oracle grid's N, exact, prior, ex-ante constraints, and the radius
+# of an ex-post l-infinity ball around the prior, which keeps 7 to 13 grid
+# vertices so that the exact path stays fast.  The exact path runs on
+# grids of N = 2: a vertex with entries 1/3 does not sum to 1 in rational
+# arithmetic, so no Bayes system holding one has an exact solution.
+ORACLE_K45 = {
+    "k4-float": (4, 3, False, (0.375, 0.25, 0.25, 0.125), (_l1(0.875), _linf(0.4375)), 0.5),
+    "k4-exact": (4, 2, True, (0.375, 0.25, 0.25, 0.125), (_l1(0.875),), 0.625),
+    "k5-float": (5, 2, False, (0.25, 0.25, 0.25, 0.125, 0.125),
+                 (_l1(1.25), _linf(0.28125)), 0.5),
+    "k5-exact": (5, 2, True, (0.25, 0.25, 0.25, 0.125, 0.125), (_linf(0.28125),), 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_K45))
+def test_oracle_bounds_k4_and_k5_solves(case):
+    # The oracle at k = 4 (N = 3, V = 20, or N = 2) and k = 5 (N = 2,
+    # V = 15), where its ex-ante constraints bind.  A bi-criteria solve on
+    # an aligned grid holds every oracle vertex, so it reaches the oracle's
+    # value; so does a single-criteria solve of the instance with every
+    # ex-ante bound raised by eps/2, which strengthens them back.
+    k, n, exact, weights, ex_ante, radius = ORACLE_K45[case]
+    prior = Posterior(np.array(weights))
+    utility = UtilitySpec.max_linear(np.random.default_rng(3).uniform(0, 1, size=(3, k)))
+    ex_post = _linf(radius, mode="ex_post")
+    grid = build_grid(k, 2.0 * (k // 2) / n)
+    assert grid.denominator == n
+    free = oracle_solve(ProblemInstance(k, prior, utility, (ex_post,)), grid, exact=exact)
+    inst = ProblemInstance(k, prior, utility, ex_ante + (ex_post,))
+    orep = oracle_solve(inst, grid, exact=exact)
+    assert orep.status == "optimal" and orep.value < free.value - 1e-3
+    eps = 0.5
+    bi = bi_criteria_solve(inst, eps, align_multiple=n)
+    loose = ProblemInstance(k, prior, utility, tuple(
+        c.with_bound(c.bound + eps / 2) for c in ex_ante) + (ex_post,))
+    single = single_criteria_solve(loose, eps, slater_margin=eps / 2, align_multiple=n)
+    for rep in (bi, single):
+        assert rep.grid_denominator % n == 0
+        assert rep.value >= orep.value - 1e-9
 
 
 def _same_support(a: SignalingScheme, b: SignalingScheme) -> bool:
