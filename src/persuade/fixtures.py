@@ -254,7 +254,7 @@ def _verify_example1(fixture: Fixture, check, tol: float):
     post = inst.with_modes("ex_post")
     q1 = np.array([0.0, 0.5, 0.5 + eps0, 1.0])
     natural = np.column_stack([1.0 - q1, q1])
-    orep = solver.oracle_solve(post, natural, exact=True)
+    orep = solver.oracle_solve(post, natural)
     ref = fixture.references["ex_post_opt"]
     check("ex_post_oracle", orep.status == "optimal"
           and abs(orep.value - ref) <= tol, f"{orep.value} vs {ref}")

@@ -73,8 +73,7 @@ once; every (tight set, support size) group is then solved in stacks of up
 to ORACLE_BATCH systems through a batched SVD with np.linalg.lstsq's rank
 rule, checked for nonnegativity, residual and the ex-ante bounds as arrays,
 and only the candidates that pass are walked, in enumeration order, so the
-first best value within 1e-15 wins.  exact=True runs the same enumeration
-and solves each candidate in rational arithmetic.
+first best value within 1e-15 wins.
 """
 
 from __future__ import annotations
@@ -83,7 +82,6 @@ import itertools
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -220,7 +218,8 @@ def build_surrogate(instance: ProblemInstance, eps: float, *,
     The surrogate is the bi-criteria one, or with ``slater_margin`` the
     single-criteria one (see single_criteria_solve).  Raises InfeasibleError
     when no grid vertex satisfies the ex-post constraints, and
-    ResourceLimitError when the grid exceeds the vertex cap.
+    ResourceLimitError when the grid exceeds the vertex cap or has more
+    vertices than an array can index.
     """
     _require_finite_positive("eps", eps)
     target, relax = instance, eps
@@ -248,6 +247,10 @@ def build_surrogate(instance: ProblemInstance, eps: float, *,
                                             align_multiple=align_multiple)
     bounds = [(s, c.bound + eps2) for s, c in zip(smoothed, ex_ante)]
     grid = gridded.grid
+    if grid.vertex_count > np.iinfo(np.intp).max // 4:  # a (V,) int32 index must fit
+        raise ResourceLimitError(
+            f"grid would need {grid.vertex_count} vertices (k={grid.k}, "
+            f"N={grid.denominator}), more than an array can index")
     lazy = None
     if grid.denominator is not None and grid.vertex_count > geometry.LATTICE_BLOCK \
             and not target.ex_post():
@@ -654,8 +657,7 @@ class OracleReport:
     candidates_checked: int
 
 
-def oracle_solve(instance: ProblemInstance, grid, *,
-                 exact: bool = False) -> OracleReport:
+def oracle_solve(instance: ProblemInstance, grid) -> OracleReport:
     """Reference solve by enumerating candidate basic solutions.
 
     The grid is a SimplexGrid or a plain (V, k) vertex array with at most
@@ -667,9 +669,7 @@ def oracle_solve(instance: ProblemInstance, grid, *,
     enumeration order (within 1e-15) wins.  The supports of each size are
     enumerated and box-filtered once; each (A, size) group is solved up to
     ORACLE_BATCH systems at a time, through one batched SVD with lstsq's
-    rank rule, and checked as arrays.  With exact=True each system is
-    solved in rational arithmetic instead (every float is a binary
-    rational, so this is exact for the given data).
+    rank rule, and checked as arrays.
     """
     vertices = np.atleast_2d(np.asarray(getattr(grid, "vertices", grid), dtype=float))
     V, k = vertices.shape
@@ -707,7 +707,15 @@ def oracle_solve(instance: ProblemInstance, grid, *,
                     S = supports[s][lo:lo + ORACLE_BATCH]
                     checked += len(S)
                     M = rows[:, S].transpose(1, 0, 2)  # (C, rows, s)
-                    W, ok = _solve_unique_batch(M, rhs, exact)
+                    # A system has a unique least-squares solution when its
+                    # smallest singular value exceeds finfo.eps * max(rows,
+                    # cols) * the largest: np.linalg.lstsq's rank rule with
+                    # rcond=None.
+                    U, sig, Vt = np.linalg.svd(M, full_matrices=False)
+                    ok = sig[:, -1] > np.finfo(float).eps * max(len(rhs), s) * sig[:, 0]
+                    W = np.zeros((len(S), s))
+                    W[ok] = np.einsum("cji,cj->ci", Vt[ok],
+                                      np.einsum("crj,r->cj", U[ok], rhs) / sig[ok])
                     resid = np.abs((M @ W[:, :, None])[:, :, 0] - rhs).max(axis=1)
                     ok &= ~(W < -1e-10).any(axis=1) & ~(resid > 1e-8)
                     if m:
@@ -734,58 +742,3 @@ def _box_supports(vertices: np.ndarray, prior: np.ndarray, s: int) -> np.ndarray
     X = vertices[S]  # (C, s, k)
     outside = (prior < X.min(axis=1) - 1e-9) | (prior > X.max(axis=1) + 1e-9)
     return S[~outside.any(axis=1)]
-
-
-def _solve_unique_batch(M: np.ndarray, rhs: np.ndarray,
-                        exact: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Solutions of the stacked (over)determined systems M[c] w = rhs.
-
-    Returns (W, ok): ok marks the systems with a unique least-squares
-    solution, W[c].  The float path counts a singular value when it exceeds
-    finfo.eps * max(rows, cols) * the largest, the rank rule of
-    np.linalg.lstsq with rcond=None; the exact one also rejects
-    inconsistent systems.
-    """
-    C, r, s = M.shape
-    W = np.zeros((C, s))
-    if exact:
-        ok = np.zeros(C, dtype=bool)
-        for c in range(C):
-            w = _solve_unique_exact(M[c], rhs)
-            if w is not None:
-                W[c], ok[c] = w, True
-        return W, ok
-    U, sig, Vt = np.linalg.svd(M, full_matrices=False)
-    ok = sig[:, -1] > np.finfo(float).eps * max(r, s) * sig[:, 0]
-    W[ok] = np.einsum("cji,cj->ci", Vt[ok],
-                      np.einsum("crj,r->cj", U[ok], rhs) / sig[ok])
-    return W, ok
-
-
-def _solve_unique_exact(M: np.ndarray, rhs: np.ndarray):
-    rows, cols = M.shape
-    A = [[Fraction(M[i, j]) for j in range(cols)] + [Fraction(rhs[i])]
-         for i in range(rows)]
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if A[i][c] != 0), None)
-        if pivot is None:
-            return None  # rank-deficient: not a unique basic solution
-        A[r], A[pivot] = A[pivot], A[r]
-        inv = A[r][c]
-        A[r] = [x / inv for x in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c] != 0:
-                factor = A[i][c]
-                A[i] = [x - factor * y for x, y in zip(A[i], A[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if A[i][cols] != 0:
-            return None  # inconsistent
-    if len(pivot_cols) < cols:
-        return None
-    return np.array([float(A[i][cols]) for i in range(cols)])

@@ -30,8 +30,7 @@ from persuade.core import (ENTRY_TOL, MERGE_TOL, SUM_TOL, ConstraintSpec,
 from persuade.geometry import (lattice_vertex_count, project_to_contraction_batch,
                                refine_simplex)
 from persuade.objectives import GriddedUtility, build_upper_approx
-from persuade.solver import (BOUNDARY_TOL, POOL_TOL, OracleReport,
-                             _solve_unique_exact)
+from persuade.solver import BOUNDARY_TOL, POOL_TOL, OracleReport
 
 
 def eval_constraint(spec: ConstraintSpec, q: Posterior, prior: Posterior) -> float:
@@ -354,11 +353,9 @@ def upper_envelope(gridded, Q) -> np.ndarray:
     return np.where(inside, values[:, None], -np.inf).max(axis=0)
 
 
-def reference_oracle_solve(instance: ProblemInstance, grid, *,
-                           exact: bool = False) -> OracleReport:
-    """solver.oracle_solve as one np.linalg.lstsq (or one rational solve)
-    per candidate, kept as the reference for the batched oracle.  It skips
-    the oracle's input guards."""
+def reference_oracle_solve(instance: ProblemInstance, grid) -> OracleReport:
+    """solver.oracle_solve as one np.linalg.lstsq per candidate, kept as the
+    reference for the batched oracle.  It skips the oracle's input guards."""
     vertices = np.atleast_2d(np.asarray(getattr(grid, "vertices", grid), dtype=float))
     prior = instance.prior.weights
     keep = np.ones(vertices.shape[0], dtype=bool)
@@ -390,11 +387,8 @@ def reference_oracle_solve(instance: ProblemInstance, grid, *,
                         continue
                     checked += 1
                     M_sys = rows[:, list(S)]
-                    if exact:
-                        w = _solve_unique_exact(M_sys, rhs)
-                    else:
-                        w, _, rank, _ = np.linalg.lstsq(M_sys, rhs, rcond=None)
-                        w = w if rank == s else None
+                    w, _, rank, _ = np.linalg.lstsq(M_sys, rhs, rcond=None)
+                    w = w if rank == s else None
                     if w is None or np.any(w < -1e-10) \
                             or np.max(np.abs(M_sys @ w - rhs)) > 1e-8:
                         continue

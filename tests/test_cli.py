@@ -255,6 +255,26 @@ def test_grid_out_of_memory_exit_1_with_one_line(example1_paths, monkeypatch, ca
     assert "grid" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("eps", ["0.1", "0.04"])
+def test_grid_too_large_for_an_array_exit_1_with_one_line(eps, tmp_path, monkeypatch,
+                                                          capsys):
+    # k = 12, max(q0, q1), ex-ante l1 <= 0.3: V ~ 5.0e18 at eps 0.1 and
+    # ~1.0e23 at eps 0.04, both under the raised cap but past what an array
+    # can index.
+    k = 12
+    doc = {"k": k, "prior": [1 / k] * k,
+           "utility": {"kind": "max_linear", "rank": 1, "coeffs": np.eye(k)[:2].tolist()},
+           "constraints": [{"kind": "norm_distance", "mode": "ex_ante", "bound": 0.3,
+                            "params": {"order": 1}}]}
+    inst_path = tmp_path / "k12.json"
+    inst_path.write_text(json.dumps(doc))
+    monkeypatch.setenv("PERSUADE_GRID_CAP", "9" * 26)
+    code = cli.main(["solve", str(inst_path), "--eps", eps])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: grid would need ") and err.count("\n") == 1
+
+
 def test_verify_prop3_reference_and_perturbed(tmp_path):
     fx = build_fixture(FixtureId("prop3", (2, 2)))
     inst_path = tmp_path / "prop3.json"

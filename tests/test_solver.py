@@ -11,7 +11,8 @@ from helpers import (feasible_conversion_case, interior_prior, lattice_compositi
 from persuade import geometry, lp
 from persuade.auction import AuctionSpec, BidderType, to_max_linear
 from persuade.core import (ConstraintSpec, InfeasibleError, MaxLinearTerm,
-                           Posterior, ProblemInstance, SignalingScheme,
+                           Posterior, ProblemInstance, ResourceLimitError,
+                           SignalingScheme,
                            UnsupportedKindError, UtilitySpec, ValidationError,
                            check_bayes_plausible, eval_constraint_batch,
                            eval_utility_batch, full_revelation,
@@ -284,6 +285,17 @@ def test_k5_max_linear_solves_under_the_default_cap():
     assert rep.grid_denominator == 80
     check = verify_scheme(inst, rep.scheme, tol=0.1)
     assert check.valid and all(c.violation <= 0.1 for c in check.constraints)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.04])
+def test_lattice_too_large_for_an_array_is_a_resource_limit(eps):
+    # Under a cap of 10^26, k = 12 at eps 0.1 has N = 240 and V ~ 5.0e18,
+    # past the largest (V,) int32 index numpy can allocate; at eps 0.04,
+    # V ~ 1.0e23 >= 2^63.
+    inst = ProblemInstance(12, uniform_prior(12), UtilitySpec.max_linear(np.eye(12)[:2]),
+                           (ConstraintSpec.norm_distance(1, bound=0.3),))
+    with pytest.raises(ResourceLimitError, match="more than an array can index"):
+        bi_criteria_solve(inst, eps, grid_cap=10**26)
 
 
 # ---------------------------------------------------------------------------
@@ -654,12 +666,13 @@ def test_oracle_k2_full_revelation():
     assert rep.value == pytest.approx(1.0)
 
 
-def test_oracle_example1_natural_grid():
-    eps0 = 1 / 6
+@pytest.mark.parametrize("eps0", [1 / 6, 1e-12, 0.25, 0.4999999])
+def test_oracle_example1_natural_grid(eps0):
+    # At eps0 = 1e-12 the vertices 1/2 and 1/2 + eps0 nearly coincide.
     inst = example1_instance(eps0, mode="ex_post")
     q1 = np.array([0.0, 0.5, 0.5 + eps0, 1.0])
     pts = np.column_stack([1 - q1, q1])
-    rep = oracle_solve(inst, pts, exact=True)
+    rep = oracle_solve(inst, pts)
     assert rep.status == "optimal"
     assert rep.value == pytest.approx(2 * eps0 / (1 + 2 * eps0), abs=1e-9)
 
@@ -735,7 +748,6 @@ def test_oracle_dominates_bi_on_subgrid_mixes(mix):
 
 
 def test_oracle_guards():
-    from persuade.core import ResourceLimitError
     inst = example1_instance(0.1)
     with pytest.raises(ResourceLimitError):
         oracle_solve(inst, np.column_stack([np.linspace(0, 1, 40),
@@ -758,17 +770,15 @@ def _linf(bound, mode="ex_ante"):
     return ConstraintSpec.norm_distance(float("inf"), bound=bound, mode=mode)
 
 
-# k, the oracle grid's N, exact, prior, ex-ante constraints, and the radius
-# of an ex-post l-infinity ball around the prior, which keeps 7 to 13 grid
-# vertices so that the exact path stays fast.  The exact path runs on
-# grids of N = 2: a vertex with entries 1/3 does not sum to 1 in rational
-# arithmetic, so no Bayes system holding one has an exact solution.
+# k, the oracle grid's N, prior, ex-ante constraints, and the radius of an
+# ex-post l-infinity ball around the prior, which keeps 7 to 13 grid
+# vertices so that the oracle stays fast.
 ORACLE_K45 = {
-    "k4-float": (4, 3, False, (0.375, 0.25, 0.25, 0.125), (_l1(0.875), _linf(0.4375)), 0.5),
-    "k4-exact": (4, 2, True, (0.375, 0.25, 0.25, 0.125), (_l1(0.875),), 0.625),
-    "k5-float": (5, 2, False, (0.25, 0.25, 0.25, 0.125, 0.125),
+    "k4-float": (4, 3, (0.375, 0.25, 0.25, 0.125), (_l1(0.875), _linf(0.4375)), 0.5),
+    "k4-n2": (4, 2, (0.375, 0.25, 0.25, 0.125), (_l1(0.875),), 0.625),
+    "k5-float": (5, 2, (0.25, 0.25, 0.25, 0.125, 0.125),
                  (_l1(1.25), _linf(0.28125)), 0.5),
-    "k5-exact": (5, 2, True, (0.25, 0.25, 0.25, 0.125, 0.125), (_linf(0.28125),), 0.5),
+    "k5-n2": (5, 2, (0.25, 0.25, 0.25, 0.125, 0.125), (_linf(0.28125),), 0.5),
 }
 
 
@@ -779,15 +789,15 @@ def test_oracle_bounds_k4_and_k5_solves(case):
     # an aligned grid holds every oracle vertex, so it reaches the oracle's
     # value; so does a single-criteria solve of the instance with every
     # ex-ante bound raised by eps/2, which strengthens them back.
-    k, n, exact, weights, ex_ante, radius = ORACLE_K45[case]
+    k, n, weights, ex_ante, radius = ORACLE_K45[case]
     prior = Posterior(np.array(weights))
     utility = UtilitySpec.max_linear(np.random.default_rng(3).uniform(0, 1, size=(3, k)))
     ex_post = _linf(radius, mode="ex_post")
     grid = build_grid(k, 2.0 * (k // 2) / n)
     assert grid.denominator == n
-    free = oracle_solve(ProblemInstance(k, prior, utility, (ex_post,)), grid, exact=exact)
+    free = oracle_solve(ProblemInstance(k, prior, utility, (ex_post,)), grid)
     inst = ProblemInstance(k, prior, utility, ex_ante + (ex_post,))
-    orep = oracle_solve(inst, grid, exact=exact)
+    orep = oracle_solve(inst, grid)
     assert orep.status == "optimal" and orep.value < free.value - 1e-3
     eps = 0.5
     bi = bi_criteria_solve(inst, eps, align_multiple=n)
@@ -803,18 +813,27 @@ def _same_support(a: SignalingScheme, b: SignalingScheme) -> bool:
     return np.array_equal(a.support_matrix(), b.support_matrix())
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_oracle_matches_per_candidate_reference(k):
+    # k = 4 and 5 run on their N = 3 and N = 2 grids (V = 20 and 15) with one
+    # instance each of m = 0 and m = 1: there the reference loop takes up to
+    # a second an instance.
     rng = np.random.default_rng(40 + k)
-    grid = build_grid(k, 2.0 / (8 if k == 2 else 3))
-    cases = [random_instance(rng, k, m)[0] for m in range(4) for _ in range(5)]
-    prior, utility = cases[-1].prior, cases[-1].utility
-    near_prior = ConstraintSpec.norm_distance(float("inf"), bound=0.5, mode="ex_post")
-    kept = eval_constraint_batch(near_prior, grid.vertices, prior) <= 0.5
-    assert 0 < kept.sum() < grid.vertex_count
-    sum_half = ConstraintSpec.linear(np.ones(k), bound=0.5)
-    cases += [ProblemInstance(k, prior, utility, (c,)) for c in
-              (near_prior, sum_half, sum_half.with_mode("ex_post"))]
+    grid = build_grid(k, 2.0 * (k // 2) / {2: 8, 3: 3, 4: 3, 5: 2}[k])
+    small = k <= 3
+    cases = [random_instance(rng, k, m)[0]
+             for m in range(4 if small else 2) for _ in range(5 if small else 1)]
+    if small:
+        prior, utility = cases[-1].prior, cases[-1].utility
+        near_prior = ConstraintSpec.norm_distance(float("inf"), bound=0.5, mode="ex_post")
+        kept = eval_constraint_batch(near_prior, grid.vertices, prior) <= 0.5
+        assert 0 < kept.sum() < grid.vertex_count
+        sum_half = ConstraintSpec.linear(np.ones(k), bound=0.5)
+        cases += [ProblemInstance(k, prior, utility, (c,)) for c in
+                  (near_prior, sum_half, sum_half.with_mode("ex_post"))]
+    if k == 2:
+        rng9 = np.random.default_rng(9)
+        cases = [random_instance(rng9, 2, m)[0] for m in range(4)] + cases
     reports = []
     for inst in cases:
         got, ref = oracle_solve(inst, grid), reference_oracle_solve(inst, grid)
@@ -829,25 +848,13 @@ def test_oracle_matches_per_candidate_reference(k):
                 check = verify_scheme(inst, rep.scheme, tol=1e-9)
                 assert check.valid
                 assert check.utility == pytest.approx(ref.value, abs=1e-12)
-    # The grid filtered by near_prior still holds the prior; every candidate
-    # breaks sum(q) <= 1/2 ex ante; ex post it leaves no vertex at all.
-    assert reports[-3].status == "optimal"
-    assert reports[-2].status == "infeasible" and reports[-2].candidates_checked > 0
-    assert reports[-1].status == "infeasible" and reports[-1].candidates_checked == 0
-
-
-def test_exact_oracle_matches_per_candidate_reference():
-    rng = np.random.default_rng(9)
-    grid = build_grid(2, 2.0 / 8)
-    for m in range(4):
-        inst, _ = random_instance(rng, 2, m)
-        got = oracle_solve(inst, grid, exact=True)
-        ref = reference_oracle_solve(inst, grid, exact=True)
-        assert (got.status, got.candidates_checked) == (ref.status, ref.candidates_checked)
-        if ref.status == "optimal":
-            assert got.value == ref.value
-            assert _same_support(got.scheme, ref.scheme)
-            assert np.array_equal(got.scheme.probs, ref.scheme.probs)
+    if small:
+        # The grid filtered by near_prior still holds the prior; every
+        # candidate breaks sum(q) <= 1/2 ex ante; ex post it leaves no
+        # vertex at all.
+        assert reports[-3].status == "optimal"
+        assert reports[-2].status == "infeasible" and reports[-2].candidates_checked > 0
+        assert reports[-1].status == "infeasible" and reports[-1].candidates_checked == 0
 
 
 # ---------------------------------------------------------------------------
