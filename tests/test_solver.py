@@ -18,7 +18,7 @@ from persuade.core import (ConstraintSpec, InfeasibleError, MaxLinearTerm,
                            eval_utility_batch, full_revelation,
                            uniform_prior, verify_scheme)
 from persuade.geometry import build_grid
-from persuade.solver import (BOUNDARY_TOL, _bisect_boundary, bi_criteria_solve,
+from persuade.solver import (BOUNDARY_TOL, OracleReport, _bisect_boundary, bi_criteria_solve,
                              build_surrogate, ex_ante_to_ex_post, oracle_solve,
                              single_criteria_solve, solve_surrogate)
 
@@ -813,6 +813,31 @@ def _same_support(a: SignalingScheme, b: SignalingScheme) -> bool:
     return np.array_equal(a.support_matrix(), b.support_matrix())
 
 
+def _oracle_matches_reference(inst: ProblemInstance, grid) -> OracleReport:
+    got, ref = oracle_solve(inst, grid), reference_oracle_solve(inst, grid)
+    assert got.status == ref.status
+    assert got.candidates_checked == ref.candidates_checked
+    if ref.status == "infeasible":
+        return got
+    assert got.value == pytest.approx(ref.value, abs=1e-12)
+    if not _same_support(got.scheme, ref.scheme):  # a tie within 1e-15
+        for rep in (got, ref):
+            check = verify_scheme(inst, rep.scheme, tol=1e-9)
+            assert check.valid
+            assert check.utility == pytest.approx(ref.value, abs=1e-12)
+    return got
+
+
+def test_exact_oracle_matches_per_candidate_reference():
+    # The k = 2, N = 8 instances on which the oracle was once checked in
+    # exact arithmetic; they now run on the float path like every other.
+    rng = np.random.default_rng(9)
+    grid = build_grid(2, 2.0 / 8)
+    reports = [_oracle_matches_reference(random_instance(rng, 2, m)[0], grid)
+               for m in range(4)]
+    assert any(rep.status == "optimal" for rep in reports)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_oracle_matches_per_candidate_reference(k):
     # k = 4 and 5 run on their N = 3 and N = 2 grids (V = 20 and 15) with one
@@ -831,23 +856,7 @@ def test_oracle_matches_per_candidate_reference(k):
         sum_half = ConstraintSpec.linear(np.ones(k), bound=0.5)
         cases += [ProblemInstance(k, prior, utility, (c,)) for c in
                   (near_prior, sum_half, sum_half.with_mode("ex_post"))]
-    if k == 2:
-        rng9 = np.random.default_rng(9)
-        cases = [random_instance(rng9, 2, m)[0] for m in range(4)] + cases
-    reports = []
-    for inst in cases:
-        got, ref = oracle_solve(inst, grid), reference_oracle_solve(inst, grid)
-        assert got.status == ref.status
-        assert got.candidates_checked == ref.candidates_checked
-        reports.append(got)
-        if ref.status == "infeasible":
-            continue
-        assert got.value == pytest.approx(ref.value, abs=1e-12)
-        if not _same_support(got.scheme, ref.scheme):  # a tie within 1e-15
-            for rep in (got, ref):
-                check = verify_scheme(inst, rep.scheme, tol=1e-9)
-                assert check.valid
-                assert check.utility == pytest.approx(ref.value, abs=1e-12)
+    reports = [_oracle_matches_reference(inst, grid) for inst in cases]
     if small:
         # The grid filtered by near_prior still holds the prior; every
         # candidate breaks sum(q) <= 1/2 ex ante; ex post it leaves no
