@@ -101,11 +101,13 @@ class SmoothedConstraint:
                                          prior)
         return vals - self.offset
 
-    def box_gradient(self, weight: float, center: np.ndarray, q_lo: np.ndarray,
-                     q_hi: np.ndarray, prior) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi), each (B, k): per box, a coordinate range that holds a
-        g with h(x) - h(center) <= g . (x - center), h = weight * this g,
-        for every point x of the box {q in the simplex : q_lo <= q <= q_hi}.
+    def box_gradient(self, weight: float, prior):
+        """The box gradient of h = weight * this g: a function of (center,
+        q_lo, q_hi), each (B, k), returning (lo, hi), each broadcastable to
+        (B, k): per box, a coordinate range that holds a g with
+        h(x) - h(center) <= g . (x - center) for every point x of the box
+        {q in the simplex : q_lo <= q <= q_hi}.  Which case below applies,
+        and what it needs of the weight, is settled once per weight.
 
         Linear h is its own coefficients.  Concave h (weight <= 0 on an l1
         distance or a neg_min_weighted constraint, weight * scale <= 0 on a
@@ -115,38 +117,53 @@ class SmoothedConstraint:
         masses.  Every other box takes the global constant L as [-L, L] in
         each coordinate, which the sum-zero rule turns back into L.
         """
-        B, k = center.shape
         spec = self.source
+        p = getattr(prior, "weights", prior)
+        k = p.shape[0]
         if spec.kind == "linear":
-            g = np.broadcast_to(weight * spec.coeffs, (B, k))
-            return g, g
-        L = abs(weight) * self.lipschitz_constant
-        lo, hi = np.full((B, k), -L), np.full((B, k), L)
+            g = weight * spec.coeffs
+            return lambda center, q_lo, q_hi: (g, g)
         if weight <= 0 and spec.kind == "norm_distance" and spec.order == 1:
-            lo = hi = weight * np.sign(center - getattr(prior, "weights", prior))
-        elif weight <= 0 and spec.kind == "neg_min_weighted":
-            at = np.argmin(center * spec.weights, axis=1)
-            g = np.zeros((B, k))
-            g[np.arange(B), at] = -weight * spec.weights[at]
-            lo = hi = g
-        elif self.contraction is not None:
-            # Entropy is the case of singleton cells and unit references.
-            entropy = spec.kind == "entropy"
-            signed = weight * (1.0 if entropy else float(spec.scale))
-            member = np.eye(k) if entropy else spec.indicator.T  # (k, cells)
-            refs = np.ones(k) if entropy else spec.refs
-            inside = np.flatnonzero(
-                q_lo.min(axis=1) >= geometry.contraction_floor(k, self.contraction))
-            # d f / d q_w = scale (ln(S_j / r_j) + 1) for w in cell j; the +1
-            # is the same in every coordinate, which the sum-zero rule drops.
+            def supergradient(center, q_lo, q_hi):
+                g = weight * np.sign(center - p)
+                return g, g
+            return supergradient
+        if weight <= 0 and spec.kind == "neg_min_weighted":
+            def supergradient(center, q_lo, q_hi):
+                at = np.argmin(center * spec.weights, axis=1)
+                g = np.zeros(center.shape)
+                g[np.arange(center.shape[0]), at] = -weight * spec.weights[at]
+                return g, g
+            return supergradient
+        L = abs(weight) * self.lipschitz_constant
+        if self.contraction is None:
+            lo, hi = np.full(k, -L), np.full(k, L)
+            return lambda center, q_lo, q_hi: (lo, hi)
+        # Entropy is the case of singleton cells and unit references.
+        entropy = spec.kind == "entropy"
+        signed = weight * (1.0 if entropy else float(spec.scale))
+        member = np.eye(k) if entropy else spec.indicator.T  # (k, cells)
+        refs = np.ones(k) if entropy else spec.refs
+        floor = geometry.contraction_floor(k, self.contraction)
+
+        # d f / d q_w = scale (ln(S_j / r_j) + 1) for w in cell j; the +1 is
+        # the same in every coordinate, which the sum-zero rule drops.
+        def kl_range(center, q_lo, q_hi, rows):
             if signed <= 0:
-                g = signed * np.log((center[inside] @ member) / refs) @ member.T
-                lo[inside] = hi[inside] = g
-            else:
-                lo[inside] = signed * np.log((q_lo[inside] @ member) / refs) @ member.T
-                hi[inside] = signed * np.log(
-                    np.minimum(q_hi[inside] @ member, 1.0) / refs) @ member.T
-        return lo, hi
+                g = signed * np.log((center[rows] @ member) / refs) @ member.T
+                return g, g
+            return (signed * np.log((q_lo[rows] @ member) / refs) @ member.T,
+                    signed * np.log(np.minimum(q_hi[rows] @ member, 1.0) / refs) @ member.T)
+
+        def gradient(center, q_lo, q_hi):
+            inside = np.flatnonzero(q_lo.min(axis=1) >= floor)
+            if inside.size == center.shape[0]:
+                return kl_range(center, q_lo, q_hi, slice(None))
+            lo, hi = np.full(center.shape, -L), np.full(center.shape, L)
+            if inside.size:
+                lo[inside], hi[inside] = kl_range(center, q_lo, q_hi, inside)
+            return lo, hi
+        return gradient
 
 
 def smooth_constraint(spec: ConstraintSpec, eps: float,

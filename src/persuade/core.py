@@ -666,24 +666,27 @@ class UtilitySpec:
         functionals, the candidates' range).  Terms of one shape and rank
         are taken together, stacked once per utility (term_groups).
         """
-        B, k = center.shape
-        lo, hi = np.zeros((B, k)), np.zeros((B, k))
+        B = center.shape[0]
+        lo = hi = None
         for g in self.term_groups:
             vals = (center @ g.flat).reshape(B, g.rows.size, g.n_f)
             if g.rank == g.n_f:
-                grad = (g.coeffs[g.rows, np.argmin(vals, axis=2)] * g.weights).sum(axis=1)
-                lo += grad
-                hi += grad
-                continue
-            shape = vals.shape
-            reach = radius[:, None, None] * g.half_spread
-            upper = np.minimum(g.base + (q_hi @ g.shifted).reshape(shape), vals + reach)
-            lower = np.maximum(g.base + (q_lo @ g.shifted).reshape(shape), vals - reach)
-            held = _rank_candidates(lower, upper, g.rank, g.tol)
-            one = reduce_last_axis(np.add, held.astype(np.intp)) == 1
-            only = (held & one[:, :, None]).reshape(B, -1)
-            lo += g.lo + only @ g.lo_step
-            hi += g.hi + only @ g.hi_step
+                g_lo = g_hi = (g.coeffs[g.rows, np.argmin(vals, axis=2)]
+                               * g.weights).sum(axis=1)
+            else:
+                shape = vals.shape
+                reach = radius[:, None, None] * g.half_spread
+                upper = np.minimum(g.base + (q_hi @ g.shifted).reshape(shape), vals + reach)
+                lower = np.maximum(g.base + (q_lo @ g.shifted).reshape(shape), vals - reach)
+                held = _rank_candidates(lower, upper, g.rank, g.tol)
+                one = reduce_last_axis(np.add, held.astype(np.intp)) == 1
+                only = (held & one[:, :, None]).reshape(B, -1)
+                g_lo, g_hi = g.lo + only @ g.lo_step, g.hi + only @ g.hi_step
+            if lo is None:  # the first group's arrays, two distinct ones
+                lo, hi = g_lo, g_hi.copy() if g_hi is g_lo else g_hi
+            else:
+                lo += g_lo
+                hi += g_hi
         return lo, hi
 
 

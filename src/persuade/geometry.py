@@ -70,13 +70,13 @@ def composition_rank(x: np.ndarray, N: int, table: np.ndarray) -> np.ndarray:
     """Lexicographic rank of integer compositions (rows of x, summing to N)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.int64))
     k = x.shape[1]
-    rank = np.zeros(x.shape[0], dtype=np.int64)
-    remaining = np.full(x.shape[0], N, dtype=np.int64)
-    for pos in range(k - 1):
-        # The compositions preceding x at this position put a < x_pos here
-        # and the other remaining - a in the k - pos - 1 parts left: with
-        # table[j + 1] = cumsum(table[j]), that is a difference of two
-        # entries of row k - pos.
+    # The compositions preceding x at position pos put a < x_pos there and
+    # the other remaining - a in the k - pos - 1 parts left: with
+    # table[j + 1] = cumsum(table[j]), that is a difference of two entries
+    # of row k - pos.  At position 0, N remains.
+    remaining = N - x[:, 0]
+    rank = table[k, N] - table[k][remaining]
+    for pos in range(1, k - 1):
         count = table[k - pos]
         rank += count[remaining] - count[remaining - x[:, pos]]
         remaining = remaining - x[:, pos]
@@ -198,34 +198,51 @@ def split_boxes(lo: np.ndarray, side: int, N: int) -> np.ndarray:
 
 
 def box_bounds(lo: np.ndarray, side: int, N: int):
-    """(center, x_lo, x_hi, radius) of the aligned partial-sum boxes
-    lo + [0, side)^(k-1), each meeting the ordered region, cut at y <= N.
+    """(center, x_lo, x_hi, radius, e_lo, e_hi) of the aligned partial-sum
+    boxes lo + [0, side)^(k-1), each meeting the ordered region, cut at
+    y <= N.
 
     center is a lattice point of the box, as a composition: halfway along
     each axis of the cut box, which keeps it ordered.  Every composition x
     of the box, and every real point between two of them, has
-    x_lo <= x <= x_hi and ||x - center||_1 <= radius.  With d = y - center
+    x_lo <= x <= x_hi and ||x - center||_1 <= radius, and its partial sums
+    differ from the center's by e_lo <= y - y(center) <= e_hi (B, k-1):
+    the cut box's extents from its center.  With d = y - y(center)
     (d_0 = d_k = 0), ||x - center||_1 = sum_i |d_i - d_{i-1}| is convex in
     d, so its largest value over the box is at a corner; a two-state pass
-    along the axes finds it.
+    along the axes finds it.  The three compositions are differences of
+    one array of partial sums padded with 0 and N, laid out axis by axis so
+    that each operation runs over whole rows of boxes.
     """
-    hi = np.minimum(lo + (side - 1), N)
-    center = lo + (hi - lo) // 2
-    x_lo, x_hi = _y_to_x(lo, N), _y_to_x(hi, N)
-    x_lo[:, 1:-1], x_hi[:, 1:-1] = np.maximum(lo[:, 1:] - hi[:, :-1], 0), \
-        hi[:, 1:] - lo[:, :-1]
-    x_lo[:, -1], x_hi[:, -1] = N - hi[:, -1], N - lo[:, -1]
+    B, d = lo.shape
+    # y[corner, i] = (0, partial sums, N)[i] of every box, for its low
+    # corner, its center and its high corner.
+    y = np.empty((3, d + 2, B), dtype=np.int64)
+    y[:, 0], y[:, -1] = 0, N
+    y_lo, y_center, y_hi = y[0, 1:-1], y[1, 1:-1], y[2, 1:-1]
+    y_lo[...] = lo.T
+    np.minimum(y_lo + (side - 1), N, out=y_hi)
+    np.subtract(y_hi, y_lo, out=y_center)
+    y_center //= 2
+    y_center += y_lo
+    # x_i = y_i - y_{i-1}, from the far corner for the extreme compositions.
+    x = y[:, 1:] - y[::-1, :-1]
+    np.maximum(x[0], 0, out=x[0])
+    extent = y[::2, 1:-1] - y_center
     # reach_*: the largest sum of |d_i' - d_{i'-1}| over i' <= i with d_i
-    # at the low or the high end of axis i.
-    low = high = reach_low = reach_high = 0
-    for i in range(lo.shape[1]):
-        a, b = lo[:, i] - center[:, i], hi[:, i] - center[:, i]
+    # at the low (<= 0) or the high (>= 0) end of axis i.
+    low, high = extent[0, 0], extent[1, 0]
+    reach_low, reach_high = -low, high
+    for i in range(1, d):
+        a, b = extent[0, i], extent[1, i]
         reach_low, reach_high = (
             np.maximum(reach_low + np.abs(a - low), reach_high + np.abs(a - high)),
             np.maximum(reach_low + np.abs(b - low), reach_high + np.abs(b - high)))
         low, high = a, b
     radius = np.maximum(reach_low - low, reach_high + high)
-    return _y_to_x(center, N), x_lo, x_hi, radius
+    x = np.ascontiguousarray(x.transpose(0, 2, 1))
+    extent = np.ascontiguousarray(extent.transpose(0, 2, 1))
+    return x[1], x[0], x[2], radius, extent[0], extent[1]
 
 
 def staircase_cell_at(q: np.ndarray, N: int) -> np.ndarray:

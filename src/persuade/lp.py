@@ -146,6 +146,8 @@ class _Simplex:
                               n + rows - self.m_eq, n + self.m_le + rows)
         self.in_basis: set[int] = set(int(j) for j in self.basis)
         self.B_inv = np.diag(self.art_sign)
+        self.phase2 = False
+        self.c_B = np.zeros(r)  # costs of the basic variables in this phase
         self.degenerate_pivots = 0
         self.bland = False
         self.iterations = 0
@@ -154,6 +156,7 @@ class _Simplex:
         self._buf = np.empty(n)
         self._tmp = np.empty(n)
         self._y_aug = np.empty(r + 1)
+        self._ratios = np.empty(r)
         # Working set: sorted structural column indices and their (r+1, |W|)
         # block AW, plus (when W starts partial) its membership mask.
         if n <= WORKING_SET_INITIAL:
@@ -206,10 +209,13 @@ class _Simplex:
             raise NumericError("singular basis during refactorization") from exc
 
     # -- pricing -------------------------------------------------------------
-    def _dual(self, phase2: bool) -> np.ndarray:
-        c_B = np.fromiter((self._cost_of(int(j), phase2) for j in self.basis),
-                          dtype=float, count=self.r)
-        return c_B @ self.B_inv
+    def _set_phase(self, phase2: bool):
+        self.phase2 = phase2
+        self.c_B = np.fromiter((self._cost_of(int(j), phase2) for j in self.basis),
+                               dtype=float, count=self.r)
+
+    def _dual(self) -> np.ndarray:
+        return self.c_B @ self.B_inv
 
     def _slack_reduced(self, y_aug: np.ndarray) -> np.ndarray:
         red = y_aug[self.m_eq: self.r].copy()
@@ -261,14 +267,14 @@ class _Simplex:
             self._in_work |= improving
         self._set_work(np.flatnonzero(self._in_work))
 
-    def _price(self, phase2: bool) -> int | None:
+    def _price(self) -> int | None:
         """Entering column: Dantzig over the working set and the slacks, then
         over all columns when those have none; or, once the degeneracy guard
         has tripped, Bland's rule (lowest improving index).  Reduced costs
         are (-y, 1 in phase 2 else 0) against each column with its cost."""
         y_aug = self._y_aug
-        np.negative(self._dual(phase2), out=y_aug[: self.r])
-        y_aug[self.r] = 1.0 if phase2 else 0.0
+        np.negative(self._dual(), out=y_aug[: self.r])
+        y_aug[self.r] = 1.0 if self.phase2 else 0.0
         if self.bland:
             if self.n:
                 red = self._price_all(y_aug)
@@ -296,23 +302,25 @@ class _Simplex:
 
     # -- main loop ---------------------------------------------------------
     def run(self, phase2: bool) -> str:
+        self._set_phase(phase2)
         while True:
             if self.iterations >= self.max_iter:
                 raise NumericError(f"iteration limit {self.max_iter} exceeded")
             self.iterations += 1
             if self.iterations % REFACTOR_EVERY == 0:
                 self._refactor()
-            enter = self._price(phase2)
+            enter = self._price()
             if enter is None:
                 return "optimal"
             d = self.B_inv @ self.column(enter)
             x_B = self.B_inv @ self.b
             pos = d > PIVOT_TOL
-            if not np.any(pos):
+            if not pos.any():
                 return "unbounded"
-            ratios = np.full(self.r, np.inf)
+            ratios = self._ratios
+            ratios.fill(np.inf)
             with np.errstate(over="ignore"):  # a ratio of +inf never wins
-                ratios[pos] = x_B[pos] / d[pos]
+                np.divide(x_B, d, out=ratios, where=pos)
             min_ratio = ratios.min()
             ties = np.nonzero(ratios <= min_ratio + PIVOT_TOL)[0]
             # Lowest basis-variable index among ties: deterministic and
@@ -330,11 +338,12 @@ class _Simplex:
         if abs(piv) < PIVOT_TOL:  # pragma: no cover - defensive
             raise NumericError("pivot element vanished")
         E_row = self.B_inv[leave_row] / piv
-        self.B_inv -= np.outer(d, E_row)
+        self.B_inv -= d[:, None] * E_row
         self.B_inv[leave_row] = E_row
         self.in_basis.discard(int(self.basis[leave_row]))
         self.in_basis.add(int(enter))
         self.basis[leave_row] = enter
+        self.c_B[leave_row] = self._cost_of(enter, self.phase2)
 
     # -- phases -------------------------------------------------------------
     def drive_out_artificials(self):
@@ -406,7 +415,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if float(np.max(lp.A_le @ x - lp.b_le)) > 100 * FEAS_TOL * scale:
             raise NumericError("optimal basis violates the inequality rows")
     basis = tuple(int(j) for j in sorted(state.basis) if j < n + m_le)
-    duals = state._dual(phase2=True)
+    duals = state._dual()
     return LpSolution(status="optimal", x=x, value=float(state.c @ x), basis=basis,
                       duals=duals, stats=stats())
 

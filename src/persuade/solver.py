@@ -91,7 +91,7 @@ from .core import (EX_ANTE, SUM_TOL, ConstraintReport, DimensionMismatch,
                    InfeasibleError, Posterior, ProblemInstance,
                    ResourceLimitError, SignalingScheme, UnsupportedKindError,
                    ValidationError, eval_constraint_batch, eval_utility_batch,
-                   merge_row, verify_scheme)
+                   merge_row, reduce_last_axis, verify_scheme)
 
 MASS_EPS = 1e-12
 POOL_TOL = 1e-12
@@ -313,7 +313,9 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
     smoothed = [s for s, _ in bounds]
     p = prior.weights
     b_eq, b_le = np.append(p[: k - 1], 1.0), np.array([b for _, b in bounds], dtype=float)
-    slot = np.full(V, -1, dtype=np.int32)  # pool position of each rank, or -1
+    # One plus the pool position of each rank, or 0: zeroed pages cost
+    # nothing until a rank on them is looked up.
+    slot = np.zeros(V, dtype=np.int32)
     # The pool, in evaluation order: ranks, columns (c and the rows of A_le;
     # a column's A_eq entries are its composition over N, and 1) and which
     # of them the master holds.
@@ -327,6 +329,7 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
         nonlocal ranks, c, A_le, master
         r = geometry.composition_rank(x, N, table)
         pos = slot[r]
+        pos -= 1
         new = np.flatnonzero(pos < 0)
         if new.size:
             new = new[np.argsort(r[new], kind="stable")]
@@ -336,12 +339,13 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
             rows = np.empty((len(smoothed), new.size))
             lp.constraint_rows(smoothed, points, p, rows)
             lp.require_finite(values, rows)
-            slot[r[new]] = np.arange(ranks.size, ranks.size + new.size)
+            slot[r[new]] = np.arange(ranks.size + 1, ranks.size + new.size + 1)
             ranks = np.concatenate([ranks, r[new]])
             c = np.concatenate([c, values])
             A_le = np.hstack([A_le, rows])
             master = np.concatenate([master, np.zeros(new.size, dtype=bool)])
             pos = slot[r]
+            pos -= 1
         return pos
 
     stride = MASTER_STRIDE
@@ -353,38 +357,48 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
     pos = columns(first_master)
     master[pos] = True
     root = 1 << N.bit_length()  # the smallest power of two above N
-    rounds, levels, boxes = 0, 0, 0
+    rounds, levels, boxes, iterations, phase1 = 0, 0, 0, 0, 0
     while True:
         rounds += 1
         at = np.flatnonzero(master)
         at = at[np.argsort(ranks[at])]  # vertex order
-        held = geometry._unrank_compositions(ranks[at], k, N, table)
+        at_ranks = ranks[at]
+        held = geometry._unrank_compositions(at_ranks, k, N, table)
         program = lp.LinearProgram(
             c=c[at], A_eq=np.vstack([held[:, : k - 1].T / N, np.ones(at.size)]),
             b_eq=b_eq, A_le=A_le[:, at], b_le=b_le)
         sol = lp.solve_lp(program)
+        iterations += sol.stats.phase1_iterations + sol.stats.phase2_iterations
+        phase1 += sol.stats.phase1_iterations
         full_pass = sol.status != "optimal"
         if full_pass:
             break
-        y = sol.duals
+        # Per round: the duals' parts and each constraint's box gradient
+        # under its weight -lambda_i.
+        y_bary, y_one, y_le = sol.duals[: k - 1], sol.duals[k - 1], sol.duals[k:]
+        gradients = [s.box_gradient(w, prior) for s, w in zip(smoothed, -y_le)]
+
+        def price(lo: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray]:
+            """Pool positions of the boxes' centers and the boxes' bounds."""
+            center, x_lo, x_hi, radius, e_lo, e_hi = geometry.box_bounds(lo, side, N)
+            pos = columns(center)
+            q = center / N
+            bound = c[pos] - q[:, : k - 1] @ y_bary - y_one - y_le @ A_le[:, pos]
+            if side > 1:
+                radius = radius / N
+                bound += _box_reach(
+                    *_box_gradient(gridded.utility, gradients, y_bary, q,
+                                   x_lo / N, x_hi / N, radius),
+                    radius, e_lo / N, e_hi / N)
+            return pos, bound
+
         lo, side = np.zeros((1, k - 1), dtype=np.int64), root
         while True:
             levels += 1
             boxes += lo.shape[0]
-            pos, bound = np.empty(lo.shape[0], dtype=np.int64), np.empty(lo.shape[0])
-            for start in range(0, lo.shape[0], BOX_CHUNK):
-                part = slice(start, start + BOX_CHUNK)
-                center, x_lo, x_hi, radius = geometry.box_bounds(lo[part], side, N)
-                pos[part] = columns(center)
-                bound[part] = (c[pos[part]] - center[:, : k - 1] / N @ y[: k - 1]
-                               - y[k - 1] - y[k:] @ A_le[:, pos[part]])
-                if side > 1:
-                    at_center = np.cumsum(center[:, : k - 1], axis=1)
-                    bound[part] += _box_reach(
-                        *_box_gradient(gridded.utility, smoothed, y, prior, center / N,
-                                       x_lo / N, x_hi / N, radius / N),
-                        radius / N, (lo[part] - at_center) / N,
-                        (np.minimum(lo[part] + side - 1, N) - at_center) / N)
+            parts = [price(lo[start: start + BOX_CHUNK], side)
+                     for start in range(0, lo.shape[0], BOX_CHUNK)]
+            pos, bound = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
             keep = bound > lp.FEAS_TOL
             pruned = not keep.all()
             lo = lo[keep]
@@ -398,9 +412,9 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
             break
         master[new] = True
     log.debug("lazy grid LP: N=%d V=%d rounds=%d levels=%d boxes=%d evaluated=%d "
-              "(%.2f%% of V) master=%d full_pass=%s", N, V, rounds, levels, boxes,
-              ranks.size, 100.0 * ranks.size / V, np.count_nonzero(master),
-              full_pass)
+              "(%.2f%% of V) master=%d iterations=%d phase1=%d full_pass=%s", N, V,
+              rounds, levels, boxes, ranks.size, 100.0 * ranks.size / V,
+              np.count_nonzero(master), iterations, phase1, full_pass)
     if full_pass:
         return None
     for a in (program.c, program.A_eq, program.b_eq, program.A_le, program.b_le):
@@ -408,8 +422,8 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
     return program, sol
 
 
-def _box_gradient(utility, smoothed, y: np.ndarray, prior: Posterior,
-                  center: np.ndarray, q_lo: np.ndarray, q_hi: np.ndarray,
+def _box_gradient(utility, gradients, y_bary: np.ndarray, center: np.ndarray,
+                  q_lo: np.ndarray, q_hi: np.ndarray,
                   radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi), each (B, k): per box {q in the simplex : q_lo <= q <= q_hi,
     ||q - center||_1 <= radius}, a coordinate range holding a g with
@@ -418,15 +432,15 @@ def _box_gradient(utility, smoothed, y: np.ndarray, prior: Posterior,
 
     Each part of r gives such a range: the utility terms
     (UtilitySpec.box_gradient), -lambda_i times each smoothed constraint
-    (SmoothedConstraint.box_gradient) and the barycenter duals, -y_i on
-    coordinate i < k-1; their sum holds the sum of the g.
+    (``gradients``, from SmoothedConstraint.box_gradient) and the
+    barycenter duals ``y_bary``, -y_i on coordinate i < k-1; their sum
+    holds the sum of the g.
     """
-    k = center.shape[1]
     lo, hi = utility.box_gradient(center, q_lo, q_hi, radius)
-    lo[:, : k - 1] -= y[: k - 1]
-    hi[:, : k - 1] -= y[: k - 1]
-    for i, s in enumerate(smoothed):
-        g_lo, g_hi = s.box_gradient(-y[k + i], center, q_lo, q_hi, prior)
+    lo[:, : y_bary.shape[0]] -= y_bary
+    hi[:, : y_bary.shape[0]] -= y_bary
+    for gradient in gradients:
+        g_lo, g_hi = gradient(center, q_lo, q_hi)
         lo += g_lo
         hi += g_hi
     return lo, hi
@@ -446,9 +460,10 @@ def _box_reach(g_lo: np.ndarray, g_hi: np.ndarray, radius: np.ndarray,
     max((g_hi_i - g_lo_{i+1}) e_hi_i, (g_lo_i - g_hi_{i+1}) e_lo_i); this
     one is the lower where g changes monotonically from axis to axis.
     """
-    spread = (g_hi.max(axis=1) - g_lo.min(axis=1)) / 2.0 * radius
-    axes = np.maximum((g_hi[:, :-1] - g_lo[:, 1:]) * e_hi,
-                      (g_lo[:, :-1] - g_hi[:, 1:]) * e_lo).sum(axis=1)
+    spread = (reduce_last_axis(np.maximum, g_hi) - reduce_last_axis(np.minimum, g_lo)) \
+        / 2.0 * radius
+    axes = reduce_last_axis(np.add, np.maximum((g_hi[:, :-1] - g_lo[:, 1:]) * e_hi,
+                                               (g_lo[:, :-1] - g_hi[:, 1:]) * e_lo))
     return np.minimum(spread, axes)
 
 

@@ -126,7 +126,7 @@ def box_lipschitz(sm, center, q_lo, q_hi, prior):
     sum-zero rule on the gradient ranges box_gradient gives the convex one
     of +g and -g."""
     weight = 1.0 if sm.source.kind == "entropy" else float(np.sign(sm.source.scale))
-    lo, hi = sm.box_gradient(weight, center, q_lo, q_hi, prior)
+    lo, hi = sm.box_gradient(weight, prior)(center, q_lo, q_hi)
     return (hi.max(axis=1) - lo.min(axis=1)) / 2.0
 
 
@@ -236,13 +236,12 @@ def test_box_slope_is_valid_and_sharp_on_sampled_boxes():
                 return r
             r_lattice = reduced(lattice / N)
             for lo, side in sampled_boxes(rng, k, N):
-                center, x_lo, x_hi, radius = geometry.box_bounds(lo, side, N)
+                center, x_lo, x_hi, radius, e_lo, e_hi = geometry.box_bounds(lo, side, N)
                 hi = np.minimum(lo + side - 1, N)
-                at_center = np.cumsum(center[:, : k - 1], axis=1)
-                g_lo, g_hi = _box_gradient(u, smoothed, y, prior, center / N, x_lo / N,
+                gradients = [sm.box_gradient(w, prior) for sm, w in zip(smoothed, -y[k:])]
+                g_lo, g_hi = _box_gradient(u, gradients, y[: k - 1], center / N, x_lo / N,
                                            x_hi / N, radius / N)
-                reach = _box_reach(g_lo, g_hi, radius / N, (lo - at_center) / N,
-                                   (hi - at_center) / N)
+                reach = _box_reach(g_lo, g_hi, radius / N, e_lo / N, e_hi / N)
                 boxes += reach.shape[0]
                 axis_lower += np.count_nonzero(
                     reach < (g_hi.max(axis=1) - g_lo.min(axis=1)) / 2 * radius / N - 1e-12)

@@ -113,6 +113,27 @@ def test_rejects_nan():
         lp_max([np.nan, 1.0])
 
 
+def fuzz_lp(rng, n: int) -> LinearProgram:
+    """A random LP over n columns with 0-2 equality rows and 0-2 random <=
+    rows plus one bounding row: feasible by construction half the time,
+    with random right-hand sides the other half."""
+    m_eq = int(rng.integers(0, 3))
+    m_le = int(rng.integers(0, 3))
+    A_eq = rng.uniform(-1, 1, size=(m_eq, n))
+    A_le = rng.uniform(-1, 1, size=(m_le, n))
+    if rng.uniform() < 0.5:
+        x0 = rng.uniform(0, 1, size=n) * (rng.uniform(size=n) < 0.7)
+        b_eq = A_eq @ x0
+        b_le = A_le @ x0 + rng.uniform(0, 0.5, size=m_le)
+    else:
+        b_eq = rng.uniform(-1, 1, size=m_eq)
+        b_le = rng.uniform(-1, 1, size=m_le)
+    A_le = np.vstack([A_le, np.ones((1, n))])  # keep the LP bounded
+    b_le = np.concatenate([b_le, [rng.uniform(0.5, 3.0)]])
+    c = rng.uniform(-1, 1, size=n)
+    return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le)
+
+
 def test_fuzz_mixed_rows_against_enumeration():
     # Mixed equality/inequality LPs checked exhaustively over their
     # (support, tight-row) vertices, including infeasible draws.
@@ -154,24 +175,10 @@ def test_fuzz_mixed_rows_against_enumeration():
         return best
 
     for _ in range(60):
-        n = int(rng.integers(2, 6))
-        m_eq = int(rng.integers(0, 3))
-        m_le = int(rng.integers(0, 3))
-        A_eq = rng.uniform(-1, 1, size=(m_eq, n))
-        A_le = rng.uniform(-1, 1, size=(m_le, n))
-        if rng.uniform() < 0.5:
-            x0 = rng.uniform(0, 1, size=n) * (rng.uniform(size=n) < 0.7)
-            b_eq = A_eq @ x0
-            b_le = A_le @ x0 + rng.uniform(0, 0.5, size=m_le)
-        else:
-            b_eq = rng.uniform(-1, 1, size=m_eq)
-            b_le = rng.uniform(-1, 1, size=m_le)
-        A_le = np.vstack([A_le, np.ones((1, n))])  # keep the LP bounded
-        b_le = np.concatenate([b_le, [rng.uniform(0.5, 3.0)]])
-        c = rng.uniform(-1, 1, size=n)
-        program = LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le)
+        program = fuzz_lp(rng, int(rng.integers(2, 6)))
         sol = solve_lp(program)
-        ref = enumerate_opt(c, A_eq, b_eq, A_le, b_le)
+        ref = enumerate_opt(program.c, program.A_eq, program.b_eq, program.A_le,
+                            program.b_le)
         if sol.status == "infeasible":
             assert ref is None
         else:

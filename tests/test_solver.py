@@ -392,6 +392,33 @@ def test_lazy_grid_lp_on_k4_auctions(monkeypatch):
     assert lazy_count >= 6
 
 
+def k56_instance(k: int, seed: int, kind: str) -> ProblemInstance:
+    """An interior prior, a random 3-functional max and one constraint: an
+    l1 distance <= 0.2, or a KL divergence <= 0.1 over a merged pair and
+    the other single states."""
+    rng = np.random.default_rng(seed)
+    prior = interior_prior(rng, k)
+    utility = UtilitySpec.max_linear(rng.uniform(0, 1, size=(3, k)))
+    if kind == "l1":
+        return ProblemInstance(k, prior, utility, (ConstraintSpec.norm_distance(1, bound=0.2),))
+    refs = np.append(prior.weights[:2].sum(), prior.weights[2:])
+    return ProblemInstance(k, prior, utility, (ConstraintSpec.grouped_kl(
+        [(0, 1)] + [(i,) for i in range(2, k)], 1.0, refs, bound=0.1),))
+
+
+@pytest.mark.parametrize("k, eps, kind, N", [(5, 0.3, "l1", 27), (6, 0.4, "l1", 30),
+                                             (5, 0.8, "kl", 37)])
+def test_lazy_grid_lp_at_k5_and_k6(monkeypatch, k, eps, kind, N):
+    # Lattices of 31,465, 324,632 and 101,270 vertices, priced lazily in
+    # 97-row blocks over 2 or 3 rounds: each LP value is the one-block
+    # build's, and the lazy duals price every one-block column.
+    inst = k56_instance(k, k, kind)
+    whole, lazy = full_and_lazy(monkeypatch, inst, eps)
+    assert lazy.grid_denominator == N
+    assert lazy.solution is not None
+    check_lazy_solve(inst, whole, lazy)
+
+
 def rank2_norm_instance(order: float) -> ProblemInstance:
     """A rank-2-of-4 max-linear utility under one l_order distance
     constraint, k = 3.  At eps 0.1 (N = 40) many boxes survive the coarse
@@ -439,7 +466,15 @@ def test_lazy_solve_logs_one_debug_record(monkeypatch, caplog):
     assert any(isinstance(h, logging.NullHandler)
                for h in logging.getLogger("persuade").handlers)
     inst = kl_instance(3)
-    with caplog.at_level(logging.DEBUG, logger="persuade"):
+    masters = []
+    solve_lp = lp.solve_lp
+
+    def recorded(*args):
+        masters.append(solve_lp(*args))
+        return masters[-1]
+
+    with monkeypatch.context() as m, caplog.at_level(logging.DEBUG, logger="persuade"):
+        m.setattr(lp, "solve_lp", recorded)
         rep = bi_criteria_solve(inst, 0.02)
     records = [r for r in caplog.records if r.name == "persuade.solver"]
     assert len(records) == 1
@@ -447,7 +482,11 @@ def test_lazy_solve_logs_one_debug_record(monkeypatch, caplog):
     assert records[0].levelno == logging.DEBUG
     assert "N=1031 V=533028 " in message and "full_pass=False" in message
     fields = dict(f.split("=") for f in message.split() if "=" in f)
-    assert int(fields["rounds"]) >= 1
+    assert int(fields["rounds"]) == len(masters) >= 2
+    # Simplex iterations over all masters, and those of phase 1.
+    assert int(fields["iterations"]) == sum(
+        s.stats.phase1_iterations + s.stats.phase2_iterations for s in masters)
+    assert int(fields["phase1"]) == sum(s.stats.phase1_iterations for s in masters) > 0
     assert int(fields["boxes"]) >= int(fields["rounds"])
     # The root box has side 2048, so a descent that priced every level
     # would price 12 per round; levels that prune nothing skip the next.
