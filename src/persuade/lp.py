@@ -346,6 +346,24 @@ class _Simplex:
         self.c_B[leave_row] = self._cost_of(enter, self.phase2)
 
     # -- phases -------------------------------------------------------------
+    def start_from(self, start):
+        """Take ``start`` (structural columns and slacks, as LpSolution.basis
+        lists them) as the basis when it has r distinct entries, a
+        nonsingular B (smallest singular value above PIVOT_TOL times the
+        largest) and x_B >= -FEAS_TOL; otherwise change nothing."""
+        basis = np.array(start, dtype=np.int64).reshape(-1)
+        if not self.r or basis.shape[0] != self.r or np.unique(basis).shape[0] != self.r \
+                or not ((basis >= 0) & (basis < self.n + self.m_le)).all():
+            return
+        B = np.column_stack([self.column(int(j)) for j in basis])
+        sv = np.linalg.svd(B, compute_uv=False)
+        if not sv[-1] > PIVOT_TOL * sv[0]:
+            return
+        B_inv = np.linalg.inv(B)
+        if (B_inv @ self.b >= -FEAS_TOL).all():
+            self.basis, self.B_inv = basis, B_inv
+            self.in_basis = set(int(j) for j in basis)
+
     def drive_out_artificials(self):
         for i in range(self.r):
             if self.basis[i] < self.n + self.m_le:
@@ -359,14 +377,19 @@ class _Simplex:
             # else: redundant row, the artificial stays basic at value 0.
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
+def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
     """Solve the LP, returning an optimal basic feasible solution.
 
     Optimality is certified by reduced costs <= 1e-9 over every column.
     Infeasible and unbounded problems are reported through the status field;
-    numeric failures raise :class:`NumericError`.
+    numeric failures raise :class:`NumericError`.  ``start`` is a basis to
+    warm-start from, as LpSolution.basis gives one; phase 1 is skipped when
+    it is a feasible basis of this LP (_Simplex.start_from), and the solve
+    starts cold otherwise.
     """
     state = _Simplex(lp)
+    if start is not None:
+        state.start_from(start)
     n, m_le = state.n, state.m_le
     phase1_iterations, phase1_degenerate, phase1_bland = 0, 0, False
 

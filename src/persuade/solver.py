@@ -33,7 +33,9 @@ least that cost, so it is reached either way.  The loop ends when no box
 can hold a column with reduced cost above lp.FEAS_TOL, which certifies the
 master optimum for all V columns, as the simplex's full pricing pass does;
 the LP value equals the full grid's within that tolerance, while the
-optimal basis, and so the scheme, may differ.  Under 1 % of the KL
+optimal basis, and so the scheme, may differ.  Each master after the first
+is warm-started from the last master's optimal basis, which stays feasible
+because a master only gains columns, so only the first runs phase 1.  Under 1 % of the KL
 benchmark grid is evaluated, and 0.25-2 % of the k = 4 auction grids,
 the first master alone certifying most revenue auctions.  Only when the
 first master is infeasible is the grid built blockwise as above: without
@@ -296,8 +298,10 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
     holding a column with r > FEAS_TOL is bounded by at least r, so it
     survives whichever levels are priced, and each round adds the same
     side-1 survivors.  A master only grows, so only the first can be
-    infeasible.  The loop ends when a round adds no column, so, as with the
-    full pass of lp.solve_lp, the optimum holds over all V.  The first
+    infeasible, and each later master starts from the last one's optimal
+    basis (lp.solve_lp's ``start``).  The loop ends when a round adds no
+    column, so, as with the full pass of lp.solve_lp, the optimum holds
+    over all V.  The first
     master is the sub-lattice of the smallest power-of-two stride, at least
     MASTER_STRIDE, that fits in the simplex's first working set
     (lp.WORKING_SET_INITIAL columns), plus the k corners and the staircase
@@ -358,6 +362,7 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
     master[pos] = True
     root = 1 << N.bit_length()  # the smallest power of two above N
     rounds, levels, boxes, iterations, phase1 = 0, 0, 0, 0, 0
+    basic = None  # the last master's optimal basis: ranks of its columns, slack rows
     while True:
         rounds += 1
         at = np.flatnonzero(master)
@@ -367,12 +372,16 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
         program = lp.LinearProgram(
             c=c[at], A_eq=np.vstack([held[:, : k - 1].T / N, np.ones(at.size)]),
             b_eq=b_eq, A_le=A_le[:, at], b_le=b_le)
-        sol = lp.solve_lp(program)
+        # The master keeps vertex order, so the last basis's columns moved.
+        sol = lp.solve_lp(program, None if basic is None else np.concatenate(
+            [np.searchsorted(at_ranks, basic[0]), at.size + basic[1]]))
         iterations += sol.stats.phase1_iterations + sol.stats.phase2_iterations
         phase1 += sol.stats.phase1_iterations
         full_pass = sol.status != "optimal"
         if full_pass:
             break
+        basis = np.array(sol.basis, dtype=np.int64)
+        basic = at_ranks[basis[basis < at.size]], basis[basis >= at.size] - at.size
         # Per round: the duals' parts and each constraint's box gradient
         # under its weight -lambda_i.
         y_bary, y_one, y_le = sol.duals[: k - 1], sol.duals[k - 1], sol.duals[k:]

@@ -188,6 +188,56 @@ def test_fuzz_mixed_rows_against_enumeration():
             assert_duals_certify(program, sol)  # rows with b < 0 included
 
 
+def columns_of(program: LinearProgram, keep: np.ndarray) -> LinearProgram:
+    return LinearProgram(c=program.c[keep], A_eq=program.A_eq[:, keep], b_eq=program.b_eq,
+                         A_le=program.A_le[:, keep], b_le=program.b_le)
+
+
+def test_warm_start_from_a_column_subset_skips_phase_1():
+    # The optimal basis of an LP over some of the columns, mapped to the
+    # full LP (slacks follow the structural columns), is a feasible basis
+    # of it: the warm solve runs no phase 1 and reaches the cold optimum.
+    rng = np.random.default_rng(20261022)
+    warm_count = 0
+    for _ in range(200):
+        n = int(rng.integers(4, 12))
+        program = fuzz_lp(rng, n)
+        keep = np.flatnonzero(rng.uniform(size=n) < 0.6)
+        part = solve_lp(columns_of(program, keep))
+        if part.status != "optimal" or len(part.basis) != program.n_rows:
+            continue
+        basis = np.array(part.basis)
+        start = np.where(basis < keep.size, keep[np.minimum(basis, keep.size - 1)],
+                         basis - keep.size + n)
+        cold, warm = solve_lp(program), solve_lp(program, start)
+        assert warm.status == cold.status == "optimal"
+        assert warm.value == pytest.approx(cold.value, abs=1e-9)
+        assert warm.stats.phase1_iterations == 0
+        assert_duals_certify(program, warm)
+        warm_count += 1
+    assert warm_count >= 50
+
+
+def assert_same_solution(a, b):
+    assert (a.status, a.basis, a.stats) == (b.status, b.basis, b.stats)
+    assert repr(a.value) == repr(b.value)
+    for u, v in ((a.x, b.x), (a.duals, b.duals)):
+        assert (u is None) == (v is None) and (u is None or u.tobytes() == v.tobytes())
+
+
+@pytest.mark.parametrize("start", [[0], [0, 1, 3], [0, 2], [0, 3], [0, 4], [1, 1]])
+def test_unusable_warm_start_falls_back_to_the_cold_start(start):
+    # Two rows, columns 0 and 2 parallel, the slack is column 3: a start of
+    # the wrong length, a singular B ([0, 2]), a primal-infeasible basis
+    # ([0, 3]: x_0 = 1 leaves the slack at -0.7), an index past the slacks
+    # or a repeated one each give the cold solve, bit for bit.
+    program = lp_max([1, 0.5, 0.2], A_eq=[[1, 1, 2]], b_eq=[1],
+                     A_le=[[1, 0, 2]], b_le=[0.3])
+    cold, warm = solve_lp(program), solve_lp(program, start)
+    assert cold.status == "optimal" and cold.stats.phase1_iterations > 0
+    assert_same_solution(warm, cold)
+
+
 def test_redundant_equality_rows():
     # Duplicate rows leave a basic artificial on a redundant row.
     sol = solve_lp(lp_max([1, 2], A_eq=[[1, 1], [1, 1]], b_eq=[1, 1]))
