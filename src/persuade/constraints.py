@@ -115,7 +115,8 @@ class SmoothedConstraint:
         f - eps/2) takes its supergradient at the center; a convex KL box
         inside that simplex the range of its gradient over the box's cell
         masses.  Every other box takes the global constant L as [-L, L] in
-        each coordinate, which the sum-zero rule turns back into L.
+        each coordinate, which the bound along the box's partial-sum axes
+        (solver._box_reach) turns into 2L sum_i max(e_hi_i, -e_lo_i).
         """
         spec = self.source
         p = getattr(prior, "weights", prior)
@@ -147,7 +148,8 @@ class SmoothedConstraint:
         floor = geometry.contraction_floor(k, self.contraction)
 
         # d f / d q_w = scale (ln(S_j / r_j) + 1) for w in cell j; the +1 is
-        # the same in every coordinate, which the sum-zero rule drops.
+        # the same in every coordinate, which adds nothing to g . (x - center)
+        # since x - center sums to zero.
         def kl_range(center, q_lo, q_hi, rows):
             if signed <= 0:
                 g = signed * np.log((center[rows] @ member) / refs) @ member.T

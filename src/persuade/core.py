@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -521,14 +520,24 @@ class _TermGroup:
         self.coeffs, self.flat = C, C.reshape(-1, k).T
         self.weights = w = np.array([t.weight for t in terms])[:, None]
         self.rows = np.arange(T)
-        self.base = base = C.min(axis=2)  # (T, n_f)
-        self.half_spread = (C.max(axis=2) - base) / 2.0
-        self.shifted = (C - base[:, :, None]).reshape(-1, k).T
+        # D_i = a_i - a_{i+1} of every functional a, (k-1, T * n_f).
+        D = (C[:, :, :-1] - C[:, :, 1:]).reshape(-1, k - 1).T
+        self.rise, self.fall = np.maximum(D, 0.0), np.minimum(D, 0.0)
         self.tol = RANK_TOL * np.maximum(abs(C).max(axis=(1, 2)), 1.0)
         c_lo, c_hi = C.min(axis=1), C.max(axis=1)  # (T, k)
         self.lo, self.hi = w[:, 0] @ c_lo, w[:, 0] @ c_hi
         self.lo_step = (w[:, :, None] * (C - c_lo[:, None])).reshape(-1, k)
         self.hi_step = (w[:, :, None] * (C - c_hi[:, None])).reshape(-1, k)
+
+    def extents(self, center: np.ndarray, e_lo: np.ndarray,
+                e_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper), each (B, T, n_f): the range of every functional
+        a over each box, a . center + sum_i D_i d_i with d_i in
+        [e_lo_i, e_hi_i]; exact on the product box."""
+        shape = (center.shape[0], self.rows.size, self.n_f)
+        vals = center @ self.flat
+        return ((vals + e_lo @ self.rise + e_hi @ self.fall).reshape(shape),
+                (vals + e_hi @ self.rise + e_lo @ self.fall).reshape(shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -637,57 +646,51 @@ class UtilitySpec:
         return float(check_finite("utility Lipschitz constant",
                                   sum(t.lipschitz_l1() for t in self.terms)))
 
-    @cached_property
-    def term_groups(self) -> tuple[_TermGroup, ...]:
-        """The max-linear terms stacked by shape and rank for box_gradient.
-        Built at the first call: only the lazy grid LP bounds boxes, and a
-        utility that never reaches it keeps no copy of its coefficients."""
-        groups = {}
-        for t in self.terms:
-            groups.setdefault((t.coeffs.shape[0], t.rank), []).append(t)
-        return tuple(_TermGroup(g) for g in groups.values())
-
-    def box_gradient(self, center: np.ndarray, q_lo: np.ndarray, q_hi: np.ndarray,
-                     radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi), each (B, k), max_linear only: per box, a coordinate
+    def box_gradient(self):
+        """The box gradient of u, max_linear only: a function of (center,
+        e_lo, e_hi) returning (lo, hi), each (B, k): per box, a coordinate
         range that holds a g with u(x) - u(center) <= g . (x - center) at
-        every point x of the box {q in the simplex : q_lo <= q <= q_hi,
-        ||q - center||_1 <= radius}; the sum of one such range per term.
+        every point x of the simplex whose partial sums differ from the
+        center's by e_lo <= y - y(center) <= e_hi (B, k-1); the sum of one
+        such range per term.  Terms of one shape and rank are stacked once,
+        here, and taken together.
 
         A min (rank n_functionals) is concave, so its term takes its
         supergradient at the center: the coefficients of a functional
         smallest there.  Any other rank finds the functionals that can hold
         that rank somewhere in the box (_rank_candidates), each bounded over
-        the box by the coordinate ranges (shifted by its smallest
-        coefficient, since q sums to 1) and by its value at the center plus
-        half its spread times the radius; along any segment in the box the
+        the box by its extents (_TermGroup.extents): since x - center sums
+        to zero, a . (x - center) = sum_i (a_i - a_{i+1}) d_i over the
+        partial sums d of x - center.  Along any segment in the box the
         term's slope is one of theirs.  A term with one candidate takes its
         coefficients, any other the range of all its functionals (for two
-        functionals, the candidates' range).  Terms of one shape and rank
-        are taken together, stacked once per utility (term_groups).
+        functionals, the candidates' range).
         """
-        B = center.shape[0]
-        lo = hi = None
-        for g in self.term_groups:
-            vals = (center @ g.flat).reshape(B, g.rows.size, g.n_f)
-            if g.rank == g.n_f:
-                g_lo = g_hi = (g.coeffs[g.rows, np.argmin(vals, axis=2)]
-                               * g.weights).sum(axis=1)
-            else:
-                shape = vals.shape
-                reach = radius[:, None, None] * g.half_spread
-                upper = np.minimum(g.base + (q_hi @ g.shifted).reshape(shape), vals + reach)
-                lower = np.maximum(g.base + (q_lo @ g.shifted).reshape(shape), vals - reach)
-                held = _rank_candidates(lower, upper, g.rank, g.tol)
-                one = reduce_last_axis(np.add, held.astype(np.intp)) == 1
-                only = (held & one[:, :, None]).reshape(B, -1)
-                g_lo, g_hi = g.lo + only @ g.lo_step, g.hi + only @ g.hi_step
-            if lo is None:  # the first group's arrays, two distinct ones
-                lo, hi = g_lo, g_hi.copy() if g_hi is g_lo else g_hi
-            else:
-                lo += g_lo
-                hi += g_hi
-        return lo, hi
+        by_shape = {}
+        for t in self.terms:
+            by_shape.setdefault((t.coeffs.shape[0], t.rank), []).append(t)
+        groups = [_TermGroup(g) for g in by_shape.values()]
+
+        def gradient(center, e_lo, e_hi):
+            B = center.shape[0]
+            lo = hi = None
+            for g in groups:
+                if g.rank == g.n_f:
+                    vals = (center @ g.flat).reshape(B, g.rows.size, g.n_f)
+                    g_lo = g_hi = (g.coeffs[g.rows, np.argmin(vals, axis=2)]
+                                   * g.weights).sum(axis=1)
+                else:
+                    held = _rank_candidates(*g.extents(center, e_lo, e_hi), g.rank, g.tol)
+                    one = reduce_last_axis(np.add, held.astype(np.intp)) == 1
+                    only = (held & one[:, :, None]).reshape(B, -1)
+                    g_lo, g_hi = g.lo + only @ g.lo_step, g.hi + only @ g.hi_step
+                if lo is None:  # the first group's arrays, two distinct ones
+                    lo, hi = g_lo, g_hi.copy() if g_hi is g_lo else g_hi
+                else:
+                    lo += g_lo
+                    hi += g_hi
+            return lo, hi
+        return gradient
 
 
 def _rank_max(values: np.ndarray, rank: int) -> np.ndarray:

@@ -14,9 +14,9 @@ their staircase cells.
 
 For lazy pricing of a lattice, the ordered region is covered by dyadic
 boxes aligned to their side: split_boxes halves them, box_bounds gives
-each box a center vertex with the coordinate range and l1 radius of its
-compositions, and stride_sublattice and staircase_cell_at give the
-vertices a first master LP starts from.
+each box a center vertex with the coordinate range of its compositions and
+the extents of their partial sums from the center's, and stride_sublattice
+and staircase_cell_at give the vertices a first master LP starts from.
 
 Also provides the Euclidean projection onto the contracted simplex
 S_eps = center + (simplex - center) / (1 + eps^2) used by constraint
@@ -45,14 +45,6 @@ def lattice_vertex_count(k: int, N: int) -> int:
 
 def _lattice_vertices(k: int, N: int) -> np.ndarray:
     """Integer compositions of N into k parts, ordered lexicographically."""
-    if k == 1:
-        return np.array([[N]], dtype=np.int64)
-    if k == 2:
-        first = np.arange(N + 1, dtype=np.int64)
-        return np.column_stack([first, N - first])
-    if k == 3:
-        i, j = np.triu_indices(N + 1)
-        return np.column_stack([i, j - i, N - j]).astype(np.int64)
     return _unrank_compositions(np.arange(lattice_vertex_count(k, N)), k, N,
                                 _rank_table(k, N))
 
@@ -92,7 +84,8 @@ def _unrank_compositions(ranks: np.ndarray, k: int, N: int,
     the ranks [C(n) - C(n-a), C(n) - C(n-a-1)), C = table[p]; so, counting
     t = C(n) - rank from the end, the rest n - a is the first m with
     C(m) >= t, and the rank within that rest is C(m) - t.  Two parts left
-    are (rank, n - rank).
+    are (rank, n - rank); with one part in all (k = 1), rank is 0 and
+    column k - 2 is the last one, so the part is n.
     """
     x = np.empty((ranks.shape[0], k), dtype=np.int64)
     n, rank = N, ranks
@@ -102,24 +95,20 @@ def _unrank_compositions(ranks: np.ndarray, k: int, N: int,
         rest = np.searchsorted(count, t)
         x[:, pos] = n - rest
         rank, n = count[rest] - t, rest
-    x[:, -2] = rank
+    x[:, k - 2] = rank
     x[:, -1] = n - rank
     return x
 
 
 def lattice_blocks(k: int, N: int):
     """The lattice vertices x/N in lexicographic order, LATTICE_BLOCK rows a
-    block, read-only.
-
-    Rows are bit for bit those of _lattice_vertices(k, N) / N.  A lattice
-    of at most LATTICE_BLOCK vertices is one block, built by
-    _lattice_vertices; a larger one unranks each block's rank range.
-    """
+    block, read-only: each block unranks its rank range, so its rows are bit
+    for bit those of _lattice_vertices(k, N) / N."""
     V = lattice_vertex_count(k, N)
-    table = _rank_table(k, N) if V > LATTICE_BLOCK else None
+    table = _rank_table(k, N)
     for start in range(0, V, LATTICE_BLOCK):
-        block = (_lattice_vertices(k, N) if table is None else _unrank_compositions(
-            np.arange(start, min(start + LATTICE_BLOCK, V)), k, N, table)).astype(float)
+        block = _unrank_compositions(np.arange(start, min(start + LATTICE_BLOCK, V)),
+                                     k, N, table).astype(float)
         block /= N
         yield frozen(block)
 
@@ -198,21 +187,17 @@ def split_boxes(lo: np.ndarray, side: int, N: int) -> np.ndarray:
 
 
 def box_bounds(lo: np.ndarray, side: int, N: int):
-    """(center, x_lo, x_hi, radius, e_lo, e_hi) of the aligned partial-sum
-    boxes lo + [0, side)^(k-1), each meeting the ordered region, cut at
-    y <= N.
+    """(center, x_lo, x_hi, e_lo, e_hi) of the aligned partial-sum boxes
+    lo + [0, side)^(k-1), each meeting the ordered region, cut at y <= N.
 
     center is a lattice point of the box, as a composition: halfway along
     each axis of the cut box, which keeps it ordered.  Every composition x
     of the box, and every real point between two of them, has
-    x_lo <= x <= x_hi and ||x - center||_1 <= radius, and its partial sums
-    differ from the center's by e_lo <= y - y(center) <= e_hi (B, k-1):
-    the cut box's extents from its center.  With d = y - y(center)
-    (d_0 = d_k = 0), ||x - center||_1 = sum_i |d_i - d_{i-1}| is convex in
-    d, so its largest value over the box is at a corner; a two-state pass
-    along the axes finds it.  The three compositions are differences of
-    one array of partial sums padded with 0 and N, laid out axis by axis so
-    that each operation runs over whole rows of boxes.
+    x_lo <= x <= x_hi, and its partial sums differ from the center's by
+    e_lo <= y - y(center) <= e_hi (B, k-1): the cut box's extents from its
+    center.  The three compositions are differences of one array of
+    partial sums padded with 0 and N, laid out axis by axis so that each
+    operation runs over whole rows of boxes.
     """
     B, d = lo.shape
     # y[corner, i] = (0, partial sums, N)[i] of every box, for its low
@@ -228,21 +213,9 @@ def box_bounds(lo: np.ndarray, side: int, N: int):
     # x_i = y_i - y_{i-1}, from the far corner for the extreme compositions.
     x = y[:, 1:] - y[::-1, :-1]
     np.maximum(x[0], 0, out=x[0])
-    extent = y[::2, 1:-1] - y_center
-    # reach_*: the largest sum of |d_i' - d_{i'-1}| over i' <= i with d_i
-    # at the low (<= 0) or the high (>= 0) end of axis i.
-    low, high = extent[0, 0], extent[1, 0]
-    reach_low, reach_high = -low, high
-    for i in range(1, d):
-        a, b = extent[0, i], extent[1, i]
-        reach_low, reach_high = (
-            np.maximum(reach_low + np.abs(a - low), reach_high + np.abs(a - high)),
-            np.maximum(reach_low + np.abs(b - low), reach_high + np.abs(b - high)))
-        low, high = a, b
-    radius = np.maximum(reach_low - low, reach_high + high)
     x = np.ascontiguousarray(x.transpose(0, 2, 1))
-    extent = np.ascontiguousarray(extent.transpose(0, 2, 1))
-    return x[1], x[0], x[2], radius, extent[0], extent[1]
+    extent = np.ascontiguousarray((y[::2, 1:-1] - y_center).transpose(0, 2, 1))
+    return x[1], x[0], x[2], extent[0], extent[1]
 
 
 def staircase_cell_at(q: np.ndarray, N: int) -> np.ndarray:

@@ -25,23 +25,22 @@ thousand lattice columns is priced against the whole lattice by a dyadic
 descent over boxes in partial-sum coordinates, each box bounded by its
 center's reduced cost plus the most the reduced cost can rise from there:
 the (super)gradient ranges of its parts over the box (_box_gradient) taken
-against the box's l1 radius or against its extent along each partial-sum
-axis, whichever bounds lower (_box_reach).  A level that prunes no box
-has its boxes split twice, so the level below it is never priced: a column
-with reduced cost above lp.FEAS_TOL lies in boxes whose bounds are all at
-least that cost, so it is reached either way.  The loop ends when no box
-can hold a column with reduced cost above lp.FEAS_TOL, which certifies the
-master optimum for all V columns, as the simplex's full pricing pass does;
-the LP value equals the full grid's within that tolerance, while the
-optimal basis, and so the scheme, may differ.  Each master after the first
-is warm-started from the last master's optimal basis, which stays feasible
-because a master only gains columns, so only the first runs phase 1.  Under 1 % of the KL
-benchmark grid is evaluated, and 0.25-2 % of the k = 4 auction grids,
-the first master alone certifying most revenue auctions.  Only when the
-first master is infeasible is the grid built blockwise as above: without
-Farkas pricing, an infeasible master proves nothing about the grid.
-Either way the report counts all grid columns, and Surrogate.grid_columns
-streams them.
+against the box's extent along each partial-sum axis (_box_reach).  A level
+that prunes no box has its boxes split twice, so the level below it is never
+priced: a column with reduced cost above lp.FEAS_TOL lies in boxes whose
+bounds are all at least that cost, so it is reached either way.  The loop
+ends when no box can hold a column with reduced cost above lp.FEAS_TOL,
+which certifies the master optimum for all V columns, as the simplex's full
+pricing pass does; the LP value equals the full grid's within that
+tolerance, while the optimal basis, and so the scheme, may differ.  Each
+master after the first is warm-started from the last master's optimal basis,
+which stays feasible because a master only gains columns, so only the first
+runs phase 1.  Under 1 % of the KL benchmark grid is evaluated, and 0.25-2 %
+of the k = 4 auction grids, the first master alone certifying most revenue
+auctions.  Only when the first master is infeasible is the grid built
+blockwise as above: without Farkas pricing, an infeasible master proves
+nothing about the grid.  Either way the report counts all grid columns, and
+Surrogate.grid_columns streams them.
 
 bi_criteria_solve: the two stages at eps.  The result is additively
 eps-optimal and violates each ex-ante constraint by at most eps; Bayes
@@ -316,6 +315,7 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
     table = geometry._rank_table(k, N)
     smoothed = [s for s, _ in bounds]
     p = prior.weights
+    utility_gradient = gridded.utility.box_gradient()
     b_eq, b_le = np.append(p[: k - 1], 1.0), np.array([b for _, b in bounds], dtype=float)
     # One plus the pool position of each rank, or 0: zeroed pages cost
     # nothing until a rank on them is looked up.
@@ -389,16 +389,15 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
 
         def price(lo: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray]:
             """Pool positions of the boxes' centers and the boxes' bounds."""
-            center, x_lo, x_hi, radius, e_lo, e_hi = geometry.box_bounds(lo, side, N)
+            center, x_lo, x_hi, e_lo, e_hi = geometry.box_bounds(lo, side, N)
             pos = columns(center)
             q = center / N
             bound = c[pos] - q[:, : k - 1] @ y_bary - y_one - y_le @ A_le[:, pos]
             if side > 1:
-                radius = radius / N
+                e_lo, e_hi = e_lo / N, e_hi / N
                 bound += _box_reach(
-                    *_box_gradient(gridded.utility, gradients, y_bary, q,
-                                   x_lo / N, x_hi / N, radius),
-                    radius, e_lo / N, e_hi / N)
+                    *_box_gradient(utility_gradient, gradients, y_bary, q,
+                                   x_lo / N, x_hi / N, e_lo, e_hi), e_lo, e_hi)
             return pos, bound
 
         lo, side = np.zeros((1, k - 1), dtype=np.int64), root
@@ -432,20 +431,21 @@ def _lazy_program(gridded: objectives.GriddedUtility, bounds, prior: Posterior
 
 
 def _box_gradient(utility, gradients, y_bary: np.ndarray, center: np.ndarray,
-                  q_lo: np.ndarray, q_hi: np.ndarray,
-                  radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi), each (B, k): per box {q in the simplex : q_lo <= q <= q_hi,
-    ||q - center||_1 <= radius}, a coordinate range holding a g with
-    r(x) - r(center) <= g . (x - center) at every point x of the box, for
-    the reduced cost r = c - y.A of the grid LP.
+                  q_lo: np.ndarray, q_hi: np.ndarray, e_lo: np.ndarray,
+                  e_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), each (B, k): per box of points x of the simplex with
+    q_lo <= x <= q_hi and partial sums of x - center in [e_lo, e_hi]
+    (B, k-1), a coordinate range holding a g with
+    r(x) - r(center) <= g . (x - center) at every x of the box, for the
+    reduced cost r = c - y.A of the grid LP.
 
-    Each part of r gives such a range: the utility terms
-    (UtilitySpec.box_gradient), -lambda_i times each smoothed constraint
+    Each part of r gives such a range: the utility terms (``utility``, from
+    UtilitySpec.box_gradient), -lambda_i times each smoothed constraint
     (``gradients``, from SmoothedConstraint.box_gradient) and the
     barycenter duals ``y_bary``, -y_i on coordinate i < k-1; their sum
     holds the sum of the g.
     """
-    lo, hi = utility.box_gradient(center, q_lo, q_hi, radius)
+    lo, hi = utility(center, e_lo, e_hi)
     lo[:, : y_bary.shape[0]] -= y_bary
     hi[:, : y_bary.shape[0]] -= y_bary
     for gradient in gradients:
@@ -455,25 +455,18 @@ def _box_gradient(utility, gradients, y_bary: np.ndarray, center: np.ndarray,
     return lo, hi
 
 
-def _box_reach(g_lo: np.ndarray, g_hi: np.ndarray, radius: np.ndarray,
-               e_lo: np.ndarray, e_hi: np.ndarray) -> np.ndarray:
+def _box_reach(g_lo: np.ndarray, g_hi: np.ndarray, e_lo: np.ndarray,
+               e_hi: np.ndarray) -> np.ndarray:
     """(B,) bounds on g . (x - center) over each box, for every g in
-    [g_lo, g_hi] (B, k) and every x of the box: within l1 radius of the
-    center, with partial sums of x - center in [e_lo, e_hi] (B, k-1), where
-    e_lo <= 0 <= e_hi.
+    [g_lo, g_hi] (B, k) and every x of the box, whose partial sums of
+    x - center lie in [e_lo, e_hi] (B, k-1), where e_lo <= 0 <= e_hi.
 
-    The smaller of two bounds.  Since x - center sums to zero, the sum-zero
-    rule gives (max g_hi - min g_lo) / 2 * radius.  Along the box's own
-    axes, with e the partial sums of x - center,
-    g . (x - center) = sum_i (g_i - g_{i+1}) e_i, and term i is at most
-    max((g_hi_i - g_lo_{i+1}) e_hi_i, (g_lo_i - g_hi_{i+1}) e_lo_i); this
-    one is the lower where g changes monotonically from axis to axis.
+    With e the partial sums of x - center (e_k = 0, as x - center sums to
+    zero), g . (x - center) = sum_i (g_i - g_{i+1}) e_i, and term i is at
+    most max((g_hi_i - g_lo_{i+1}) e_hi_i, (g_lo_i - g_hi_{i+1}) e_lo_i).
     """
-    spread = (reduce_last_axis(np.maximum, g_hi) - reduce_last_axis(np.minimum, g_lo)) \
-        / 2.0 * radius
-    axes = reduce_last_axis(np.add, np.maximum((g_hi[:, :-1] - g_lo[:, 1:]) * e_hi,
+    return reduce_last_axis(np.add, np.maximum((g_hi[:, :-1] - g_lo[:, 1:]) * e_hi,
                                                (g_lo[:, :-1] - g_hi[:, 1:]) * e_lo))
-    return np.minimum(spread, axes)
 
 
 def solve_surrogate(surrogate: Surrogate) -> SolveReport:

@@ -20,7 +20,7 @@ from helpers import (interior_prior, lattice_compositions, random_max_linear,
 from persuade import geometry
 from persuade.constraints import smooth_constraint
 from persuade.core import (ConstraintSpec, MaxLinearTerm, UtilitySpec,
-                           _rank_candidates, eval_utility_batch)
+                           _rank_candidates, _TermGroup, eval_utility_batch)
 from persuade.solver import _box_gradient, _box_reach
 
 KINDS = ("max_linear", "mixture", "linear", "norm_1", "norm_2", "norm_inf",
@@ -214,7 +214,7 @@ def test_box_slope_is_valid_and_sharp_on_sampled_boxes():
     # and outside the contracted simplex.  On a linear r the bound is
     # attained, so some box must come within 1 % of it.
     rng = np.random.default_rng(20)
-    best, inside, outside, boxes, axis_lower = 0.0, 0, 0, 0, 0
+    best, inside, outside = 0.0, 0, 0
     for k in range(2, 6):
         N = {2: 60, 3: 24, 4: 14, 5: 10}[k]
         lattice = lattice_compositions(k, N)
@@ -236,15 +236,12 @@ def test_box_slope_is_valid_and_sharp_on_sampled_boxes():
                 return r
             r_lattice = reduced(lattice / N)
             for lo, side in sampled_boxes(rng, k, N):
-                center, x_lo, x_hi, radius, e_lo, e_hi = geometry.box_bounds(lo, side, N)
+                center, x_lo, x_hi, e_lo, e_hi = geometry.box_bounds(lo, side, N)
                 hi = np.minimum(lo + side - 1, N)
                 gradients = [sm.box_gradient(w, prior) for sm, w in zip(smoothed, -y[k:])]
-                g_lo, g_hi = _box_gradient(u, gradients, y[: k - 1], center / N, x_lo / N,
-                                           x_hi / N, radius / N)
-                reach = _box_reach(g_lo, g_hi, radius / N, e_lo / N, e_hi / N)
-                boxes += reach.shape[0]
-                axis_lower += np.count_nonzero(
-                    reach < (g_hi.max(axis=1) - g_lo.min(axis=1)) / 2 * radius / N - 1e-12)
+                g_lo, g_hi = _box_gradient(u.box_gradient(), gradients, y[: k - 1],
+                                           center / N, x_lo / N, x_hi / N, e_lo / N, e_hi / N)
+                reach = _box_reach(g_lo, g_hi, e_lo / N, e_hi / N)
                 bound = reduced(center / N) + reach
                 member = ((partial[None] >= lo[:, None]) & (partial[None] <= hi[:, None])
                           ).all(axis=2)  # (B, V)
@@ -269,12 +266,43 @@ def test_box_slope_is_valid_and_sharp_on_sampled_boxes():
                         outside += np.count_nonzero(x_lo.min(axis=1) / N < floor)
     assert best >= 0.99, best
     assert inside and outside
-    # Along the box's axes the bound is the lower one on most boxes.
-    assert axis_lower >= boxes / 2, (axis_lower, boxes)
     # Rounding can leave a functional's lower bound above its own upper
     # bound; when that leaves no functional a candidate, all of them are.
     lower, upper = np.array([[1.0 + 1e-9, 0.0]]), np.array([[1.0, 0.5]])
     assert _rank_candidates(lower, upper, 1, 1e-12).all()
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_functional_extents_hold_and_are_attained_on_sampled_boxes(k):
+    # Each functional's range over a box, from its value at the center and
+    # the box's partial-sum extents, holds at every lattice point of the
+    # box and at real points between two of them, and both of its ends are
+    # attained on some box.
+    rng = np.random.default_rng(30 + k)
+    N = {2: 60, 3: 24, 4: 14, 5: 10, 6: 8}[k]
+    lattice = lattice_compositions(k, N)
+    partial = np.cumsum(lattice, axis=1)[:, :-1]
+    group = _TermGroup([MaxLinearTerm(rng.uniform(-1, 1, size=(4, k)), rank=2)
+                        for _ in range(3)])
+    values = lattice / N @ group.flat  # (V, T * n_f)
+    top = bottom = np.full(group.flat.shape[1], np.inf)
+    for lo, side in sampled_boxes(rng, k, N):
+        center, _, _, e_lo, e_hi = geometry.box_bounds(lo, side, N)
+        lower, upper = (a.reshape(lo.shape[0], -1)
+                        for a in group.extents(center / N, e_lo / N, e_hi / N))
+        hi = np.minimum(lo + side - 1, N)
+        member = ((partial[None] >= lo[:, None]) & (partial[None] <= hi[:, None])
+                  ).all(axis=2)  # (B, V)
+        for b in range(lo.shape[0]):
+            X = lattice[member[b]]
+            mates = X[rng.integers(0, X.shape[0], size=(4 * X.shape[0], 2))]
+            t = rng.uniform(0, 1, size=(mates.shape[0], 1))
+            reals = (t * mates[:, 0] + (1 - t) * mates[:, 1]) / N @ group.flat
+            for v in (values[member[b]], reals):
+                assert np.all(v >= lower[b] - 1e-12) and np.all(v <= upper[b] + 1e-12)
+            top = np.minimum(top, upper[b] - values[member[b]].max(axis=0))
+            bottom = np.minimum(bottom, values[member[b]].min(axis=0) - lower[b])
+    assert np.all(top <= 1e-12) and np.all(bottom <= 1e-12), (top, bottom)
 
 
 @pytest.mark.parametrize("n_f", range(1, 7))
